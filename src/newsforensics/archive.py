@@ -27,8 +27,7 @@ from .timeline import (
     MonthStamp,
     MonthlyTimeline,
     SiteState,
-    aggregate_month,
-    month_range,
+    timelines_from_annotations,
 )
 
 log = logging.getLogger(__name__)
@@ -65,12 +64,6 @@ class SnapshotRef:
 class SnapshotDocument:
     ref: SnapshotRef
     html: bytes
-    fetched_at: float
-    extracted_text: str | None = None  # filled lazily by the sync stage
-
-    @property
-    def cache_key(self) -> tuple[str, str]:
-        return (self.ref.site, self.ref.timestamp)
 
 
 def auto_dead_state(doc: SnapshotDocument) -> SiteState | None:
@@ -118,9 +111,6 @@ class SnapshotCache:
     def path(self, site: str, timestamp: str) -> Path:
         return self.root / site / f"{timestamp}.html"
 
-    def contains(self, site: str, timestamp: str) -> bool:
-        return self.path(site, timestamp).exists()
-
     def get(self, site: str, timestamp: str) -> bytes | None:
         path = self.path(site, timestamp)
         try:
@@ -138,7 +128,6 @@ class SnapshotCache:
 
 FETCHED = "fetched"
 FAILED = "failed"
-SKIPPED = "skipped"
 
 
 @dataclass(frozen=True)
@@ -249,7 +238,6 @@ class WaybackClient:
         self._limiter = RateLimiter(rate_limit, clock=clock, sleep=sleep)
         self._sleep = sleep
         self._jitter = random.Random(jitter_seed)
-        self._clock_now = clock
         self._local = threading.local()
         self.request_count = 0
         self.cdx_rows_skipped = 0
@@ -348,13 +336,13 @@ class WaybackClient:
             cached = self.cache.get(ref.site, ref.timestamp)
             if cached is not None:
                 self._local.retries = 0
-                return SnapshotDocument(ref, cached, fetched_at=self._clock_now())
+                return SnapshotDocument(ref, cached)
         url = f"{self.web_base}/web/{ref.timestamp}id_/{ref.original_url}"
         response = self._request(url)
         html = b"" if response.status_code == 404 else response.content
         if response.status_code >= 400:
             ref = replace(ref, status_code=response.status_code)
-        doc = SnapshotDocument(ref, html, fetched_at=self._clock_now())
+        doc = SnapshotDocument(ref, html)
         if self.cache is not None:
             self.cache.put(ref.site, ref.timestamp, html)
         return doc
@@ -424,46 +412,26 @@ def load_documents(
             if html is None:
                 log.warning("cache miss for %s %s", site, entry.ref.timestamp)
                 continue
-            yield SnapshotDocument(entry.ref, html, fetched_at=0.0)
+            yield SnapshotDocument(entry.ref, html)
 
 
 def build_timelines(
-    manifest: CrawlManifest,
-    annotations: Annotations | None = None,
-    window: tuple[MonthStamp, MonthStamp] | None = None,
+    manifest: CrawlManifest | None,
+    annotations: Annotations,
+    sites: Iterable[str],
+    window: tuple[MonthStamp, MonthStamp],
 ) -> list[MonthlyTimeline]:
-    """Combine manifest auto-dead evidence and annotations into timelines.
+    """One timeline per site from manifest auto-dead captures plus annotations.
 
-    Evidence per site-month goes through the alive > zombie > dead
-    aggregation; months without evidence are missing, and sites without
-    captures yield all-missing timelines so cohort math stays total.
+    ``manifest`` is None when no crawl ran.  Sites without any evidence
+    yield all-missing timelines, so cohort math stays total.
     """
-    annotations = annotations or {}
-    unknown = set(annotations) - set(manifest.entries)
-    if unknown:
-        raise ValueError(f"annotations reference sites outside the manifest: {sorted(unknown)[:5]}")
-    if window is None:
-        window = manifest.window
-    if window is None:
-        raise ValueError("no crawl window: pass one explicitly")
-    start, end = window
-
-    out = []
-    for site in manifest.sites():
-        evidence: dict[MonthStamp, list[SiteState]] = {}
-        for entry in manifest.entries[site]:
+    crawled = manifest.entries if manifest else {}
+    evidence: Annotations = {site: {} for site in sites}
+    for site, per_month in evidence.items():
+        for entry in crawled.get(site, ()):
             if entry.auto_state == "dead":
-                evidence.setdefault(entry.ref.month, []).append(SiteState.DEAD)
+                per_month.setdefault(entry.ref.month, []).append(SiteState.DEAD)
         for month, states in annotations.get(site, {}).items():
-            evidence.setdefault(month, []).extend(states)
-        states = []
-        for month in month_range(start, end):
-            month_evidence = evidence.get(month, [])
-            if len(set(month_evidence)) > 1:
-                log.info(
-                    "conflicting evidence for %s %s: %s",
-                    site, month, sorted(s.name for s in set(month_evidence)),
-                )
-            states.append(aggregate_month(month_evidence))
-        out.append(MonthlyTimeline(site, start, tuple(states)))
-    return out
+            per_month.setdefault(month, []).extend(states)
+    return timelines_from_annotations(evidence, window)

@@ -30,9 +30,7 @@ from .domains import PublicSuffixList, bundled_psl
 from .textproc import Preprocessor, default_preprocessor, extract_text
 from .timeline import (
     MonthStamp,
-    MonthlyTimeline,
     Quarter,
-    SiteState,
     cohort_histogram,
     interpolate_p1,
     interpolate_p2,
@@ -314,25 +312,21 @@ def build_timeline_artifacts(config: RunConfig) -> dict:
     """Timelines (raw and interpolated), lifetime stats and state histograms."""
     annotations = read_annotations(config.annotations) if config.annotations else {}
     manifest_path = config.out / "crawl_manifest.json"
+    manifest = None
     if manifest_path.exists():
         manifest = arch.CrawlManifest.load(manifest_path)
-    elif annotations:
-        # annotation-only runs synthesize an empty crawl over the annotated sites
-        manifest = arch.CrawlManifest(window=config.month_window)
-        for site in annotations:
-            manifest.entries.setdefault(site, [])
-    else:
+    elif not annotations:
         raise PrerequisiteError(
             f"{manifest_path} not found and no annotations given: run `crawl` first"
         )
 
     try:
-        lists = load_site_lists(config)
-        cohort_sites = set(lists.for_cohort(config.cohort))
+        cohort_sites = load_site_lists(config).for_cohort(config.cohort)
     except PrerequisiteError:
-        cohort_sites = set(manifest.entries)  # no lists: everything crawled
+        # no lists: every crawled site, or every annotated one without a crawl
+        cohort_sites = manifest.sites() if manifest else sorted(annotations)
 
-    raw = build_cohort_timelines(manifest, annotations, cohort_sites, config.month_window)
+    raw = arch.build_timelines(manifest, annotations, cohort_sites, config.month_window)
     p1 = [interpolate_p1(t) for t in raw]
     p2 = [interpolate_p2(t) for t in p1]
 
@@ -368,29 +362,6 @@ def build_timeline_artifacts(config: RunConfig) -> dict:
     return report
 
 
-def build_cohort_timelines(manifest, annotations, cohort_sites, window) -> list[MonthlyTimeline]:
-    """Timelines for every cohort site; uncrawled sites become all-missing.
-
-    Annotated sites missing from the crawl still contribute their
-    annotation evidence (the manifest is extended with empty entries).
-    """
-    for site in annotations:
-        manifest.entries.setdefault(site, [])
-    timelines = {
-        t.site: t for t in arch.build_timelines(manifest, annotations, window=window)
-    }
-    out = []
-    n_months = window[1] - window[0] + 1
-    for site in sorted(cohort_sites):
-        if site in timelines:
-            out.append(timelines[site])
-        else:
-            out.append(
-                MonthlyTimeline(site, window[0], (SiteState.MISSING,) * n_months)
-            )
-    return out
-
-
 def texts_by_month(config: RunConfig, sites: set[str]) -> dict:
     """Extracted text per month per site from the snapshot cache (first capture wins)."""
     manifest = arch.CrawlManifest.load(
@@ -403,8 +374,7 @@ def texts_by_month(config: RunConfig, sites: set[str]) -> dict:
             continue
         per_month = texts.setdefault(doc.ref.month, {})
         if doc.ref.site not in per_month:  # collapse to first capture per month
-            doc.extracted_text = extract_text(doc.html)
-            per_month[doc.ref.site] = doc.extracted_text
+            per_month[doc.ref.site] = extract_text(doc.html)
     return texts
 
 
@@ -657,14 +627,11 @@ def consolidated_report(config: RunConfig) -> dict:
             ["month", "alive", "zombie", "dead"],
             zip(hist["months"], hist["alive"], hist["zombie"], hist["dead"]),
         )
-        rows = []
-        for metric, stats in lifetime["lifetime"].items():
-            values = stats["values"]
-            n = len(values)
-            seen = 0
-            for i, v in enumerate(values, start=1):
-                if i == n or values[i] != v:
-                    rows.append([metric, v, i / n])
+        rows = [
+            [metric, int(months), fraction]
+            for metric, stats in lifetime["lifetime"].items()
+            for months, fraction in traf.ecdf(stats["values"])
+        ]
         write_csv(plots / "lifetime_cdf.csv", ["metric", "months", "fraction"], rows)
 
     sync_path = out / "sync_report.json"

@@ -9,46 +9,77 @@ from importlib import resources
 from pathlib import Path
 
 _NON_CONTENT_TAGS = {"script", "style", "noscript", "template"}
+_URL_ATTRS = {"src", "href", "data-src"}
+_CSS_URL_RE = re.compile(r"url\(\s*['\"]?([^'\")\s]+)['\"]?\s*\)", re.IGNORECASE)
 
 
-class _VisibleTextParser(HTMLParser):
+class _PageParser(HTMLParser):
+    """Visible text chunks and embedded URL strings in one walk.
+
+    Text inside script/style/noscript/template is hidden (one shared
+    depth); CSS ``url(...)`` references are taken from style attributes
+    and from inside ``<style>`` (its own depth).
+    """
+
     def __init__(self):
         super().__init__(convert_charrefs=True)
-        self._suppress = 0
+        self._hidden = 0
+        self._style = 0
         self.chunks: list[str] = []
+        self.urls: list[str] = []
 
     def handle_starttag(self, tag, attrs):
         if tag in _NON_CONTENT_TAGS:
-            self._suppress += 1
+            self._hidden += 1
+            if tag == "style":
+                self._style += 1
+        for name, value in attrs:
+            if value is None:
+                continue
+            if name in _URL_ATTRS:
+                self.urls.append(value)
+            elif name == "style":
+                self.urls.extend(_CSS_URL_RE.findall(value))
 
     def handle_endtag(self, tag):
-        if tag in _NON_CONTENT_TAGS and self._suppress:
-            self._suppress -= 1
+        if tag in _NON_CONTENT_TAGS:
+            if self._hidden:
+                self._hidden -= 1
+            if tag == "style" and self._style:
+                self._style -= 1
 
     def handle_data(self, data):
-        if not self._suppress and data:
+        if not self._hidden and data:
             self.chunks.append(data)
+        if self._style:
+            self.urls.extend(_CSS_URL_RE.findall(data))
 
 
-def extract_text(html: bytes | str) -> str:
-    """Visible text of an HTML document.
+def parse_page(html: bytes | str) -> tuple[str, list[str]]:
+    """Visible text and embedded URL strings of an HTML document.
 
-    Markup is dropped, script/style/noscript/template contents removed,
-    character references decoded and whitespace collapsed to single
-    spaces.  Byte input is decoded as UTF-8 with replacement, so this
-    never fails on malformed documents.
+    Byte input is decoded as UTF-8 with replacement, so this never fails
+    on malformed documents.  The text has markup dropped, non-content
+    elements removed, character references decoded and whitespace
+    collapsed to single spaces.  URLs are the raw src/href/data-src
+    attribute values and CSS ``url(...)`` targets, in document order.
     """
     if isinstance(html, bytes):
         html = html.decode("utf-8", errors="replace")
-    parser = _VisibleTextParser()
+    parser = _PageParser()
     try:
         parser.feed(html)
         parser.close()
     except Exception:
         # html.parser is tolerant; anything it still chokes on yields
-        # whatever text was gathered before the failure
+        # whatever was gathered before the failure
         pass
-    return " ".join(" ".join(parser.chunks).split())
+    return " ".join(" ".join(parser.chunks).split()), parser.urls
+
+
+def extract_text(html: bytes | str) -> str:
+    """Visible text of an HTML document (see ``parse_page``)."""
+    return parse_page(html)[0]
 
 
 _TOKEN_RE = re.compile(r"[a-z]+")

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import re
 import statistics
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
+
+log = logging.getLogger(__name__)
 
 
 class SiteState(Enum):
@@ -352,6 +355,7 @@ def timeline_from_record(rec: Mapping) -> MonthlyTimeline:
 
 def write_timelines(timelines: Iterable[MonthlyTimeline], path: str | Path) -> None:
     """One JSON record per line, sorted by site for reproducible output."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for t in sorted(timelines, key=lambda t: t.site):
             fh.write(json.dumps(timeline_to_record(t), sort_keys=True) + "\n")
@@ -401,10 +405,11 @@ def timelines_from_annotations(
     annotations: Annotations,
     window: tuple[MonthStamp, MonthStamp] | None = None,
 ) -> list[MonthlyTimeline]:
-    """Build per-site timelines from imported annotations alone.
+    """Fold per-site month evidence into one timeline per site.
 
-    The window defaults to the full annotated month span; months without
-    an annotation are missing.
+    Each month's evidence goes through the alive > zombie > dead
+    aggregation and months without evidence are missing.  The window
+    defaults to the full annotated month span.
     """
     if not annotations:
         return []
@@ -412,11 +417,16 @@ def timelines_from_annotations(
         months = [m for per_site in annotations.values() for m in per_site]
         window = (min(months), max(months))
     start, end = window
+    months = list(month_range(start, end))
     out = []
     for site in sorted(annotations):
         per_month = annotations[site]
-        states = [
-            aggregate_month(per_month.get(m, ())) for m in month_range(start, end)
-        ]
+        for month, found in per_month.items():
+            if start <= month <= end and len(set(found)) > 1:
+                log.info(
+                    "conflicting evidence for %s %s: %s",
+                    site, month, sorted(s.name for s in set(found)),
+                )
+        states = [aggregate_month(per_month.get(m, ())) for m in months]
         out.append(MonthlyTimeline(site, start, tuple(states)))
     return out

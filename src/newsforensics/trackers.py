@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
 from typing import Iterable
 from urllib.parse import urlsplit
 
 from .domains import PublicSuffixList, bundled_psl
-from .timeline import MonthStamp
+from .textproc import parse_page
+from .timeline import MonthStamp, month_range
 
 DOMAIN_ANCHOR = "domain-anchor"
 PLAIN_SUBSTRING = "plain-substring"
@@ -81,41 +81,8 @@ def serialize_rule(rule: FilterRule) -> str:
     return rule.pattern
 
 
-_URL_ATTRS = {"src", "href", "data-src"}
-_CSS_URL_RE = re.compile(r"url\(\s*['\"]?([^'\")\s]+)['\"]?\s*\)", re.IGNORECASE)
 # archive-rewritten reference: .../web/<timestamp><flag>/<original url>
 _ARCHIVE_REWRITE_RE = re.compile(r"/web/\d{4,14}[a-z]{0,3}_?/(?=(?:https?:)?//)")
-
-
-class _UrlCollector(HTMLParser):
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.urls: list[str] = []
-        self._in_style = 0
-
-    def handle_starttag(self, tag, attrs):
-        if tag == "style":
-            self._in_style += 1
-        for name, value in attrs:
-            if value is None:
-                continue
-            if name in _URL_ATTRS:
-                self.urls.append(value)
-            elif name == "style":
-                self.urls.extend(_CSS_URL_RE.findall(value))
-
-    def handle_startendtag(self, tag, attrs):
-        self.handle_starttag(tag, attrs)
-        if tag == "style":
-            self._in_style -= 1
-
-    def handle_endtag(self, tag):
-        if tag == "style" and self._in_style:
-            self._in_style -= 1
-
-    def handle_data(self, data):
-        if self._in_style:
-            self.urls.extend(_CSS_URL_RE.findall(data))
 
 
 def unwrap_archive_url(url: str) -> str:
@@ -139,20 +106,11 @@ def extract_third_parties(
     reduced to registrable domains and the first party's own domain is
     dropped.
     """
-    if isinstance(html, bytes):
-        html = html.decode("utf-8", errors="replace")
     psl = psl or bundled_psl()
     own = psl.registrable_domain(first_party) or first_party.lower()
 
-    collector = _UrlCollector()
-    try:
-        collector.feed(html)
-        collector.close()
-    except Exception:
-        pass
-
     found: set[str] = set()
-    for raw in collector.urls:
+    for raw in parse_page(html)[1]:
         url = unwrap_archive_url(raw.strip())
         if url.startswith("//"):
             url = "http:" + url
@@ -216,11 +174,7 @@ def prevalence_timeline(
         raise ValueError("top_k must be >= 1")
     cohort = set(cohort)
     start, end = window
-    months = []
-    m = start
-    while m <= end:
-        months.append(m)
-        m = m.plus(1)
+    months = tuple(month_range(start, end))
 
     seen: dict[str, set[tuple[str, MonthStamp]]] = {}
     for hit in hits:
@@ -233,7 +187,7 @@ def prevalence_timeline(
         counts = tuple(
             len({site for site, month in site_months if month == m}) for m in months
         )
-        out.append(PrevalenceSeries(tracker, tuple(months), counts, len(site_months)))
+        out.append(PrevalenceSeries(tracker, months, counts, len(site_months)))
     return out
 
 

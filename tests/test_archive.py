@@ -208,18 +208,18 @@ class TestAutoDeadState:
         return SnapshotRef("a.com", "20160101000000", "http://a.com/", status)
 
     def test_empty_body_dead(self):
-        assert auto_dead_state(SnapshotDocument(self.ref(200), b"", 0)) is D
+        assert auto_dead_state(SnapshotDocument(self.ref(200), b"")) is D
 
     def test_error_status_with_body_dead(self):
-        doc = SnapshotDocument(self.ref(500), b"<html>oops</html>", 0)
+        doc = SnapshotDocument(self.ref(500), b"<html>oops</html>")
         assert auto_dead_state(doc) is D
 
     def test_healthy_page_unknown(self):
-        doc = SnapshotDocument(self.ref(200), b"<html>news</html>", 0)
+        doc = SnapshotDocument(self.ref(200), b"<html>news</html>")
         assert auto_dead_state(doc) is None
 
     def test_missing_status_with_body_unknown(self):
-        doc = SnapshotDocument(self.ref(None), b"<html>x</html>", 0)
+        doc = SnapshotDocument(self.ref(None), b"<html>x</html>")
         assert auto_dead_state(doc) is None
 
 
@@ -343,37 +343,56 @@ class TestBuildTimelines:
         window = (MonthStamp(2016, 1), MonthStamp(2016, 4))
         manifest = self.manifest_for(window=window)
         annotations = {"example.com": {MonthStamp(2016, 3): [A]}}
-        (t,) = build_timelines(manifest, annotations)
+        (t,) = build_timelines(manifest, annotations, ["example.com"], window)
         assert t.states == (M, M, A, M)
 
     def test_alive_annotation_beats_auto_dead(self):
         manifest = self.manifest_for(entries=[("20160315000000", "dead")])
         annotations = {"example.com": {MonthStamp(2016, 3): [A]}}
-        (t,) = build_timelines(manifest, annotations)
+        (t,) = build_timelines(manifest, annotations, ["example.com"], WINDOW)
         assert t.state_at(MonthStamp(2016, 3)) is A
 
     def test_auto_dead_alone_yields_dead_month(self):
         manifest = self.manifest_for(entries=[("20160315000000", "dead")])
-        (t,) = build_timelines(manifest, {})
+        (t,) = build_timelines(manifest, {}, ["example.com"], WINDOW)
         assert t.state_at(MonthStamp(2016, 3)) is D
 
     def test_site_without_captures_all_missing(self):
         manifest = self.manifest_for()
-        (t,) = build_timelines(manifest, {})
+        (t,) = build_timelines(manifest, {}, ["example.com"], WINDOW)
         assert set(t.states) == {M}
         assert len(t) == 6
 
-    def test_unknown_annotation_site_rejected(self):
-        manifest = self.manifest_for()
-        with pytest.raises(ValueError, match="outside the manifest"):
-            build_timelines(manifest, {"other.net": {MonthStamp(2016, 1): [A]}})
+    def test_annotated_but_uncrawled_site_keeps_evidence(self):
+        window = (MonthStamp(2016, 1), MonthStamp(2016, 3))
+        manifest = self.manifest_for(site="crawled.com", window=window)
+        annotations = {"only-annotated.com": {MonthStamp(2016, 2): [A]}}
+        timelines = build_timelines(
+            manifest, annotations, ["crawled.com", "only-annotated.com"], window
+        )
+        by_site = {t.site: t for t in timelines}
+        assert by_site["only-annotated.com"].states == (M, A, M)
+        assert by_site["crawled.com"].states == (M, M, M)
 
-    def test_window_required(self):
-        manifest = self.manifest_for(window=None)
-        with pytest.raises(ValueError, match="window"):
-            build_timelines(manifest, {})
+    def test_cohort_site_never_seen_is_all_missing(self):
+        window = (MonthStamp(2016, 1), MonthStamp(2016, 3))
+        (t,) = build_timelines(CrawlManifest(window=window), {}, ["ghost.com"], window)
+        assert t.site == "ghost.com"
+        assert t.states == (M, M, M)
+
+    def test_without_manifest_annotations_alone(self):
+        annotations = {"example.com": {MonthStamp(2016, 2): [Z, D]}}
+        (t,) = build_timelines(None, annotations, ["example.com"], WINDOW)
+        assert t.states == (M, Z, M, M, M, M)
+
+    def test_only_requested_sites_built(self):
+        manifest = self.manifest_for(entries=[("20160315000000", "dead")])
+        annotations = {"other.net": {MonthStamp(2016, 1): [A]}}
+        timelines = build_timelines(manifest, annotations, ["third.org"], WINDOW)
+        assert [t.site for t in timelines] == ["third.org"]
+        assert set(timelines[0].states) == {M}
 
     def test_unknown_capture_without_annotation_is_missing(self):
         manifest = self.manifest_for(entries=[("20160315000000", None)])
-        (t,) = build_timelines(manifest, {})
+        (t,) = build_timelines(manifest, {}, ["example.com"], WINDOW)
         assert t.state_at(MonthStamp(2016, 3)) is M

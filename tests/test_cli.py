@@ -4,9 +4,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from newsforensics.archive import CrawlManifest
 from newsforensics.cli import main
+from newsforensics.timeline import MonthStamp
 
-from fixture_corpus import build_corpus, serve
+from fixture_corpus import DEAD_SITE, FAKE_SITES, build_corpus, serve
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,55 @@ class TestPrerequisites:
     def test_stats_without_traffic_path(self, tmp_path):
         result = invoke(["--out", str(tmp_path / "o"), "stats"])
         assert result.exit_code == 2
+
+
+class TestTimelineWithoutCrawl:
+    def timeline_sites(self, out):
+        lines = (out / "timelines.jsonl").read_text().splitlines()
+        return {json.loads(line)["site"]: json.loads(line)["states"] for line in lines}
+
+    def test_annotations_alone_build_annotated_sites(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        result = invoke(["--out", str(out), "timeline", "--annotations",
+                         str(corpus.annotations), "--window", "2015-01", "2017-12"])
+        assert result.exit_code == 0, result.output
+        timelines = self.timeline_sites(out)
+        assert set(timelines) == set(FAKE_SITES) - {DEAD_SITE}
+        assert "A" in timelines["twin-a.com"]
+
+    def test_cohort_sites_without_evidence_all_missing(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        assert invoke(["--out", str(out), "ingest-lists", "--fake", str(corpus.fake_list),
+                       "--real", str(corpus.real_list)]).exit_code == 0
+        result = invoke(["--out", str(out), "timeline", "--annotations",
+                         str(corpus.annotations), "--window", "2015-01", "2017-12"])
+        assert result.exit_code == 0, result.output
+        timelines = self.timeline_sites(out)
+        assert set(timelines) == set(FAKE_SITES)
+        assert timelines[DEAD_SITE] == "M" * 36
+
+    def test_neither_crawl_nor_annotations_exits_3(self, tmp_path):
+        result = invoke(["--out", str(tmp_path / "o"), "timeline"])
+        assert result.exit_code == 3
+        assert "crawl" in result.output
+
+
+class TestTrackerWindow:
+    def test_reversed_window_exits_2(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        assert invoke(["--out", str(out), "ingest-lists", "--fake", str(corpus.fake_list),
+                       "--real", str(corpus.real_list)]).exit_code == 0
+        CrawlManifest(window=(MonthStamp(2015, 1), MonthStamp(2017, 12))).save(
+            out / "crawl_manifest.json"
+        )
+        result = invoke(
+            ["--out", str(out), "trackers", "--filter-list", str(corpus.filter_list)],
+            env={"NEWSFORENSICS_WINDOW_START": "2017-12",
+                 "NEWSFORENSICS_WINDOW_END": "2015-01"},
+        )
+        assert result.exit_code == 2
+        assert "empty month window" in result.output
+        assert not (out / "tracker_report.json").exists()
 
 
 class TestNetworkFailure:

@@ -2,18 +2,11 @@ import json
 
 import pytest
 
-from newsforensics.archive import CrawlManifest
 from newsforensics.pipeline import (
     RunConfig,
     _display_path,
-    build_cohort_timelines,
     write_json,
 )
-from newsforensics.timeline import MonthStamp, SiteState
-
-A, M = SiteState.ALIVE, SiteState.MISSING
-
-WINDOW = (MonthStamp(2016, 1), MonthStamp(2016, 3))
 
 
 class TestRunConfig:
@@ -49,25 +42,6 @@ class TestRunConfig:
         cfg.write_text(json.dumps({"mistyped": True}))
         with pytest.raises(ValueError, match="mistyped"):
             RunConfig.from_sources(str(cfg), {}, {})
-
-
-class TestBuildCohortTimelines:
-    def test_annotated_but_uncrawled_site_keeps_evidence(self):
-        manifest = CrawlManifest(window=WINDOW)
-        manifest.entries["crawled.com"] = []
-        annotations = {"only-annotated.com": {MonthStamp(2016, 2): [A]}}
-        timelines = build_cohort_timelines(
-            manifest, annotations, {"crawled.com", "only-annotated.com"}, WINDOW
-        )
-        by_site = {t.site: t for t in timelines}
-        assert by_site["only-annotated.com"].states == (M, A, M)
-        assert set(by_site["crawled.com"].states) == {M}
-
-    def test_cohort_site_never_seen_is_all_missing(self):
-        manifest = CrawlManifest(window=WINDOW)
-        timelines = build_cohort_timelines(manifest, {}, {"ghost.com"}, WINDOW)
-        assert timelines[0].site == "ghost.com"
-        assert timelines[0].states == (M, M, M)
 
 
 class TestDisplayPath:

@@ -1,6 +1,6 @@
 import pytest
 
-from newsforensics.textproc import Preprocessor, extract_text, preprocess
+from newsforensics.textproc import Preprocessor, extract_text, parse_page, preprocess
 
 
 class TestExtractText:
@@ -16,10 +16,30 @@ class TestExtractText:
             (b"a &amp; b &lt;tag&gt;", "a & b <tag>"),
             (b"line\n\n  breaks\t here", "line breaks here"),
             (b"<!-- comment -->text", "text"),
+            (b'<noscript><img src="https://t.example.com/p.gif">pixel</noscript>ok', "ok"),
+            (b"<style>p{background:url(https://x.example.net/b.png)}</style>Body", "Body"),
+            (b'<div style="background:url(https://x.example.net/b.png)">Body</div>', "Body"),
+            (b"<style/>visible after", "visible after"),
         ],
     )
     def test_cases(self, html, expected):
         assert extract_text(html) == expected
+
+    def test_parse_page_returns_text_and_urls_in_one_pass(self):
+        html = (
+            b'<p style="background:url(//a.example.net/x.png)">caf\xe9</p>'
+            b'<noscript><img src="https://t.example.com/p.gif"></noscript>'
+            b"<style>p{background:url('https://b.example.org/y.png')}</style>"
+            b'<a href="/local">read</a>'
+        )
+        text, urls = parse_page(html)
+        assert text == "caf\ufffd read"
+        assert urls == [
+            "//a.example.net/x.png",
+            "https://t.example.com/p.gif",
+            "https://b.example.org/y.png",
+            "/local",
+        ]
 
     def test_nested_script_like_blocks(self):
         html = b"<script><style>x</style></script>visible"

@@ -175,6 +175,26 @@ class TestExtractThirdParties:
         html = b'<a href="mailto:x@y.com"><img src="data:image/png;base64,AAAA">'
         assert extract_third_parties(html, "example.com") == set()
 
+    @pytest.mark.parametrize(
+        "html,expected",
+        [
+            # hidden text, kept URL
+            (b'<noscript><img src="https://t.example.com/p.gif"></noscript>',
+             {"example.com"}),
+            (b"<style>p{background:url(https://bg.example.net/x.png)}</style>",
+             {"example.net"}),
+            (b'<p style="background:url(\'https://bg.example.net/x.png\')">text</p>',
+             {"example.net"}),
+            # a self-closing style opens no style block: later text is not CSS
+            (b"<style/>url(https://bg.example.net/x.png)", set()),
+            # non-UTF-8 bytes decode with replacement and do not stop the scan
+            (b'<p>caf\xe9</p><script src="https://t.tracker.org/\xff.js"></script>',
+             {"tracker.org"}),
+        ],
+    )
+    def test_text_and_url_state_meet(self, html, expected):
+        assert extract_third_parties(html, "news.org") == expected
+
     def test_never_returns_first_party(self):
         html = (
             b'<a href="https://example.com/page"><img src="https://www.example.com/i.png">'
@@ -257,6 +277,11 @@ class TestPrevalence:
         series = prevalence_timeline(hits, {"a.com", "b.com"}, self.WINDOW, top_k=1)
         assert series[0].tracker_domain == "big.net"
         assert series[0].cumulative == 3
+
+    def test_reversed_window_rejected(self):
+        hits = [hit("a.com", 2016, 2, "t.net")]
+        with pytest.raises(ValueError, match="empty month window"):
+            prevalence_timeline(hits, {"a.com"}, (self.WINDOW[1], self.WINDOW[0]))
 
     def test_counts_bounded_by_cohort(self):
         hits = [hit(f"s{i}.com", 2016, 1, "t.net") for i in range(5)]
