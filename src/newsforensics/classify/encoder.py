@@ -9,6 +9,7 @@ order, and all statistics come from the data the encoder was fitted on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -45,6 +46,13 @@ def complete_profiles(profiles) -> list[TrafficProfile]:
     return [p for p in profiles if not missing_features(p)]
 
 
+def _feature_table(profiles: list[TrafficProfile]) -> np.ndarray:
+    """Object array of raw feature values, one column per REQUIRED_FEATURES."""
+    get = attrgetter(*REQUIRED_FEATURES)
+    rows = [get(p) for p in profiles]
+    return np.array(rows, dtype=object).reshape(len(rows), len(REQUIRED_FEATURES))
+
+
 @dataclass
 class FeatureEncoder:
     columns: list[str]
@@ -59,10 +67,11 @@ class FeatureEncoder:
         if not rows:
             raise ValueError("no profiles with a complete feature set")
 
+        table = _feature_table(rows)
         means, stds, dropped = {}, {}, []
         columns = []
         for name in NUMERIC_FEATURES:
-            values = np.array([float(getattr(p, name)) for p in rows])
+            values = table[:, REQUIRED_FEATURES.index(name)].astype(float)
             if values.var() < variance_threshold:
                 dropped.append(name)
                 continue
@@ -72,7 +81,7 @@ class FeatureEncoder:
 
         vocab = {}
         for name in CATEGORICAL_FEATURES:
-            seen = sorted({getattr(p, name) for p in rows})
+            seen = sorted(set(table[:, REQUIRED_FEATURES.index(name)]))
             if len(seen) < 2:
                 # a single observed value is a constant column
                 dropped.append(name)
@@ -87,22 +96,25 @@ class FeatureEncoder:
         return len(self.columns)
 
     def transform_one(self, profile: TrafficProfile) -> np.ndarray:
-        missing = missing_features(profile)
-        if missing:
-            raise ValueError(f"profile {profile.site} missing features: {missing}")
-        row = np.zeros(len(self.columns))
-        for i, column in enumerate(self.columns):
-            if "=" in column:
-                name, value = column.split("=", 1)
-                row[i] = 1.0 if str(getattr(profile, name)) == value else 0.0
-            else:
-                row[i] = (float(getattr(profile, column)) - self.means[column]) / self.stds[
-                    column
-                ]
-        return row
+        return self.transform([profile])[0]
 
     def transform(self, profiles) -> np.ndarray:
-        return np.array([self.transform_one(p) for p in profiles])
+        """One encoded row per profile; raises on the first incomplete one."""
+        profiles = list(profiles)
+        table = _feature_table(profiles)
+        incomplete = np.flatnonzero(np.equal(table, None).any(axis=1))
+        if incomplete.size:
+            p = profiles[incomplete[0]]
+            raise ValueError(f"profile {p.site} missing features: {missing_features(p)}")
+        X = np.empty((len(profiles), len(self.columns)))
+        for j, column in enumerate(self.columns):
+            name, one_hot, value = column.partition("=")
+            values = table[:, REQUIRED_FEATURES.index(name)]
+            if one_hot:
+                X[:, j] = values.astype(str) == value
+            else:
+                X[:, j] = (values.astype(float) - self.means[name]) / self.stds[name]
+        return X
 
     @staticmethod
     def labels(profiles) -> np.ndarray:

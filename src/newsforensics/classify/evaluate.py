@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..traffic import TrafficProfile
-from .encoder import FeatureEncoder, complete_profiles, missing_features
+from .encoder import FeatureEncoder, complete_profiles
 from .metrics import MetricsReport, compute_metrics
 from .models import MODEL_KINDS, make_model
 
@@ -33,14 +33,9 @@ class NewsClassifier:
     encoder: FeatureEncoder
     model: object
 
-    def score_profile(self, profile: TrafficProfile) -> float:
-        x = self.encoder.transform_one(profile)
-        return float(self.model.score(x[None, :])[0])
-
-    def predict_profile(self, profile: TrafficProfile, threshold: float = 0.5):
-        """(label, score) at the decision threshold."""
-        score = self.score_profile(profile)
-        return ("fake" if score >= threshold else "real", score)
+    def score(self, profiles: Sequence[TrafficProfile]) -> np.ndarray:
+        """P(fake) per profile; raises on the first incomplete profile."""
+        return self.model.score(self.encoder.transform(profiles))
 
     def to_dict(self) -> dict:
         return {
@@ -80,6 +75,15 @@ def _check_trainable(labels: np.ndarray) -> None:
         )
 
 
+def _fit_classifier(
+    kind: str, rows: list[TrafficProfile], labels: np.ndarray, seed: int, model_params: dict
+) -> NewsClassifier:
+    """Fit an encoder on rows, then a model on the encoded rows and labels."""
+    encoder = FeatureEncoder.fit(rows)
+    model = make_model(kind, **model_params).fit(encoder.transform(rows), labels, seed=seed)
+    return NewsClassifier(kind, encoder, model)
+
+
 def train_classifier(
     kind: str,
     profiles: Iterable[TrafficProfile],
@@ -88,12 +92,9 @@ def train_classifier(
 ) -> NewsClassifier:
     """Fit the encoder and one model on all complete profiles."""
     rows = complete_profiles(profiles)
-    encoder = FeatureEncoder.fit(rows)
-    X = encoder.transform(rows)
-    y = encoder.labels(rows)
-    _check_trainable(y)
-    model = make_model(kind, **model_params).fit(X, y, seed=seed)
-    return NewsClassifier(kind, encoder, model)
+    labels = FeatureEncoder.labels(rows)
+    _check_trainable(labels)
+    return _fit_classifier(kind, rows, labels, seed, model_params)
 
 
 def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
@@ -151,16 +152,10 @@ def cross_validate(
     pooled_scores = np.empty(len(rows))
     fold_reports = []
     for fold_id, test_idx in enumerate(folds):
-        test_set = set(test_idx.tolist())
-        train_rows = [r for i, r in enumerate(rows) if i not in test_set]
-        test_rows = [rows[i] for i in test_idx]
-        encoder = FeatureEncoder.fit(train_rows)
-        model = make_model(kind, **model_params).fit(
-            encoder.transform(train_rows),
-            encoder.labels(train_rows),
-            seed=fold_seeds[fold_id],
-        )
-        scores = model.score(encoder.transform(test_rows))
+        train_idx = np.delete(np.arange(len(rows)), test_idx)
+        classifier = _fit_classifier(kind, [rows[i] for i in train_idx], labels[train_idx],
+                                     fold_seeds[fold_id], model_params)
+        scores = classifier.score([rows[i] for i in test_idx])
         pooled_scores[test_idx] = scores
         fold_reports.append(
             compute_metrics(scores, labels[test_idx], threshold=threshold)
@@ -238,17 +233,13 @@ def rank_split_experiment(
     if not test_rows:
         raise ValueError(f"no profiles satisfy test predicate {spec.test}")
 
-    encoder = FeatureEncoder.fit(train_rows)
-    y_train = encoder.labels(train_rows)
-    y_test = encoder.labels(test_rows)
+    y_train = FeatureEncoder.labels(train_rows)
+    y_test = FeatureEncoder.labels(test_rows)
     _check_trainable(y_train)
     if len(set(y_test.tolist())) < 2:
         raise ValueError("test side must contain both classes")
-    model = make_model(kind, **model_params).fit(
-        encoder.transform(train_rows), y_train, seed=seed
-    )
-    scores = model.score(encoder.transform(test_rows))
-    return compute_metrics(scores, y_test, threshold=threshold)
+    classifier = _fit_classifier(kind, train_rows, y_train, seed, model_params)
+    return compute_metrics(classifier.score(test_rows), y_test, threshold=threshold)
 
 
 def predict_profiles(
@@ -257,11 +248,8 @@ def predict_profiles(
     threshold: float = 0.5,
 ) -> list[tuple[str, str, float]]:
     """Per-profile (site, label, score); raises on incomplete profiles."""
-    out = []
-    for p in profiles:
-        missing = missing_features(p)
-        if missing:
-            raise ValueError(f"profile {p.site} missing features: {missing}")
-        label, score = classifier.predict_profile(p, threshold)
-        out.append((p.site, label, score))
-    return out
+    scores = classifier.score(profiles).tolist()
+    return [
+        (p.site, "fake" if score >= threshold else "real", score)
+        for p, score in zip(profiles, scores)
+    ]

@@ -9,18 +9,8 @@ fitted forest serializes to plain JSON-compatible dicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class _Node:
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    prob: float = 0.0  # P(positive) at the node
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
@@ -53,34 +43,43 @@ def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
 
 
 class DecisionTree:
-    """Binary CART classifier scoring P(positive) from leaf class fractions."""
+    """Binary CART classifier scoring P(positive) from leaf class fractions.
+
+    Nodes are parallel arrays indexed by node id; feature -1 marks a leaf.
+    """
 
     def __init__(self, max_features: int | None = None, min_samples_leaf: int = 1,
                  max_depth: int | None = None):
         self.max_features = max_features
         self.min_samples_leaf = min_samples_leaf
         self.max_depth = max_depth
-        self.nodes: list[_Node] = []
+        self._set_nodes([])
+
+    def _set_nodes(self, nodes) -> None:
+        table = np.array(nodes, dtype=float).reshape(-1, 5)
+        self.feature = table[:, 0].astype(np.intp)
+        self.threshold = table[:, 1]
+        self.left = table[:, 2].astype(np.intp)
+        self.right = table[:, 3].astype(np.intp)
+        self.prob = table[:, 4]
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> "DecisionTree":
         n, d = X.shape
         m = min(self.max_features or d, d)
-        self.nodes = []
+        nodes = []  # [feature, threshold, left, right, prob] per node id
         # (sample indices, depth, parent node id, is-left) processed LIFO so
         # rng consumption follows a fixed traversal order
         stack = [(np.arange(n), 0, -1, False)]
         while stack:
             idx, depth, parent, is_left = stack.pop()
-            node_id = len(self.nodes)
-            node = _Node(prob=float(y[idx].mean()))
-            self.nodes.append(node)
+            node_id = len(nodes)
+            prob = float(y[idx].mean())
+            node = [-1, 0.0, -1, -1, prob]
+            nodes.append(node)
             if parent >= 0:
-                if is_left:
-                    self.nodes[parent].left = node_id
-                else:
-                    self.nodes[parent].right = node_id
+                nodes[parent][2 if is_left else 3] = node_id
 
-            pure = node.prob == 0.0 or node.prob == 1.0
+            pure = prob == 0.0 or prob == 1.0
             too_small = len(idx) < 2 * self.min_samples_leaf
             too_deep = self.max_depth is not None and depth >= self.max_depth
             if pure or too_small or too_deep:
@@ -94,37 +93,34 @@ class DecisionTree:
                     best = (split[0], f, split[1])
             if best is None:
                 continue  # sampled features are constant here: leaf
-            node.feature, node.threshold = int(best[1]), float(best[2])
-            mask = X[idx, node.feature] <= node.threshold
+            node[0], node[1] = int(best[1]), float(best[2])
+            mask = X[idx, node[0]] <= node[1]
             stack.append((idx[~mask], depth + 1, node_id, False))
             stack.append((idx[mask], depth + 1, node_id, True))
+        self._set_nodes(nodes)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
-            node = self.nodes[0]
-            while node.feature >= 0:
-                node = self.nodes[
-                    node.left if row[node.feature] <= node.threshold else node.right
-                ]
-            out[i] = node.prob
-        return out
+        """Leaf P(positive) per row; all rows descend one level per step."""
+        node = np.zeros(len(X), dtype=np.intp)
+        rows = np.arange(len(X))
+        while rows.size:
+            at = node[rows]
+            split = self.feature[at] >= 0
+            rows, at = rows[split], at[split]
+            go_left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+        return self.prob[node]
 
     def to_dict(self) -> dict:
-        return {
-            "nodes": [
-                [n.feature, n.threshold, n.left, n.right, n.prob] for n in self.nodes
-            ]
-        }
+        nodes = zip(self.feature.tolist(), self.threshold.tolist(), self.left.tolist(),
+                    self.right.tolist(), self.prob.tolist())
+        return {"nodes": [list(n) for n in nodes]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTree":
         tree = cls()
-        tree.nodes = [
-            _Node(int(f), float(t), int(l), int(r), float(p))
-            for f, t, l, r, p in data["nodes"]
-        ]
+        tree._set_nodes(data["nodes"])
         return tree
 
 
@@ -161,7 +157,11 @@ class RandomForestModel:
     def score(self, X: np.ndarray) -> np.ndarray:
         if not self.trees:
             raise ValueError("model is not fitted")
-        return np.mean([tree.predict_proba(X) for tree in self.trees], axis=0)
+        # summed tree by tree: equals np.mean over stacked scores, without the stack
+        total = np.zeros(len(X))
+        for tree in self.trees:
+            total += tree.predict_proba(X)
+        return total / len(self.trees)
 
     def to_dict(self) -> dict:
         return {

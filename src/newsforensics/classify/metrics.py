@@ -79,16 +79,10 @@ def auc_score(scores, labels) -> float:
     n_neg = int((labels == NEGATIVE_LABEL).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: both classes must be present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=float)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1  # mid-rank, 1-based
-        i = j + 1
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # 1-based mid-rank of each group of tied scores: its last rank minus
+    # half the ranks it spans beyond the first
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[group]
     rank_sum = float(ranks[labels == POSITIVE_LABEL].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 

@@ -560,7 +560,9 @@ def classify(
         classifier.save(model_path)
         report["model_file"] = _display_path(model_path, config.out)
     if predict:
-        to_score, _ = traf.load_profiles(predict, allow_unlabeled=True)
+        to_score, rejected = traf.load_profiles(predict, allow_unlabeled=True)
+        for e in rejected:
+            log.warning("%s:%d: row for %s not scored: %s", predict, e.line, e.site, e.reason)
         rows = predict_profiles(classifier, to_score)
         predictions_path = config.out / "predictions.csv"
         write_csv(

@@ -188,27 +188,24 @@ def _parse_row(row: dict, line: int, allow_unlabeled: bool = False) -> TrafficPr
 
 
 def load_profiles(
-    path: str | Path, schema: str | None = None, allow_unlabeled: bool = False
+    path: str | Path, allow_unlabeled: bool = False
 ) -> tuple[list[TrafficProfile], list[RowError]]:
     """Load traffic profiles from a CSV or JSON-lines export.
 
-    The schema is inferred from the file extension unless given
-    ("csv" or "json-lines").  A missing required column is a hard
-    error; rows violating value invariants are returned as RowErrors.
-    With allow_unlabeled, rows may leave the label blank (prediction
-    inputs) and get label "unknown".
+    Files ending in .jsonl, .ndjson or .json are read as JSON lines,
+    anything else as CSV.  A missing required column is a hard error;
+    rows violating value invariants are returned as RowErrors.  With
+    allow_unlabeled, rows may leave the label blank (prediction inputs)
+    and get label "unknown".
     """
     path = Path(path)
-    if schema is None:
-        schema = "json-lines" if path.suffix in (".jsonl", ".ndjson", ".json") else "csv"
-    if schema not in ("csv", "json-lines"):
-        raise ValueError(f"unknown schema {schema!r}")
+    json_lines = path.suffix in (".jsonl", ".ndjson", ".json")
 
     required = [
         c for c in REQUIRED_COLUMNS if not (allow_unlabeled and c == "label")
     ]
     rows: list[tuple[int, dict]] = []
-    if schema == "csv":
+    if not json_lines:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             header = set(reader.fieldnames or [])

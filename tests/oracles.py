@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from newsforensics.classify.encoder import REQUIRED_FEATURES
 from newsforensics.timeline import MonthlyTimeline, SiteState
 
 A, Z, D, M = SiteState.ALIVE, SiteState.ZOMBIE, SiteState.DEAD, SiteState.MISSING
@@ -96,3 +99,41 @@ def dense_cosine(tokens_a: list[str], tokens_b: list[str],
 
     va, vb = vec(tokens_a), vec(tokens_b)
     return sum(x * y for x, y in zip(va, vb))
+
+
+def tree_walk_reference(tree, X) -> np.ndarray:
+    """P(positive) per row by descending the serialized node list row by row."""
+    nodes = tree.to_dict()["nodes"]
+    out = np.empty(len(X))
+    for i, row in enumerate(X):
+        feature, threshold, left, right, prob = nodes[0]
+        while feature >= 0:
+            child = left if row[feature] <= threshold else right
+            feature, threshold, left, right, prob = nodes[child]
+        out[i] = prob
+    return out
+
+
+def encode_reference(encoder, profile) -> np.ndarray:
+    """One encoded row, column by column from the encoder's fitted statistics."""
+    missing = [f for f in REQUIRED_FEATURES if getattr(profile, f) is None]
+    if missing:
+        raise ValueError(f"profile {profile.site} missing features: {missing}")
+    row = np.zeros(len(encoder.columns))
+    for i, column in enumerate(encoder.columns):
+        if "=" in column:
+            name, value = column.split("=", 1)
+            row[i] = 1.0 if str(getattr(profile, name)) == value else 0.0
+        else:
+            mean, std = encoder.means[column], encoder.stds[column]
+            row[i] = (float(getattr(profile, column)) - mean) / std
+    return row
+
+
+def auc_pairwise_reference(scores, labels) -> float:
+    """Share of (positive, negative) pairs the positive outranks, ties half."""
+    pos = [s for s, y in zip(scores, labels) if y == 1]
+    neg = [s for s, y in zip(scores, labels) if y == 0]
+    wins = sum(1 for p in pos for n in neg if p > n)
+    ties = sum(1 for p in pos for n in neg if p == n)
+    return (wins + ties / 2) / (len(pos) * len(neg))

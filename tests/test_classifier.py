@@ -20,6 +20,7 @@ from newsforensics.classify import (
 from newsforensics.classify.forest import DecisionTree, RandomForestModel
 from newsforensics.traffic import TrafficProfile
 
+from oracles import auc_pairwise_reference, encode_reference, tree_walk_reference
 from synth import permuted_labels, rank_banded_dataset, separable_dataset
 
 
@@ -89,6 +90,43 @@ class TestEncoder:
         back = FeatureEncoder.from_dict(json.loads(json.dumps(enc.to_dict())))
         assert np.array_equal(back.transform(dataset[:5]), enc.transform(dataset[:5]))
 
+    def test_transform_matches_row_reference(self, dataset):
+        rng = np.random.default_rng(31)
+        for trial in range(20):
+            picked = rng.choice(len(dataset), size=int(rng.integers(2, 60)), replace=False)
+            fitted = []
+            for i in picked:
+                values = vars(dataset[i]).copy()
+                if trial % 2:
+                    values["src_mail"] = 3.0  # constant numeric column: dropped
+                if trial % 3 == 0:
+                    values["category"] = "News"  # constant category: dropped
+                fitted.append(TrafficProfile(**values))
+            enc = FeatureEncoder.fit(fitted)
+            assert ("src_mail" in enc.dropped) == bool(trial % 2)
+            assert ("category" in enc.dropped) == (trial % 3 == 0)
+            scored = [dataset[i] for i in rng.choice(len(dataset), size=15)]
+            values = vars(scored[0]).copy()
+            values["country"] = "ZZ"  # unseen category value: all zeros
+            scored.append(TrafficProfile(**values))
+            expected = np.array([encode_reference(enc, p) for p in scored])
+            assert np.array_equal(enc.transform(scored), expected)
+            assert np.array_equal(enc.transform_one(scored[-1]), expected[-1])
+
+    def test_transform_rejects_first_incomplete_profile(self, dataset):
+        enc = FeatureEncoder.fit(dataset)
+        first = TrafficProfile("first.com", "fake", bounce_rate=50.0)
+        second = TrafficProfile("second.com", "fake", country="US")
+        with pytest.raises(ValueError) as expected:
+            encode_reference(enc, first)
+        with pytest.raises(ValueError) as err:
+            enc.transform(dataset[:3] + [first] + dataset[3:5] + [second])
+        assert str(err.value) == str(expected.value)
+
+    def test_transform_of_no_profiles_is_empty(self, dataset):
+        enc = FeatureEncoder.fit(dataset)
+        assert enc.transform([]).shape == (0, enc.dimension)
+
     def test_all_dropped_errors(self):
         with pytest.raises(ValueError):
             FeatureEncoder.fit(
@@ -152,6 +190,44 @@ class TestModels:
         X, y = xor_free_blob(n=40)
         tree = DecisionTree().fit(X, y, np.random.default_rng(0))
         assert np.array_equal((tree.predict_proba(X) >= 0.5).astype(int), y)
+
+    def test_level_synchronous_walk_matches_row_walk(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n, d = int(rng.integers(4, 80)), int(rng.integers(1, 6))
+            X = rng.integers(0, 6, size=(n, d)).astype(float)  # repeated values
+            y = rng.integers(0, 2, size=n)
+            tree = DecisionTree(
+                max_features=int(rng.integers(1, d + 1)),
+                min_samples_leaf=int(rng.integers(1, 4)),
+            ).fit(X, y, rng)
+            probe = rng.integers(-1, 7, size=(60, d)).astype(float)
+            splits = np.flatnonzero(tree.feature >= 0)
+            for k, node in enumerate(splits):
+                # a row whose value equals the threshold must go left
+                probe[k % len(probe), tree.feature[node]] = tree.threshold[node]
+            assert np.array_equal(tree.predict_proba(probe), tree_walk_reference(tree, probe))
+
+    @pytest.mark.parametrize("X,y", [
+        (np.arange(12.0).reshape(6, 2), np.ones(6, dtype=int)),  # pure node
+        (np.ones((6, 2)), np.array([0, 1, 0, 1, 1, 0])),  # constant features
+    ])
+    def test_single_leaf_tree_scores_its_fraction(self, X, y):
+        tree = DecisionTree().fit(X, y, np.random.default_rng(0))
+        assert len(tree.feature) == 1
+        probe = np.array([[-5.0, 0.0], [1.0, 1.0], [50.0, 50.0]])
+        assert np.array_equal(tree.predict_proba(probe), np.full(3, y.mean()))
+        assert np.array_equal(tree.predict_proba(probe), tree_walk_reference(tree, probe))
+
+    def test_tree_json_keeps_node_layout(self):
+        X, y = xor_free_blob(n=40)
+        tree = DecisionTree().fit(X, y, np.random.default_rng(0))
+        nodes = json.loads(json.dumps(tree.to_dict()))["nodes"]
+        assert all(
+            [type(v) for v in node] == [int, float, int, int, float] for node in nodes
+        )
+        back = DecisionTree.from_dict({"nodes": nodes})
+        assert back.to_dict() == tree.to_dict()
 
     def test_unfitted_score_errors(self):
         with pytest.raises(ValueError, match="not fitted"):
@@ -237,6 +313,19 @@ class TestComputeMetrics:
             base = auc_score(scores, labels)
             assert auc_score(np.exp(3 * scores), labels) == pytest.approx(base)
             assert auc_score(scores**3 + 7, labels) == pytest.approx(base)
+
+    def test_auc_matches_pairwise_reference(self):
+        rng = np.random.default_rng(29)
+        for trial in range(200):
+            n = int(rng.integers(2, 80))
+            if trial % 2:
+                scores = rng.integers(0, int(rng.integers(1, 8)), size=n) / 4.0  # many ties
+            else:
+                scores = rng.uniform(size=n)
+            labels = rng.integers(0, 2, size=n)
+            if labels.min() == labels.max():
+                continue
+            assert auc_score(scores, labels) == auc_pairwise_reference(scores, labels)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -342,8 +431,14 @@ class TestTrainPredict:
     def test_memorizes_training_example(self, dataset):
         clf = train_classifier("random_forest", dataset, seed=1, n_trees=30)
         fake_example = next(p for p in dataset if p.label == "fake")
-        label, score = clf.predict_profile(fake_example)
+        [(site, label, score)] = predict_profiles(clf, [fake_example])
+        assert site == fake_example.site
         assert label == "fake" and score > 0.5
+        assert score == clf.score([fake_example])[0]
+
+    def test_no_complete_profile_rejected(self):
+        with pytest.raises(ValueError, match="per class"):
+            train_classifier("random_forest", [TrafficProfile("x.com", "fake", bounce_rate=1.0)])
 
     def test_predict_missing_feature_lists_fields(self, dataset):
         clf = train_classifier("random_forest", dataset, seed=1, n_trees=5)
@@ -358,14 +453,15 @@ class TestTrainPredict:
         forward = predict_profiles(clf, sample)
         backward = predict_profiles(clf, list(reversed(sample)))
         assert forward == list(reversed(backward))
+        assert predict_profiles(clf, []) == []
 
     def test_save_load_identical_predictions(self, dataset, tmp_path):
         clf = train_classifier("mlp", dataset, seed=5)
         path = tmp_path / "model.json"
         clf.save(path)
         back = NewsClassifier.load(path)
-        for p in dataset[:5]:
-            assert back.predict_profile(p) == clf.predict_profile(p)
+        assert np.array_equal(back.score(dataset[:5]), clf.score(dataset[:5]))
+        assert predict_profiles(back, dataset[:5]) == predict_profiles(clf, dataset[:5])
 
     def test_version_checked(self, tmp_path):
         clf = train_classifier("naive_bayes", separable_dataset(30, seed=9), seed=0)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import newsforensics
 from newsforensics.archive import CrawlManifest
 from newsforensics.cli import main
 from newsforensics.timeline import MonthStamp
@@ -118,6 +122,35 @@ class TestPrerequisites:
     def test_stats_without_traffic_path(self, tmp_path):
         result = invoke(["--out", str(tmp_path / "o"), "stats"])
         assert result.exit_code == 2
+
+
+class TestPredictRejectedRows:
+    def test_malformed_row_warns_on_stderr_and_rest_are_scored(self, corpus, tmp_path):
+        header, *rows = corpus.predict_csv.read_text().splitlines()
+        cells = rows[0].split(",")
+        cells[header.split(",").index("bounce_rate")] = "140"
+        predict = tmp_path / "predict.csv"
+        predict.write_text("\n".join([header, ",".join(cells)] + rows[1:]) + "\n")
+        out = tmp_path / "out"
+        src = str(Path(newsforensics.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        result = subprocess.run(
+            [sys.executable, "-m", "newsforensics.cli", "--out", str(out), "classify",
+             "--traffic", str(corpus.traffic_csv), "--model", "naive_bayes", "--k", "2",
+             "--predict", str(predict)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        warning = f"{predict}:2: row for {cells[0]} not scored: bounce_rate out of [0, 100]: 140.0"
+        assert [line for line in result.stderr.splitlines() if "not scored" in line] == [
+            f"WARNING newsforensics.pipeline: {warning}"
+        ]
+        scored = (out / "predictions.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in scored] == [row.split(",")[0] for row in rows[1:]]
+        assert not any(
+            b"not scored" in path.read_bytes() for path in out.rglob("*") if path.is_file()
+        )
 
 
 class TestTimelineWithoutCrawl:
