@@ -13,7 +13,6 @@ import functools
 import logging
 import os
 import sys
-from pathlib import Path
 
 import click
 
@@ -163,9 +162,7 @@ def sync(ctx, quarters, cosine_threshold, uptime_max_distance, distances_csv,
     if quarters:
         overrides["quarter_start"], overrides["quarter_end"] = quarters
     config = _build_config(ctx, **overrides)
-    report = pipeline.detect_sync(config)
-    if distances_csv:
-        pipeline.export_distance_matrix(config, Path(distances_csv))
+    report = pipeline.detect_sync(config, distances_csv=distances_csv)
     click.echo(
         f"{len(report['uptime_pairs'])} uptime pairs, "
         f"{len(report['content_clusters'])} content clusters"

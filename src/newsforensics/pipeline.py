@@ -238,7 +238,10 @@ def read_site_list(path: Path) -> tuple[list[str], list[str]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        site = normalize_site(line)
+        try:
+            site = normalize_site(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         if site in seen:
             warnings.append(f"{path}:{lineno}: duplicate entry {site} dropped")
             continue
@@ -362,29 +365,34 @@ def build_timeline_artifacts(config: RunConfig) -> dict:
     return report
 
 
-def texts_by_month(config: RunConfig, sites: set[str]) -> dict:
-    """Extracted text per month per site from the snapshot cache (first capture wins)."""
+def _cached_pages(config: RunConfig, sites: set[str]):
+    """Non-empty cached pages of the crawled sites among ``sites``, in (site, ts) order."""
     manifest = arch.CrawlManifest.load(
         _require(config.out / "crawl_manifest.json", "crawl")
     )
-    cache = arch.SnapshotCache(config.cache)
+    docs = arch.load_documents(arch.SnapshotCache(config.cache), manifest, sites=sites)
+    return (doc for doc in docs if doc.html)
+
+
+def texts_by_month(config: RunConfig, sites: set[str]) -> dict:
+    """Extracted text per month per site from the snapshot cache (first capture wins)."""
     texts: dict[MonthStamp, dict[str, str]] = {}
-    for doc in arch.load_documents(cache, manifest, sites=sites):
-        if not doc.html:
-            continue
+    for doc in _cached_pages(config, sites):
         per_month = texts.setdefault(doc.ref.month, {})
         if doc.ref.site not in per_month:  # collapse to first capture per month
             per_month[doc.ref.site] = extract_text(doc.html)
     return texts
 
 
-def detect_sync(config: RunConfig) -> dict:
+def detect_sync(config: RunConfig, distances_csv: str | None = None) -> dict:
     timelines_path = _require(
         config.out / "timelines_interpolated.jsonl", "timeline"
     )
     timelines = read_timelines(timelines_path)
     qwindow = config.quarter_window
-    series = [syncmod.quarterize(t, qwindow) for t in timelines]
+    series = sorted(
+        (syncmod.quarterize(t, qwindow) for t in timelines), key=lambda s: s.site
+    )
     pairs = (
         syncmod.pairwise_uptime(series, max_distance=config.uptime_max_distance)
         if len(series) >= 2
@@ -429,20 +437,18 @@ def detect_sync(config: RunConfig) -> dict:
         [timelines_path, config.out / "crawl_manifest.json"],
         [config.out / "sync_report.json"],
     )
+    if distances_csv:
+        export_distance_matrix(series, Path(distances_csv))
     return report
 
 
-def export_distance_matrix(config: RunConfig, path: Path) -> None:
-    timelines = read_timelines(
-        _require(config.out / "timelines_interpolated.jsonl", "timeline")
-    )
-    series = [syncmod.quarterize(t, config.quarter_window) for t in timelines]
-    series.sort(key=lambda s: s.site)
-    header = ["site"] + [s.site for s in series]
-    rows = []
-    for a in series:
-        rows.append([a.site] + [f"{syncmod.euclidean(a, b):.6f}" for b in series])
-    write_csv(path, header, rows)
+def export_distance_matrix(series: list[syncmod.QuarterSeries], path: Path) -> None:
+    """The ``distance_rows`` of ``series`` as a square CSV, in series order."""
+    rows = [
+        [a.site] + [f"{d:.6f}" for d in row.tolist()]
+        for a, row in zip(series, syncmod.distance_rows(series))
+    ]
+    write_csv(path, ["site"] + [s.site for s in series], rows)
 
 
 def audit_trackers(config: RunConfig) -> dict:
@@ -452,23 +458,13 @@ def audit_trackers(config: RunConfig) -> dict:
     parsed = trk.parse_filter_list(filter_text)
     psl = config.psl()
     lists = load_site_lists(config)
-    manifest = arch.CrawlManifest.load(
-        _require(config.out / "crawl_manifest.json", "crawl")
-    )
-    cache = arch.SnapshotCache(config.cache)
-
-    def collect_hits(sites: list[str]) -> list[trk.ThirdPartyHit]:
-        hits = []
-        for doc in arch.load_documents(cache, manifest, sites=set(sites)):
-            if not doc.html:
-                continue
-            third_parties = trk.extract_third_parties(doc.html, doc.ref.site, psl=psl)
-            for domain in sorted(trk.match_trackers(third_parties, parsed.rules)):
-                hits.append(trk.ThirdPartyHit(doc.ref.site, doc.ref.month, domain))
-        return hits
-
-    fake_hits = collect_hits(lists.fake)
-    real_hits = collect_hits(lists.real)
+    fake = set(lists.fake)
+    fake_hits, real_hits = [], []
+    for doc in _cached_pages(config, fake | set(lists.real)):
+        hits = fake_hits if doc.ref.site in fake else real_hits
+        third_parties = trk.extract_third_parties(doc.html, doc.ref.site, psl=psl)
+        for domain in sorted(trk.match_trackers(third_parties, parsed.rules)):
+            hits.append(trk.ThirdPartyHit(doc.ref.site, doc.ref.month, domain))
     window = config.month_window
     prevalence = trk.prevalence_timeline(
         fake_hits, lists.fake, window, top_k=config.top_k_trackers

@@ -8,9 +8,10 @@ pairs into clusters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .textproc import Preprocessor, default_preprocessor
 from .tfidf import build_tfidf, cosine
@@ -54,10 +55,21 @@ class UptimePair:
     distance: float
 
 
-def euclidean(a: QuarterSeries, b: QuarterSeries) -> float:
-    if a.start != b.start or len(a.values) != len(b.values):
-        raise ValueError(f"quarter windows differ: {a.site} vs {b.site}")
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.values, b.values)))
+def distance_rows(series: Sequence[QuarterSeries]) -> Iterator[np.ndarray]:
+    """Euclidean distance from each series to every series, one row at a time.
+
+    Values are 0..3, so the squared distances |a|^2 + |b|^2 - 2a.b are
+    exact int64 sums and each cell is the square root of an exact integer.
+    """
+    if not series:
+        return
+    for s in series[1:]:
+        if s.start != series[0].start or len(s.values) != len(series[0].values):
+            raise ValueError(f"quarter windows differ: {series[0].site} vs {s.site}")
+    x = np.array([s.values for s in series], dtype=np.int64)
+    norms = (x * x).sum(axis=1)
+    for i in range(len(x)):
+        yield np.sqrt(norms[i] + norms - 2 * (x @ x[i]))
 
 
 def pairwise_uptime(
@@ -68,11 +80,9 @@ def pairwise_uptime(
     if len(ss) < 2:
         raise ValueError("need at least two series")
     pairs = []
-    for i, a in enumerate(ss):
-        for b in ss[i + 1 :]:
-            d = euclidean(a, b)
-            if d <= max_distance:
-                pairs.append(UptimePair(a.site, b.site, d))
+    for i, row in enumerate(distance_rows(ss)):
+        for j in np.flatnonzero(row[i + 1 :] <= max_distance) + i + 1:
+            pairs.append(UptimePair(ss[i].site, ss[j].site, float(row[j])))
     pairs.sort(key=lambda p: (p.distance, p.site_a, p.site_b))
     return pairs
 
@@ -93,23 +103,6 @@ class SyncCluster:
     months: frozenset[MonthStamp]
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def detect_content_sync(
     texts_by_month: Mapping[MonthStamp, Mapping[str, str]],
     threshold: float = 0.5,
@@ -121,16 +114,23 @@ def detect_content_sync(
     Input is extracted landing-page text keyed by month then site.
     Months with fewer than two usable documents are skipped, and
     near-empty documents (< min_tokens tokens) are excluded to suppress
-    trivially similar parked pages.  Matched pairs form per-month
-    connected components, merged across consecutive months that share a
-    member site.
+    trivially similar parked pages.  Clusters are the connected
+    components over (month, site) nodes: each matched pair joins its two
+    nodes, and a site matched in consecutive months joins its two nodes.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
     pre = preprocessor or default_preprocessor()
 
     matches: list[ContentMatch] = []
-    components_by_month: dict[MonthStamp, list[frozenset[str]]] = {}
+    parent: dict = {}  # union-find forest over (month, site) nodes
+
+    def find(node):
+        while parent.setdefault(node, node) != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
     for month in sorted(texts_by_month):
         corpus = {}
         for site in sorted(texts_by_month[month]):
@@ -141,38 +141,22 @@ def detect_content_sync(
             continue
         vectors = build_tfidf(corpus)
         sites = sorted(vectors)
-        uf = _UnionFind()
-        month_matched = set()
         for i, a in enumerate(sites):
             for b in sites[i + 1 :]:
                 sim = cosine(vectors[a], vectors[b])
                 if sim >= threshold:
                     matches.append(ContentMatch(a, b, month, sim))
-                    uf.union(a, b)
-                    month_matched.update((a, b))
-        groups: dict[str, set[str]] = {}
-        for site in sorted(month_matched):
-            groups.setdefault(uf.find(site), set()).add(site)
-        components_by_month[month] = [frozenset(g) for g in groups.values()]
+                    parent[find((month, b))] = find((month, a))
 
-    # merge components of consecutive months that share a member
-    cluster_uf = _UnionFind()
-    nodes = [
-        (month, comp)
-        for month in sorted(components_by_month)
-        for comp in components_by_month[month]
-    ]
-    for month, comp in nodes:
-        nxt = month.plus(1)
-        for other in components_by_month.get(nxt, []):
-            if comp & other:
-                cluster_uf.union((month, comp), (nxt, other))
+    nodes = sorted(parent)
+    for month, site in nodes:
+        if (month.plus(1), site) in parent:
+            parent[find((month.plus(1), site))] = find((month, site))
     merged: dict = {}
-    for node in nodes:
-        root = cluster_uf.find(node)
-        sites_acc, months_acc = merged.setdefault(root, (set(), set()))
-        sites_acc.update(node[1])
-        months_acc.add(node[0])
+    for month, site in nodes:
+        sites_acc, months_acc = merged.setdefault(find((month, site)), (set(), set()))
+        sites_acc.add(site)
+        months_acc.add(month)
     clusters = [
         SyncCluster(frozenset(s), frozenset(m)) for s, m in merged.values()
     ]

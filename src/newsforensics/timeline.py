@@ -390,11 +390,17 @@ def read_annotations(path: str | Path) -> Annotations:
         if missing:
             raise ValueError(f"annotation CSV missing columns: {sorted(missing)}")
         for lineno, row in enumerate(reader, start=2):
-            state = row["state"].strip().lower()
-            if state not in _ANNOTATION_STATES:
-                raise ValueError(f"line {lineno}: unknown state {row['state']!r}")
-            site = normalize_site(row["domain"])
-            month = MonthStamp(int(row["year"]), int(row["month"]))
+            try:
+                short = sorted(c for c in required if row[c] is None)
+                if short:
+                    raise ValueError(f"row too short, no {', '.join(short)}")
+                state = row["state"].strip().lower()
+                if state not in _ANNOTATION_STATES:
+                    raise ValueError(f"unknown state {row['state']!r}")
+                site = normalize_site(row["domain"])
+                month = MonthStamp(int(row["year"]), int(row["month"]))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             out.setdefault(site, {}).setdefault(month, []).append(
                 _ANNOTATION_STATES[state]
             )

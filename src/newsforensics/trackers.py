@@ -8,6 +8,7 @@ tracker prevalence over time and coverage across site cohorts.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 from urllib.parse import urlsplit
@@ -184,9 +185,8 @@ def prevalence_timeline(
     ranked = sorted(seen.items(), key=lambda kv: (-len(kv[1]), kv[0]))[:top_k]
     out = []
     for tracker, site_months in ranked:
-        counts = tuple(
-            len({site for site, month in site_months if month == m}) for m in months
-        )
+        per_month = Counter(month for _, month in site_months)
+        counts = tuple(per_month[m] for m in months)
         out.append(PrevalenceSeries(tracker, months, counts, len(site_months)))
     return out
 

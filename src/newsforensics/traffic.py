@@ -134,6 +134,9 @@ def _blank(value) -> bool:
 
 
 def _parse_row(row: dict, line: int, allow_unlabeled: bool = False) -> TrafficProfile:
+    nested = [c for c in REQUIRED_COLUMNS if isinstance(row.get(c), (list, dict))]
+    if nested:
+        raise ValueError(f"{nested[0]} must be a single value, got {row[nested[0]]!r}")
     site = normalize_site(str(row["domain"]))
     label = str(row.get("label") or "").strip().lower()
     if label not in ("fake", "real"):
@@ -194,7 +197,8 @@ def load_profiles(
 
     Files ending in .jsonl, .ndjson or .json are read as JSON lines,
     anything else as CSV.  A missing required column is a hard error;
-    rows violating value invariants are returned as RowErrors.  With
+    rows violating value invariants, and JSON lines that are not a JSON
+    object, are returned as RowErrors in line order.  With
     allow_unlabeled, rows may leave the label blank (prediction inputs)
     and get label "unknown".
     """
@@ -205,6 +209,7 @@ def load_profiles(
         c for c in REQUIRED_COLUMNS if not (allow_unlabeled and c == "label")
     ]
     rows: list[tuple[int, dict]] = []
+    errors: list[RowError] = []
     if not json_lines:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -219,18 +224,26 @@ def load_profiles(
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
+                try:
+                    rec = json.loads(line)
+                except ValueError as exc:
+                    errors.append(RowError(i, "?", f"not valid JSON: {exc}"))
+                    continue
+                if not isinstance(rec, dict):
+                    errors.append(RowError(i, "?", f"not a JSON object: {line[:40]}"))
+                    continue
                 for col in required:
                     if col not in rec:
                         raise ValueError(f"missing required column: {col} (line {i})")
                 rows.append((i, rec))
 
-    profiles, errors = [], []
+    profiles = []
     for line, row in rows:
         try:
             profiles.append(_parse_row(row, line, allow_unlabeled=allow_unlabeled))
         except (ValueError, KeyError) as exc:
             errors.append(RowError(line, str(row.get("domain", "?")), str(exc)))
+    errors.sort(key=lambda e: e.line)
     return profiles, errors
 
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from newsforensics.classify.encoder import REQUIRED_FEATURES
+from newsforensics.sync import SyncCluster
 from newsforensics.timeline import MonthlyTimeline, SiteState
 
 A, Z, D, M = SiteState.ALIVE, SiteState.ZOMBIE, SiteState.DEAD, SiteState.MISSING
@@ -137,3 +138,52 @@ def auc_pairwise_reference(scores, labels) -> float:
     wins = sum(1 for p in pos for n in neg if p > n)
     ties = sum(1 for p in pos for n in neg if p == n)
     return (wins + ties / 2) / (len(pos) * len(neg))
+
+
+def euclidean_reference(a, b) -> float:
+    """Distance of two quarter series by the per-quarter sum of squares."""
+    if a.start != b.start or len(a.values) != len(b.values):
+        raise ValueError(f"quarter windows differ: {a.site} vs {b.site}")
+    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.values, b.values)))
+
+
+def content_clusters_reference(matches) -> list:
+    """Clusters in two phases: per-month components of the matched pairs,
+    then a merge of components in consecutive months that share a site."""
+
+    def find(parent, x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(parent, a, b):
+        ra, rb = find(parent, a), find(parent, b)
+        if ra != rb:
+            parent[rb] = ra
+
+    components: dict = {}
+    for month in sorted({m.month for m in matches}):
+        parent: dict = {}
+        for m in matches:
+            if m.month == month:
+                union(parent, m.site_a, m.site_b)
+        groups: dict = {}
+        for site in sorted(parent):
+            groups.setdefault(find(parent, site), set()).add(site)
+        components[month] = [frozenset(g) for g in groups.values()]
+
+    nodes = [(month, comp) for month in sorted(components) for comp in components[month]]
+    parent = {}
+    for month, comp in nodes:
+        for other in components.get(month.plus(1), []):
+            if comp & other:
+                union(parent, (month, comp), (month.plus(1), other))
+    merged: dict = {}
+    for node in nodes:
+        sites, months = merged.setdefault(find(parent, node), (set(), set()))
+        sites.update(node[1])
+        months.add(node[0])
+    clusters = [SyncCluster(frozenset(s), frozenset(m)) for s, m in merged.values()]
+    clusters.sort(key=lambda c: (min(c.months), sorted(c.sites)))
+    return clusters

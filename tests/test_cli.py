@@ -202,6 +202,64 @@ class TestTrackerWindow:
         assert not (out / "tracker_report.json").exists()
 
 
+class TestSmallCohortDistances:
+    @pytest.mark.parametrize(
+        "fake_sites, expected",
+        [(["a.com"], "site,a.com\na.com,0.000000\n"), ([], "site\n")],
+        ids=["one-site", "no-site"],
+    )
+    def test_distances_csv(self, tmp_path, fake_sites, expected):
+        out = tmp_path / "out"
+        fake, real, annotations = (tmp_path / n for n in ("fake.txt", "real.txt", "ann.csv"))
+        fake.write_text("".join(f"{site}\n" for site in fake_sites))
+        real.write_text("real.com\n")
+        annotations.write_text("domain,year,month,state\na.com,2015,2,alive\n")
+        assert invoke(["--out", str(out), "ingest-lists", "--fake", str(fake),
+                       "--real", str(real)]).exit_code == 0
+        CrawlManifest(window=(MonthStamp(2015, 1), MonthStamp(2015, 12))).save(
+            out / "crawl_manifest.json"
+        )
+        assert invoke(["--out", str(out), "timeline", "--annotations", str(annotations),
+                       "--window", "2015-01", "2015-12"]).exit_code == 0
+        csv_path = tmp_path / "distances.csv"
+        result = invoke(["--out", str(out), "sync", "--quarters", "2015-Q1", "2015-Q4",
+                         "--distances-csv", str(csv_path)])
+        assert result.exit_code == 0, result.output
+        assert csv_path.read_text() == expected
+
+
+class TestMalformedInputs:
+    def test_stats_rejects_bad_json_lines_per_row(self, corpus, tmp_path):
+        header, *rows = corpus.traffic_csv.read_text().splitlines()
+        columns = header.split(",")
+        records = [json.dumps(dict(zip(columns, row.split(",")))) for row in rows]
+        traffic = tmp_path / "traffic.jsonl"
+        traffic.write_text("\n".join(records[:3] + ["{not json", "[1, 2]"] + records[3:]) + "\n")
+        out = tmp_path / "out"
+        result = invoke(["--out", str(out), "stats", "--traffic", str(traffic)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "traffic_report.json").read_text())
+        assert report["rows_loaded"] == len(rows)
+        assert [(e["line"], e["site"]) for e in report["rows_rejected"]] == [(4, "?"), (5, "?")]
+
+    def test_timeline_short_annotation_row_exits_2(self, tmp_path):
+        annotations = tmp_path / "ann.csv"
+        annotations.write_text("domain,year,month,state\na.com,2015,2,alive\nb.com,2015\n")
+        result = invoke(["--out", str(tmp_path / "o"), "timeline", "--annotations",
+                         str(annotations)])
+        assert result.exit_code == 2
+        assert "error: line 3: row too short, no month, state" in result.output
+
+    def test_ingest_names_file_and_line_of_invalid_domain(self, tmp_path):
+        fake, real = tmp_path / "fake.txt", tmp_path / "real.txt"
+        fake.write_text("good.com\nnot a domain\n")
+        real.write_text("real.com\n")
+        result = invoke(["--out", str(tmp_path / "o"), "ingest-lists", "--fake", str(fake),
+                         "--real", str(real)])
+        assert result.exit_code == 2
+        assert f"error: {fake}:2: not a valid site domain" in result.output
+
+
 class TestNetworkFailure:
     def test_unreachable_archive_exits_4(self, corpus, tmp_path):
         out = tmp_path / "o"

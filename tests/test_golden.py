@@ -14,10 +14,15 @@ After an intended, documented output change, rewrite the record with
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
+import newsforensics
 from fixture_corpus import build_corpus, serve
 from test_cli import run_full_pipeline
 
@@ -50,13 +55,39 @@ def pipeline_record(root: Path) -> dict:
     return artifact_record(out)
 
 
-def test_artifacts_match_golden_record(tmp_path):
+def assert_matches_golden(got: dict) -> None:
     expected = json.loads(GOLDEN.read_text())
-    got = pipeline_record(tmp_path)
     assert sorted(got["sha256"]) == sorted(expected["sha256"])
     for rel, digest in expected["sha256"].items():
         assert got["sha256"][rel] == digest, f"artifact differs: {rel}"
     assert got["manifests"] == expected["manifests"]
+
+
+def test_artifacts_match_golden_record(tmp_path):
+    assert_matches_golden(pipeline_record(tmp_path))
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_artifacts_independent_of_hash_seed(tmp_path, hash_seed):
+    """The same record under other string-hash seeds (set and dict orders)."""
+    tests = Path(__file__).parent
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": hash_seed,
+        "PYTHONPATH": os.pathsep.join(
+            [str(Path(newsforensics.__file__).resolve().parents[1]), str(tests)]
+        ),
+    }
+    script = (
+        "import json, sys; from pathlib import Path; from test_golden import pipeline_record; "
+        "print(json.dumps(pipeline_record(Path(sys.argv[1]))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=tests, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert_matches_golden(json.loads(result.stdout))
 
 
 if __name__ == "__main__":

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from newsforensics.sync import (
     QuarterSeries,
+    UptimePair,
     detect_content_sync,
-    euclidean,
+    distance_rows,
     pairwise_uptime,
     quarterize,
 )
 from newsforensics.timeline import MonthStamp, MonthlyTimeline, Quarter, SiteState
+
+from oracles import content_clusters_reference, euclidean_reference
 
 A, Z, D, M = SiteState.ALIVE, SiteState.ZOMBIE, SiteState.DEAD, SiteState.MISSING
 
@@ -71,11 +74,13 @@ class TestPairwiseUptime:
     def test_euclidean_value(self):
         a = qs([3] + [0] * 11, site="a.com")
         b = qs([1] + [0] * 11, site="b.com")
-        assert euclidean(a, b) == pytest.approx(2.0)
+        assert [list(row) for row in distance_rows([a, b])] == [[0.0, 2.0], [2.0, 0.0]]
 
     def test_window_mismatch_rejected(self):
         with pytest.raises(ValueError, match="windows differ"):
             pairwise_uptime([qs([1]), qs([1, 2], site="t.com")])
+        with pytest.raises(ValueError, match="windows differ: s.com vs t.com"):
+            pairwise_uptime([qs([1]), qs([1], site="t.com", start=Quarter(2016, 1))])
 
     def test_single_series_rejected(self):
         with pytest.raises(ValueError):
@@ -132,11 +137,51 @@ def test_euclidean_metric_axioms(xs, ys, zs):
         qs(ys[:n], site="b.com"),
         qs(zs[:n], site="c.com"),
     )
-    dab, dba = euclidean(a, b), euclidean(b, a)
+    d = [list(row) for row in distance_rows([a, b, c])]
+    dab, dba = d[0][1], d[1][0]
     assert dab >= 0
     assert dab == dba
+    assert [d[i][i] for i in range(3)] == [0.0] * 3
     assert (dab == 0) == (a.values == b.values)
-    assert euclidean(a, c) <= dab + euclidean(b, c) + 1e-12
+    assert d[0][2] <= dab + d[1][2] + 1e-12
+
+
+def random_series_set(rng):
+    """Site-shuffled series over one window, some of them exact copies."""
+    length = rng.randint(1, 12)
+    series = []
+    for i in range(rng.randint(2, 30)):
+        if series and rng.random() < 0.3:
+            values = rng.choice(series).values
+        else:
+            values = tuple(rng.randint(0, 3) for _ in range(length))
+        series.append(qs(values, site=f"s{rng.randrange(10**6):06d}-{i}.com"))
+    rng.shuffle(series)
+    return series
+
+
+def test_distance_rows_match_reference():
+    rng = random.Random(41)
+    for _ in range(100):
+        series = random_series_set(rng)
+        for a, row in zip(series, distance_rows(series)):
+            assert row.tolist() == [euclidean_reference(a, b) for b in series]
+
+
+@pytest.mark.parametrize("max_distance", [0, 1, 1.5, 3.7, 100])
+def test_pairwise_uptime_matches_reference(max_distance):
+    rng = random.Random(43)
+    for _ in range(100):
+        series = random_series_set(rng)
+        ss = sorted(series, key=lambda s: s.site)
+        expected = [
+            UptimePair(a.site, b.site, euclidean_reference(a, b))
+            for i, a in enumerate(ss)
+            for b in ss[i + 1 :]
+            if euclidean_reference(a, b) <= max_distance
+        ]
+        expected.sort(key=lambda p: (p.distance, p.site_a, p.site_b))
+        assert pairwise_uptime(series, max_distance=max_distance) == expected
 
 
 # alphabetic pseudo-words that survive tokenization unchanged
@@ -248,3 +293,25 @@ class TestDetectContentSync:
             }
         )
         assert len(clusters) == 2
+
+
+def test_content_clusters_match_two_phase_reference():
+    """Random months of copied pages: single-union-find clusters equal the
+    per-month components merged across consecutive months."""
+    rng = random.Random(47)
+    multi_month = 0
+    for _ in range(60):
+        pages = [random_text(rng, 30) for _ in range(3)]
+        sites = [f"s{i}.com" for i in range(8)]
+        start = MonthStamp(2016, rng.randint(1, 12))
+        texts_by_month = {}
+        for offset in sorted(rng.sample(range(6), rng.randint(2, 5))):
+            chosen = rng.sample(sites, rng.randint(2, 8))
+            texts_by_month[start.plus(offset)] = {
+                site: rng.choice(pages) if rng.random() < 0.6 else random_text(rng, 30)
+                for site in chosen
+            }
+        matches, clusters = detect_content_sync(texts_by_month)
+        assert clusters == content_clusters_reference(matches)
+        multi_month += sum(1 for c in clusters if len(c.months) > 1)
+    assert multi_month >= 20

@@ -364,8 +364,19 @@ class TestAnnotations:
         with pytest.raises(ValueError, match="month"):
             read_annotations(path)
 
-    def test_unknown_state_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("example.com,2016,3,undead", "unknown state 'undead'"),
+            ("example.com,2016,3", "row too short, no state"),
+            ("example.com,20x9,3,alive", "'20x9'"),
+            ("example.com,2016,13,alive", "month out of range: 13"),
+            ("not a domain,2016,3,alive", "not a valid site domain"),
+        ],
+        ids=["state", "short", "year", "month", "domain"],
+    )
+    def test_unknown_state_rejected(self, tmp_path, row, reason):
         path = tmp_path / "ann.csv"
-        path.write_text("domain,year,month,state\nexample.com,2016,3,undead\n")
-        with pytest.raises(ValueError, match="undead"):
+        path.write_text(f"domain,year,month,state\nexample.com,2016,2,alive\n{row}\n")
+        with pytest.raises(ValueError, match=f"^line 3: .*{reason}"):
             read_annotations(path)

@@ -152,6 +152,17 @@ class TestLoadProfiles:
         profiles, errors = load_profiles(path)
         assert len(profiles) == 1 and errors == []
 
+        # malformed lines are rejected one by one; the good rows still load
+        nested = dict(rec, domain="nested.com", global_rank=[1])
+        bad = ["{not json", "5", "null", json.dumps(REQUIRED_COLUMNS), json.dumps(nested)]
+        path.write_text("\n".join([json.dumps(rec)] + bad + [json.dumps(rec)]) + "\n")
+        profiles, errors = load_profiles(path)
+        assert len(profiles) == 2
+        assert [e.line for e in errors] == [2, 3, 4, 5, 6]
+        assert "not valid JSON" in errors[0].reason
+        assert all("not a JSON object" in e.reason for e in errors[1:4])
+        assert errors[4].site == "nested.com" and "global_rank" in errors[4].reason
+
     def test_json_lines_missing_key(self, tmp_path):
         path = tmp_path / "traffic.jsonl"
         rec = {c: profile_row()[c] for c in REQUIRED_COLUMNS}
