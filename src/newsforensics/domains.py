@@ -3,7 +3,10 @@
 Implements the publicsuffix.org matching algorithm (longest matching
 rule wins, exception rules beat wildcards, unlisted TLDs fall back to
 the implicit "*" rule) over a bundled snapshot file that callers can
-replace with a newer list.
+replace with a newer list.  A lookup probes the host's tails against
+sets of rule tuples, so it costs O(labels) set lookups whatever the
+list's size; that is why a wildcard may only be a rule's leftmost label
+and exception rules may hold none, as in the published list.
 """
 
 from __future__ import annotations
@@ -18,15 +21,23 @@ class PublicSuffixList:
     def __init__(self, rules: Iterable[str]):
         self._rules: set[tuple[str, ...]] = set()
         self._exceptions: set[tuple[str, ...]] = set()
-        for raw in rules:
+        for lineno, raw in enumerate(rules, 1):
             line = raw.strip()
             if not line or line.startswith("//"):
                 continue
             line = line.split()[0].lower()
             if line.startswith("!"):
-                self._exceptions.add(tuple(line[1:].split(".")))
+                rule = tuple(line[1:].split("."))
+                if "*" in rule:
+                    raise ValueError(f"line {lineno}: wildcard in exception rule {line!r}")
+                self._exceptions.add(rule)
             else:
-                self._rules.add(tuple(line.split(".")))
+                rule = tuple(line.split("."))
+                if "*" in rule[1:]:
+                    raise ValueError(
+                        f"line {lineno}: wildcard not in the leftmost label of {line!r}"
+                    )
+                self._rules.add(rule)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PublicSuffixList":
@@ -39,32 +50,29 @@ class PublicSuffixList:
         ).read_text("utf-8")
         return cls(text.splitlines())
 
-    @staticmethod
-    def _matches(rule: tuple[str, ...], labels: tuple[str, ...]) -> bool:
-        if len(rule) > len(labels):
-            return False
-        for rule_label, label in zip(reversed(rule), reversed(labels)):
-            if rule_label != "*" and rule_label != label:
-                return False
-        return True
-
     def public_suffix(self, host: str) -> str | None:
-        """Longest public suffix of a hostname, or None for invalid input."""
+        """Longest public suffix of a hostname, or None for invalid input.
+
+        Walks the host's tails longest first: the longest matching
+        exception rule wins (its suffix drops the rule's first label),
+        else the longest tail matching a rule literally or through a
+        leftmost ``*``, else the implicit ``*`` (the last label).
+        """
         host = host.strip().lower().rstrip(".")
         if not host or host.startswith(".") or ".." in host:
             return None
         labels = tuple(host.split("."))
         if any(not label for label in labels):
             return None
-        for rule in self._exceptions:
-            if self._matches(rule, labels):
-                # an exception rule's suffix is the rule minus its first label
-                return ".".join(labels[len(labels) - len(rule) + 1 :])
-        best = 1  # implicit "*": the bare TLD is always a public suffix
-        for rule in self._rules:
-            if self._matches(rule, labels) and len(rule) > best:
-                best = len(rule)
-        return ".".join(labels[len(labels) - best :])
+        n = len(labels)
+        for k in range(n, 0, -1):
+            if labels[n - k :] in self._exceptions:
+                return ".".join(labels[n - k + 1 :])
+        for k in range(n, 1, -1):
+            tail = labels[n - k :]
+            if tail in self._rules or ("*",) + tail[1:] in self._rules:
+                return ".".join(tail)
+        return labels[-1]
 
     def registrable_domain(self, host: str) -> str | None:
         """Public suffix plus one label; None if the host is a bare suffix."""

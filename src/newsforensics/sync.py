@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .textproc import Preprocessor, default_preprocessor
-from .tfidf import build_tfidf, cosine
+from .tfidf import TfidfVector, build_tfidf, cosine
 from .timeline import MonthStamp, MonthlyTimeline, Quarter, SiteState
 
 
@@ -103,6 +103,37 @@ class SyncCluster:
     months: frozenset[MonthStamp]
 
 
+# An approximate dot product sums the same products as ``cosine`` in
+# another order, off by ~1e-15; this slack keeps every pair whose exact
+# cosine reaches the threshold among the candidates.
+_CANDIDATE_SLACK = 1e-9
+
+
+def _candidate_pairs(
+    vectors: Sequence[TfidfVector], threshold: float
+) -> list[tuple[int, int]]:
+    """Index pairs (i < j) whose dot product may reach the threshold,
+    sorted by i then j.
+
+    Dot products accumulate over an inverted index (term -> postings of
+    later documents) built from the last document back, so only pairs
+    sharing a term are ever visited.
+    """
+    cutoff = threshold - _CANDIDATE_SLACK
+    postings: dict[str, list[tuple[int, float]]] = {}
+    pairs = []
+    for i in range(len(vectors) - 1, -1, -1):
+        dots: dict[int, float] = {}
+        for term, w in vectors[i].items():
+            posting = postings.setdefault(term, [])
+            for j, wj in posting:
+                dots[j] = dots.get(j, 0.0) + w * wj
+            posting.append((i, w))
+        pairs.extend((i, j) for j in sorted(dots, reverse=True) if dots[j] >= cutoff)
+    pairs.reverse()
+    return pairs
+
+
 def detect_content_sync(
     texts_by_month: Mapping[MonthStamp, Mapping[str, str]],
     threshold: float = 0.5,
@@ -131,26 +162,29 @@ def detect_content_sync(
             node = parent[node]
         return node
 
+    memo: dict[str, str | None] = {}
     for month in sorted(texts_by_month):
         corpus = {}
         for site in sorted(texts_by_month[month]):
-            tokens = pre.tokens(texts_by_month[month][site])
+            tokens = pre.tokens(texts_by_month[month][site], memo)
             if len(tokens) >= min_tokens:
                 corpus[site] = tokens
         if len(corpus) < 2:
             continue
         vectors = build_tfidf(corpus)
         sites = sorted(vectors)
-        for i, a in enumerate(sites):
-            for b in sites[i + 1 :]:
-                sim = cosine(vectors[a], vectors[b])
-                if sim >= threshold:
-                    matches.append(ContentMatch(a, b, month, sim))
-                    parent[find((month, b))] = find((month, a))
+        for i, j in _candidate_pairs([vectors[s] for s in sites], threshold):
+            a, b = sites[i], sites[j]
+            sim = cosine(vectors[a], vectors[b])
+            if sim >= threshold:
+                matches.append(ContentMatch(a, b, month, sim))
+                parent[find((month, b))] = find((month, a))
 
     nodes = sorted(parent)
+    # compared by ordinal: month.plus(1) raises past the last month MonthStamp holds
+    matched = {(month.ordinal, site) for month, site in nodes}
     for month, site in nodes:
-        if (month.plus(1), site) in parent:
+        if (month.ordinal + 1, site) in matched:
             parent[find((month.plus(1), site))] = find((month, site))
     merged: dict = {}
     for month, site in nodes:

@@ -86,19 +86,19 @@ _TOKEN_RE = re.compile(r"[a-z]+")
 _COMMENT_RE = re.compile(r"^\s*#")
 
 
-def _load_lines(path: str | Path | None, default_resource: str) -> list[str]:
+def _load_lines(path: str | Path | None, default_resource: str) -> list[tuple[int, str]]:
+    """Numbered lines of a data file, blank and comment lines dropped."""
     if path is None:
         text = (resources.files("newsforensics.data") / default_resource).read_text(
             "utf-8"
         )
     else:
         text = Path(path).read_text("utf-8")
-    out = []
-    for line in text.splitlines():
-        if not line.strip() or _COMMENT_RE.match(line):
-            continue
-        out.append(line.rstrip("\n"))
-    return out
+    return [
+        (lineno, line)
+        for lineno, line in enumerate(text.splitlines(), 1)
+        if line.strip() and not _COMMENT_RE.match(line)
+    ]
 
 
 class Preprocessor:
@@ -110,19 +110,32 @@ class Preprocessor:
 
     def __init__(self, stopwords_path=None, suffix_rules_path=None, min_token_len: int = 2):
         self.stopwords = frozenset(
-            w.strip().lower() for w in _load_lines(stopwords_path, "stopwords.txt")
+            w.strip().lower() for _, w in _load_lines(stopwords_path, "stopwords.txt")
         )
-        self.rules = self._parse_rules(_load_lines(suffix_rules_path, "suffix_rules.txt"))
+        self.rules = self._parse_rules(
+            _load_lines(suffix_rules_path, "suffix_rules.txt"),
+            suffix_rules_path or "suffix_rules.txt",
+        )
         self.min_token_len = min_token_len
 
     @staticmethod
-    def _parse_rules(lines: list[str]) -> list[tuple[re.Pattern, str]]:
+    def _parse_rules(
+        lines: list[tuple[int, str]], source: str | Path
+    ) -> list[tuple[re.Pattern, str]]:
         rules = []
-        for line in lines:
+        for lineno, line in lines:
             parts = line.split()
             if len(parts) != 2:
-                raise ValueError(f"bad suffix rule line: {line!r}")
-            rules.append((re.compile(parts[0]), parts[1]))
+                raise ValueError(
+                    f"{source}:{lineno}: bad suffix rule: expected <regex> <replacement>, "
+                    f"got {len(parts)} fields"
+                )
+            try:
+                pattern = re.compile(parts[0])
+                pattern.sub(parts[1], "")  # compiles the replacement template
+            except (re.error, IndexError) as exc:
+                raise ValueError(f"{source}:{lineno}: bad suffix rule: {exc}") from None
+            rules.append((pattern, parts[1]))
         return rules
 
     def normalize(self, token: str) -> str:
@@ -132,12 +145,28 @@ class Preprocessor:
                 return new
         return token
 
-    def tokens(self, text: str) -> list[str]:
+    def tokens(self, text: str, memo: dict[str, str | None] | None = None) -> list[str]:
+        """Normalized tokens of a text, stopwords and short tokens dropped.
+
+        ``memo`` maps each raw token seen so far to its normalized form,
+        or None if dropped; callers tokenizing many texts pass one dict
+        to all of them.  It belongs to the caller, never to this
+        (possibly process-wide) preprocessor.
+        """
+        if memo is None:
+            memo = {}
         out = []
         for tok in _TOKEN_RE.findall(text.lower()):
-            if len(tok) < self.min_token_len or tok in self.stopwords:
-                continue
-            out.append(self.normalize(tok))
+            try:
+                norm = memo[tok]
+            except KeyError:
+                norm = memo[tok] = (
+                    None
+                    if len(tok) < self.min_token_len or tok in self.stopwords
+                    else self.normalize(tok)
+                )
+            if norm is not None:
+                out.append(norm)
         return out
 
 

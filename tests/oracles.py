@@ -8,11 +8,13 @@ library, so they stay independent of the implementations they verify.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
 from newsforensics.classify.encoder import REQUIRED_FEATURES
-from newsforensics.sync import SyncCluster
+from newsforensics.sync import ContentMatch, SyncCluster
+from newsforensics.tfidf import build_tfidf, cosine
 from newsforensics.timeline import MonthlyTimeline, SiteState
 
 A, Z, D, M = SiteState.ALIVE, SiteState.ZOMBIE, SiteState.DEAD, SiteState.MISSING
@@ -187,3 +189,77 @@ def content_clusters_reference(matches) -> list:
     clusters = [SyncCluster(frozenset(s), frozenset(m)) for s, m in merged.values()]
     clusters.sort(key=lambda c: (min(c.months), sorted(c.sites)))
     return clusters
+
+
+def public_suffix_reference(rule_lines, host):
+    """Public suffix by scanning every rule of a list, as the publicsuffix.org
+    algorithm reads: the longest matching exception rule wins and yields the
+    rule minus its first label; otherwise the longest matching rule, where a
+    ``*`` label matches any label; otherwise the last label."""
+    host = host.strip().lower().rstrip(".")
+    if not host or host.startswith(".") or ".." in host:
+        return None
+    labels = host.split(".")
+    if any(not label for label in labels):
+        return None
+    rules, exceptions = [], []
+    for raw in rule_lines:
+        line = raw.strip()
+        if not line or line.startswith("//"):
+            continue
+        line = line.split()[0].lower()
+        if line.startswith("!"):
+            exceptions.append(line[1:].split("."))
+        else:
+            rules.append(line.split("."))
+
+    def matches(rule):
+        return len(rule) <= len(labels) and all(
+            r in ("*", label) for r, label in zip(reversed(rule), reversed(labels))
+        )
+
+    matched_exceptions = [len(rule) for rule in exceptions if matches(rule)]
+    if matched_exceptions:
+        return ".".join(labels[len(labels) - max(matched_exceptions) + 1 :])
+    best = max([len(rule) for rule in rules if matches(rule)] + [1])
+    return ".".join(labels[len(labels) - best :])
+
+
+def tokens_reference(pre, text):
+    """Tokens of one text, each filtered and normalized from scratch."""
+    out = []
+    for token in re.findall(r"[a-z]+", text.lower()):
+        if len(token) < pre.min_token_len or token in pre.stopwords:
+            continue
+        for pattern, replacement in pre.rules:
+            new, n = pattern.subn(replacement, token)
+            if n:
+                token = new
+                break
+        out.append(token)
+    return out
+
+
+def content_matches_reference(texts_by_month, threshold, min_tokens, pre):
+    """Content matches by scoring every site pair of every month.
+
+    The TF-IDF vectors and their cosine come from the library, because the
+    exact cosine decides a match; what this checks is which pairs are scored.
+    """
+    matches = []
+    for month in sorted(texts_by_month):
+        corpus = {}
+        for site in sorted(texts_by_month[month]):
+            tokens = tokens_reference(pre, texts_by_month[month][site])
+            if len(tokens) >= min_tokens:
+                corpus[site] = tokens
+        if len(corpus) < 2:
+            continue
+        vectors = build_tfidf(corpus)
+        sites = sorted(vectors)
+        for i, a in enumerate(sites):
+            for b in sites[i + 1 :]:
+                sim = cosine(vectors[a], vectors[b])
+                if sim >= threshold:
+                    matches.append(ContentMatch(a, b, month, sim))
+    return matches

@@ -259,6 +259,38 @@ class TestMalformedInputs:
         assert result.exit_code == 2
         assert f"error: {fake}:2: not a valid site domain" in result.output
 
+    def test_trackers_rejects_inner_wildcard_in_suffix_list(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        assert invoke(["--out", str(out), "ingest-lists", "--fake", str(corpus.fake_list),
+                       "--real", str(corpus.real_list)]).exit_code == 0
+        psl = tmp_path / "psl.dat"
+        psl.write_text("// test\ncom\nx.*.d\n")
+        result = invoke(["--out", str(out), "trackers", "--filter-list",
+                         str(corpus.filter_list), "--public-suffix-list", str(psl)])
+        assert result.exit_code == 2
+        assert "error: line 3: wildcard not in the leftmost label of 'x.*.d'" in result.output
+        assert not (out / "tracker_report.json").exists()
+
+    def test_sync_names_file_and_line_of_bad_suffix_rule(self, tmp_path):
+        out = tmp_path / "out"
+        fake, real, annotations = (tmp_path / n for n in ("fake.txt", "real.txt", "ann.csv"))
+        fake.write_text("a.com\nb.com\n")
+        real.write_text("real.com\n")
+        annotations.write_text("domain,year,month,state\na.com,2015,2,alive\n")
+        assert invoke(["--out", str(out), "ingest-lists", "--fake", str(fake),
+                       "--real", str(real)]).exit_code == 0
+        CrawlManifest(window=(MonthStamp(2015, 1), MonthStamp(2015, 12))).save(
+            out / "crawl_manifest.json"
+        )
+        assert invoke(["--out", str(out), "timeline", "--annotations", str(annotations),
+                       "--window", "2015-01", "2015-12"]).exit_code == 0
+        rules = tmp_path / "rules.txt"
+        rules.write_text("# rules\n^(a$ \\1\n")
+        result = invoke(["--out", str(out), "sync", "--quarters", "2015-Q1", "2015-Q4",
+                         "--suffix-rules", str(rules)])
+        assert result.exit_code == 2
+        assert f"error: {rules}:2: bad suffix rule: " in result.output
+
 
 class TestNetworkFailure:
     def test_unreachable_archive_exits_4(self, corpus, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,15 +7,21 @@ from hypothesis import strategies as st
 
 from newsforensics.sync import (
     QuarterSeries,
+    SyncCluster,
     UptimePair,
     detect_content_sync,
     distance_rows,
     pairwise_uptime,
     quarterize,
 )
+from newsforensics.textproc import Preprocessor, default_preprocessor
 from newsforensics.timeline import MonthStamp, MonthlyTimeline, Quarter, SiteState
 
-from oracles import content_clusters_reference, euclidean_reference
+from oracles import (
+    content_clusters_reference,
+    content_matches_reference,
+    euclidean_reference,
+)
 
 A, Z, D, M = SiteState.ALIVE, SiteState.ZOMBIE, SiteState.DEAD, SiteState.MISSING
 
@@ -293,6 +300,78 @@ class TestDetectContentSync:
             }
         )
         assert len(clusters) == 2
+
+    def test_match_in_last_representable_month(self):
+        rng = random.Random(31)
+        page = random_text(rng)
+        last = MonthStamp(2100, 12)
+        months = [last.plus(-1), last]
+        matches, clusters = detect_content_sync(
+            {month: {"a.com": page, "b.com": page} for month in months}
+        )
+        assert [m.month for m in matches] == months
+        assert clusters == [SyncCluster(frozenset({"a.com", "b.com"}), frozenset(months))]
+
+    def test_no_state_left_on_default_preprocessor(self):
+        rng = random.Random(37)
+        page = random_text(rng)
+        detect_content_sync({MonthStamp(2016, 1): {"a.com": page, "b.com": page}})
+        assert vars(default_preprocessor()) == vars(Preprocessor())
+
+
+def _ring_month(repeat):
+    """Four documents in which every term occurs twice, so all idf weights
+    are equal and each document shares one term with two others: those
+    pairs have cosine 0.5 in exact arithmetic."""
+    w0, w1, w2, w3 = WORDS[:4]
+    docs = {"r0.com": (w0, w1), "r1.com": (w0, w2), "r2.com": (w1, w3), "r3.com": (w2, w3)}
+    return {site: " ".join(pair * repeat) for site, pair in docs.items()}
+
+
+def test_content_matches_equal_all_pairs_reference(tmp_path):
+    """Random multi-month corpora of copies, extended copies and unrelated
+    pages: the candidate pairs confirmed by the exact cosine are every pair
+    the all-pairs loop matches, also at thresholds on and one ulp around
+    an exact cosine, at 1.0 over duplicates and at 0.5 over the ring."""
+    rng = random.Random(53)
+    no_rules = tmp_path / "rules.txt"  # WORDS normalize to themselves anyway
+    no_rules.write_text("# none\n")
+    pre = Preprocessor(suffix_rules_path=no_rules)
+    vocab = WORDS[:40]
+
+    def words(n):
+        return " ".join(rng.choice(vocab) for _ in range(n))
+
+    on_threshold = 0
+    for _ in range(40):
+        base = [words(30) for _ in range(3)]
+        start = MonthStamp(2016, rng.randint(1, 12))
+        texts_by_month = {start.plus(-1): _ring_month(rng.randint(1, 6))}
+        for offset in range(rng.randint(1, 3)):
+            month = {}
+            for k in range(rng.randint(2, 12)):
+                r = rng.random()
+                if r < 0.3:
+                    month[f"s{k}.com"] = rng.choice(base)
+                elif r < 0.6:
+                    month[f"s{k}.com"] = rng.choice(base) + " " + words(rng.randint(1, 30))
+                else:
+                    month[f"s{k}.com"] = words(rng.randint(5, 40))
+            texts_by_month[start.plus(offset)] = month
+        min_tokens = rng.choice([1, 10])
+        scored = content_matches_reference(texts_by_month, 1e-12, min_tokens, pre)
+        thresholds = {0.5, 1.0, rng.uniform(0.05, 0.95)}
+        for m in rng.sample(scored, min(4, len(scored))):
+            thresholds |= {m.similarity, math.nextafter(m.similarity, 0.0),
+                           min(1.0, math.nextafter(m.similarity, 2.0))}
+        for threshold in sorted(thresholds):
+            expected = content_matches_reference(texts_by_month, threshold, min_tokens, pre)
+            matches, _ = detect_content_sync(
+                texts_by_month, threshold=threshold, min_tokens=min_tokens, preprocessor=pre
+            )
+            assert matches == expected, threshold
+            on_threshold += sum(1 for m in expected if m.similarity == threshold)
+    assert on_threshold >= 100
 
 
 def test_content_clusters_match_two_phase_reference():

@@ -1,6 +1,11 @@
+import random
+import re
+
 import pytest
 
 from newsforensics.textproc import Preprocessor, extract_text, parse_page, preprocess
+
+from oracles import tokens_reference
 
 
 class TestExtractText:
@@ -104,6 +109,54 @@ class TestPreprocess:
 
     def test_bad_rule_line_rejected(self, tmp_path):
         rules = tmp_path / "rules.txt"
-        rules.write_text("onlyonefield\n")
-        with pytest.raises(ValueError, match="bad suffix rule"):
+        rules.write_text("# comment\n^(a)b$ \\1\n\nonlyonefield\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(rules))}:4: bad suffix rule: .* got 1 fields"):
             Preprocessor(suffix_rules_path=rules)
+
+    @pytest.mark.parametrize(
+        "rule",
+        ["^(a$ x", "^(a)b$ \\2", "^(?P<s>a)b$ \\g<t>", "^ab$ \\q"],
+        ids=["regex", "group-number", "group-name", "escape"],
+    )
+    def test_invalid_rule_names_file_and_line(self, tmp_path, rule):
+        rules = tmp_path / "rules.txt"
+        rules.write_text(f"^(.*)xx$ \\1\n{rule}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(rules))}:2: bad suffix rule: "):
+            Preprocessor(suffix_rules_path=rules)
+
+
+_VOCAB = [
+    "cats", "classes", "boxes", "stories", "running", "stopped", "falling", "wanted",
+    "sing", "red", "used", "press", "the", "and", "of", "xy", "a", "news", "parties",
+    "breaking", "fixed", "wishes", "buzzes", "abyss", "zz", "hopping", "agreed",
+]
+_RULE_POOL = [
+    "^([a-z]{2,})ies$ \\1y",
+    "^([a-z]+(?:x|z|ch|sh|ss))es$ \\1",
+    "^([a-z]{2,}[^s])s$ \\1",
+    "^([a-z]+?([bdgkmnprtv]))\\2ing$ \\1",
+    "^([a-z]*[aeiouy][a-z]*)ed$ \\1",
+    "^(.)(.*)$ \\2\\1",
+    "^([a-z])([a-z])$ \\1",
+]
+
+
+def test_tokens_match_unmemoized_reference(tmp_path):
+    """Random texts under random stopwords, suffix rules and minimum token
+    lengths; one memo shared over each preprocessor's texts."""
+    rng = random.Random(29)
+    for trial in range(60):
+        stopwords = tmp_path / f"stop{trial}.txt"
+        stopwords.write_text("\n".join(rng.sample(_VOCAB, rng.randint(0, 8))) + "\n")
+        rules = tmp_path / f"rules{trial}.txt"
+        rules.write_text("\n".join(rng.sample(_RULE_POOL, rng.randint(0, 5))) + "\n")
+        pre = Preprocessor(stopwords, rules, min_token_len=rng.randint(1, 5))
+        memo = {}
+        for _ in range(8):
+            text = " ".join(
+                rng.choice(_VOCAB).upper() if rng.random() < 0.1 else rng.choice(_VOCAB)
+                for _ in range(rng.randint(0, 40))
+            ) + rng.choice(["", "!", " 42 x-ray", "\tnews."])
+            expected = tokens_reference(pre, text)
+            assert pre.tokens(text, memo) == expected
+            assert pre.tokens(text) == expected

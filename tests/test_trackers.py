@@ -1,5 +1,14 @@
+import os
+import random
+import re
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
+import newsforensics
 from newsforensics.domains import PublicSuffixList, registrable_domain
 from newsforensics.timeline import MonthStamp
 from newsforensics.trackers import (
@@ -15,6 +24,8 @@ from newsforensics.trackers import (
     serialize_rule,
     unwrap_archive_url,
 )
+
+from oracles import public_suffix_reference
 
 
 class TestPublicSuffix:
@@ -47,6 +58,89 @@ class TestPublicSuffix:
         psl = PublicSuffixList.from_file(path)
         assert psl.registrable_domain("shop.site.fancy.tld") == "site.fancy.tld"
         assert psl.public_suffix("site.fancy.tld") == "fancy.tld"
+
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["com", "x.*.d"], "line 2: wildcard not in the leftmost label of 'x.*.d'"),
+            (["// c", "", "*.*.d"], "line 3: wildcard not in the leftmost label"),
+            (["!*.b.c"], "line 1: wildcard in exception rule '!*.b.c'"),
+            (["*.c", "!www.*"], "line 2: wildcard in exception rule"),
+        ],
+    )
+    def test_unsupported_wildcards_rejected(self, lines, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PublicSuffixList(lines)
+
+    @pytest.mark.parametrize("hash_seed", ["1", "2"])
+    def test_longest_exception_wins_under_any_hash_seed(self, hash_seed):
+        """Two exception rules match z.a.b.c; the longer one decides."""
+        script = (
+            "from newsforensics.domains import PublicSuffixList; "
+            "p = PublicSuffixList(['*.c', 'b.c', '!b.c', '!a.b.c', '*.b.c', '!q.b.c']); "
+            "print(p.public_suffix('z.a.b.c'), p.registrable_domain('z.a.b.c'))"
+        )
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": hash_seed,
+            "PYTHONPATH": str(Path(newsforensics.__file__).resolve().parents[1]),
+        }
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["b.c", "a.b.c"]
+
+
+def _random_rule_list(rng):
+    """Rules over a five-label alphabet, so rules nest and overlap: literal
+    rules, leftmost wildcards and exceptions of one to four labels."""
+    lines = ["// generated"]
+    for _ in range(rng.randint(1, 25)):
+        rule = [rng.choice("abcde") for _ in range(rng.randint(1, 4))]
+        kind = rng.random()
+        if kind < 0.3 and len(rule) > 1:
+            rule[0] = "*"
+        elif kind < 0.55:
+            rule[0] = "!" + rule[0]
+        lines.append(".".join(rule))
+    return lines
+
+
+def test_public_suffix_matches_rule_scan_on_random_lists():
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(100):
+        lines = _random_rule_list(rng)
+        psl = PublicSuffixList(lines)
+        for _ in range(100):
+            host = ".".join(rng.choice("abcdex") for _ in range(rng.randint(1, 6)))
+            assert psl.public_suffix(host) == public_suffix_reference(lines, host), (
+                lines, host)
+            checked += 1
+    assert checked == 10_000
+
+
+def test_public_suffix_matches_rule_scan_on_bundled_list():
+    lines = (
+        resources.files("newsforensics.data") / "public_suffix_list.dat"
+    ).read_text("utf-8").splitlines()
+    rules = [ln.split()[0] for ln in lines if ln.strip() and not ln.startswith("//")]
+    psl = PublicSuffixList(lines)
+    rng = random.Random(23)
+    prefixes = ["www", "a", "ck", "co", "news", "x"]
+    for _ in range(10_000):
+        labels = [
+            rng.choice(prefixes) if label == "*" else label
+            for label in rng.choice(rules).lstrip("!").split(".")
+        ]
+        if rng.random() < 0.2:
+            labels[-1] = rng.choice(["unknowntld", "zz"])
+        labels = [rng.choice(prefixes) for _ in range(rng.randint(0, 3))] + labels
+        host = ".".join(labels)
+        assert psl.public_suffix(host) == public_suffix_reference(lines, host), host
 
 
 class TestParseFilterList:
