@@ -8,20 +8,26 @@ every downstream stage works offline from the cache.
 
 from __future__ import annotations
 
+import gzip
+import http.client
 import json
 import logging
 import os
 import random
 import re
+import ssl
+import string
 import threading
 import time
+import urllib.request
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
+from urllib.parse import quote, urlencode, urljoin, urlparse, urlsplit
 
-import requests
-
+from . import __version__
 from .timeline import (
     Annotations,
     MonthStamp,
@@ -211,6 +217,256 @@ class CrawlManifest:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+@dataclass
+class Response:
+    status_code: int
+    content: bytes
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", errors="replace")
+
+    def json(self):
+        return json.loads(self.content)
+
+
+MAX_REDIRECTS = 30
+_REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
+
+# Request targets are encoded exactly as requests 2.x prepares them: urllib3
+# splits the URL, drops dot segments and escapes what each component may
+# not hold, then requests' requote_uri unescapes unreserved characters.
+_URI_RE = re.compile(
+    r"^(?:([a-zA-Z][a-zA-Z0-9+.-]*):)?(?://([^\\/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?$",
+    re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r"%[a-fA-F0-9]{2}")
+_PATH_SAFE = "!$&'()*+,;=:@/"
+_QUERY_SAFE = _PATH_SAFE + "?"
+_UNRESERVED = frozenset(string.ascii_letters + string.digits + "-._~")
+
+
+def _remove_dot_segments(path: str) -> str:
+    """RFC 3986 section 5.2.4, as urllib3 applies it."""
+    output: list[str] = []
+    for segment in path.split("/"):
+        if segment == "..":
+            if output:
+                output.pop()
+        elif segment != ".":
+            output.append(segment)
+    if path.startswith("/") and (not output or output[0]):
+        output.insert(0, "")
+    if path.endswith(("/.", "/..")):
+        output.append("")
+    return "/".join(output)
+
+
+def _escape_invalid(component: str, safe: str) -> str:
+    """Escape the bytes a URL component may not hold, keeping its escapes.
+
+    Existing escapes are upper-cased; if any ``%`` starts no escape,
+    every ``%`` is escaped instead.
+    """
+    component, escapes = _ESCAPE_RE.subn(lambda m: m.group(0).upper(), component)
+    raw = component.encode("utf-8", "surrogatepass")
+    return quote(raw, safe=safe + "%" if escapes == raw.count(b"%") else safe)
+
+
+def _unquote_unreserved(uri: str) -> str:
+    parts = uri.split("%")
+    for i in range(1, len(parts)):
+        h = parts[i][:2]
+        if len(h) == 2 and h.isalnum():
+            c = chr(int(h, 16))  # ValueError: not an escape
+            parts[i] = c + parts[i][2:] if c in _UNRESERVED else "%" + parts[i]
+        else:
+            parts[i] = "%" + parts[i]
+    return "".join(parts)
+
+
+def _requote_uri(uri: str) -> str:
+    """Unescape unreserved characters and escape illegal ones, as requests does."""
+    try:
+        return quote(_unquote_unreserved(uri), safe="!#$%&'()*+,/:;=?@[]~")
+    except ValueError:
+        return quote(uri, safe="!#$&'()*+,/:;=?@[]~")
+
+
+def prepare_url(url: str, params: dict | None = None) -> tuple[str, str, str]:
+    """(scheme, authority, request target) of a GET for url plus query params."""
+    scheme, authority, path, query, _ = _URI_RE.match(url.lstrip()).groups()
+    scheme = (scheme or "").lower()
+    if scheme not in ("http", "https") or not authority:
+        raise http.client.InvalidURL(f"not an absolute http(s) URL: {url!r}")
+    if path:
+        path = _escape_invalid(_remove_dot_segments(path), _PATH_SAFE)
+    if not path.startswith("/"):
+        path = "/" + path
+    if query:
+        query = _escape_invalid(query, _QUERY_SAFE)
+    if params:
+        encoded = urlencode(params)
+        query = f"{query}&{encoded}" if query else encoded
+    return scheme, authority, _requote_uri(f"{path}?{query}" if query else path)
+
+
+def _follow(url: str, location: str) -> tuple[str, str, str, str]:
+    """Where a Location header sent in answer to url leads, as requests follows it.
+
+    Returns the new URL, which is the base for the next relative
+    Location, and its scheme, authority and request target.
+    """
+    try:  # http.client decodes header values as latin-1; servers send UTF-8
+        location = location.encode("latin-1").decode("utf-8")
+        if location.startswith("//"):
+            location = f"{urlsplit(url).scheme}:{location}"
+        parsed = urlparse(location)
+        location = _requote_uri(parsed.geturl())
+        url = location if parsed.netloc else urljoin(url, location)
+        split = urlsplit(url)
+    except ValueError as exc:
+        raise http.client.InvalidURL(f"bad Location {location!r}: {exc}") from None
+    if split.scheme not in ("http", "https") or not split.netloc:
+        raise http.client.InvalidURL(f"redirect to a non-http(s) URL: {url!r}")
+    target = _escape_invalid(split.path or "/", _PATH_SAFE)
+    if split.query:
+        target += "?" + _escape_invalid(split.query, _QUERY_SAFE)
+    return url, split.scheme, split.netloc, target
+
+
+def _decode_body(body: bytes, content_encoding: str) -> bytes:
+    """Undo gzip and deflate content codings, last applied first."""
+    for coding in reversed(content_encoding.lower().split(",")):
+        coding = coding.strip()
+        try:
+            if body and coding in ("gzip", "x-gzip"):
+                body = gzip.decompress(body)
+            elif body and coding == "deflate":
+                try:
+                    body = zlib.decompress(body)
+                except zlib.error:  # raw deflate, without the zlib wrapper
+                    body = zlib.decompress(body, -zlib.MAX_WBITS)
+        except (EOFError, OSError, zlib.error) as exc:
+            raise http.client.HTTPException(f"undecodable {coding} body: {exc}") from None
+    return body
+
+
+class HttpSession:
+    """Keep-alive HTTP/1.1 GETs over one connection per thread and host.
+
+    Follows up to MAX_REDIRECTS redirects and decodes gzip and deflate
+    bodies.  Proxies come from the environment (``http_proxy``,
+    ``https_proxy``, ``no_proxy``) once, when the session is made; each
+    host's route is worked out on its first request.  Transport failures
+    raise OSError or http.client.HTTPException; if the server dropped an
+    idle connection, the request is sent once more on a new one.
+    """
+
+    def __init__(self, timeout: float):
+        self.timeout = timeout
+        self._proxies = urllib.request.getproxies()
+        self._headers = {
+            "User-Agent": f"newsforensics/{__version__}",
+            "Accept-Encoding": "gzip, deflate",
+            "Accept": "*/*",
+        }
+        self._routes: dict[tuple[str, str], tuple[Callable, str]] = {}
+        self._tls: ssl.SSLContext | None = None
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._open: list[tuple[dict, tuple[str, str]]] = []
+
+    def _route(self, scheme: str, authority: str) -> tuple[Callable, str]:
+        """Connection factory and request-target prefix for one origin."""
+        try:
+            split = urlsplit(f"//{authority}")
+            host, port = split.hostname, split.port
+        except ValueError as exc:
+            raise http.client.InvalidURL(f"bad host {authority!r}: {exc}") from None
+        if not host or not host.isascii():
+            raise http.client.InvalidURL(f"bad host {authority!r}")
+        netloc = f"{host}:{port}" if port else host
+        address = (host, port)
+        proxy = self._proxies.get(scheme) or self._proxies.get("all")
+        proxied = bool(proxy) and not urllib.request.proxy_bypass_environment(
+            netloc, self._proxies)
+        if proxied:
+            proxy_split = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_split.scheme != "http" or not proxy_split.hostname:
+                raise http.client.InvalidURL(f"unsupported proxy {proxy!r}")
+            address = (proxy_split.hostname, proxy_split.port)
+        if scheme == "http":  # a proxy is sent the absolute URL
+            return (lambda: http.client.HTTPConnection(*address, timeout=self.timeout),
+                    f"http://{netloc}" if proxied else "")
+        if self._tls is None:
+            self._tls = ssl.create_default_context()
+        context = self._tls
+
+        def connect() -> http.client.HTTPSConnection:
+            conn = http.client.HTTPSConnection(*address, timeout=self.timeout, context=context)
+            if proxied:  # a proxy relays the TLS stream through CONNECT
+                conn.set_tunnel(host, port)
+            return conn
+
+        return connect, ""
+
+    def _connection(self, scheme: str, authority: str) -> tuple[http.client.HTTPConnection, str]:
+        """This thread's connection to an origin, and its request-target prefix."""
+        key = (scheme, authority)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._route(scheme, authority)
+        try:
+            conns = self._local.conns
+        except AttributeError:
+            conns = self._local.conns = {}
+        conn = conns.get(key)
+        if conn is None:
+            conn = conns[key] = route[0]()
+            with self._lock:
+                self._open.append((conns, key))
+        return conn, route[1]
+
+    def _send(self, conn: http.client.HTTPConnection,
+              target: str) -> tuple[http.client.HTTPResponse, bytes]:
+        reused = conn.sock is not None
+        try:
+            try:
+                conn.request("GET", target, headers=self._headers)
+                response = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()  # the server closed the idle connection
+                conn.request("GET", target, headers=self._headers)
+                response = conn.getresponse()
+            return response, response.read()
+        except BaseException:
+            conn.close()  # a half-done exchange leaves nothing to reuse
+            raise
+
+    def get(self, url: str, params: dict | None = None) -> Response:
+        scheme, authority, target = prepare_url(url, params)
+        url = f"{scheme}://{authority}{target}"
+        for _ in range(MAX_REDIRECTS + 1):
+            conn, prefix = self._connection(scheme, authority)
+            response, body = self._send(conn, prefix + target)
+            location = response.getheader("Location")
+            if response.status not in _REDIRECT_STATUSES or not location:
+                body = _decode_body(body, response.getheader("Content-Encoding", ""))
+                return Response(response.status, body)
+            url, scheme, authority, target = _follow(url, location)
+        raise http.client.HTTPException(f"more than {MAX_REDIRECTS} redirects, last to {url}")
+
+    def close(self) -> None:
+        """Close every open connection; later requests open new ones."""
+        with self._lock:
+            opened, self._open = self._open, []
+        for conns, key in opened:
+            conns.pop(key).close()
+
+
 class WaybackClient:
     """CDX index queries and raw snapshot downloads with retry and rate limit."""
 
@@ -218,7 +474,7 @@ class WaybackClient:
         self,
         cdx_base: str = DEFAULT_ARCHIVE_BASE,
         web_base: str = DEFAULT_ARCHIVE_BASE,
-        session: requests.Session | None = None,
+        session: HttpSession | None = None,
         cache: SnapshotCache | None = None,
         rate_limit: float = 1.0,
         max_retries: int = 3,
@@ -230,15 +486,15 @@ class WaybackClient:
     ):
         self.cdx_base = cdx_base.rstrip("/")
         self.web_base = web_base.rstrip("/")
-        self.session = session or requests.Session()
+        self.session = session or HttpSession(timeout)
         self.cache = cache
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.timeout = timeout
         self._limiter = RateLimiter(rate_limit, clock=clock, sleep=sleep)
         self._sleep = sleep
         self._jitter = random.Random(jitter_seed)
         self._local = threading.local()
+        self._count_lock = threading.Lock()
         self.request_count = 0
         self.cdx_rows_skipped = 0
 
@@ -247,7 +503,7 @@ class WaybackClient:
         """Retries spent on this thread's most recent successful request."""
         return getattr(self._local, "retries", 0)
 
-    def _request(self, url: str, params: dict | None = None) -> requests.Response:
+    def _request(self, url: str, params: dict | None = None) -> Response:
         """GET with rate limiting and jittered exponential backoff.
 
         Retries transport errors and 429/5xx responses; other statuses
@@ -259,10 +515,11 @@ class WaybackClient:
                 delay = self.backoff_base * (2 ** (attempt - 1))
                 self._sleep(delay + self._jitter.uniform(0, delay / 10))
             self._limiter.acquire()
-            self.request_count += 1
+            with self._count_lock:
+                self.request_count += 1
             try:
-                response = self.session.get(url, params=params, timeout=self.timeout)
-            except requests.RequestException as exc:
+                response = self.session.get(url, params=params)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 log.warning("request failed (%s), attempt %d: %s", url, attempt + 1, exc)
                 continue
@@ -273,6 +530,10 @@ class WaybackClient:
             self._local.retries = attempt
             return response
         raise ArchiveError(f"gave up on {url} after {self.max_retries} attempts") from last_error
+
+    def close(self) -> None:
+        """Close the session's connections."""
+        self.session.close()
 
     def fetch_cdx_index(
         self,
@@ -359,42 +620,46 @@ def crawl_sites(
 
     Snapshot fetches run on a bounded worker pool behind the client's
     global rate limiter.  Sites whose CDX query fails are recorded with
-    zero entries rather than aborting the crawl.
+    zero entries rather than aborting the crawl.  The client's connections
+    are closed when the crawl ends.
     """
-    manifest = CrawlManifest(window=window)
-    lock = threading.Lock()
+    try:
+        manifest = CrawlManifest(window=window)
+        lock = threading.Lock()
 
-    refs: list[SnapshotRef] = []
-    for site in sorted(set(sites)):
-        try:
-            site_refs = client.fetch_cdx_index(site, window, per_month=per_month)
-        except ArchiveError as exc:
-            log.error("CDX index failed for %s: %s", site, exc)
+        refs: list[SnapshotRef] = []
+        for site in sorted(set(sites)):
+            try:
+                site_refs = client.fetch_cdx_index(site, window, per_month=per_month)
+            except ArchiveError as exc:
+                log.error("CDX index failed for %s: %s", site, exc)
+                manifest.entries.setdefault(site, [])
+                manifest.cdx_failures.append(site)
+                continue
             manifest.entries.setdefault(site, [])
-            manifest.cdx_failures.append(site)
-            continue
-        manifest.entries.setdefault(site, [])
-        refs.extend(site_refs)
+            refs.extend(site_refs)
 
-    def fetch(ref: SnapshotRef) -> None:
-        try:
-            doc = client.fetch_snapshot(ref)
-        except ArchiveError:
-            entry = ManifestEntry(ref, FAILED, retries=client.max_retries)
-        else:
-            state = auto_dead_state(doc)
-            entry = ManifestEntry(
-                ref,
-                FETCHED,
-                retries=client.last_retries,
-                auto_state="dead" if state is SiteState.DEAD else None,
-            )
-        with lock:
-            manifest.add(entry)
+        def fetch(ref: SnapshotRef) -> None:
+            try:
+                doc = client.fetch_snapshot(ref)
+            except ArchiveError:
+                entry = ManifestEntry(ref, FAILED, retries=client.max_retries)
+            else:
+                state = auto_dead_state(doc)
+                entry = ManifestEntry(
+                    ref,
+                    FETCHED,
+                    retries=client.last_retries,
+                    auto_state="dead" if state is SiteState.DEAD else None,
+                )
+            with lock:
+                manifest.add(entry)
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        list(pool.map(fetch, refs))
-    return manifest
+        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+            list(pool.map(fetch, refs))
+        return manifest
+    finally:
+        client.close()
 
 
 def load_documents(

@@ -18,7 +18,8 @@ from typing import Iterable
 
 
 class PublicSuffixList:
-    def __init__(self, rules: Iterable[str]):
+    def __init__(self, rules: Iterable[str], source: str | Path | None = None):
+        """Errors name ``source:line:`` when the rules come from a file, else ``line N:``."""
         self._rules: set[tuple[str, ...]] = set()
         self._exceptions: set[tuple[str, ...]] = set()
         for lineno, raw in enumerate(rules, 1):
@@ -26,22 +27,21 @@ class PublicSuffixList:
             if not line or line.startswith("//"):
                 continue
             line = line.split()[0].lower()
+            where = f"{source}:{lineno}" if source else f"line {lineno}"
             if line.startswith("!"):
                 rule = tuple(line[1:].split("."))
                 if "*" in rule:
-                    raise ValueError(f"line {lineno}: wildcard in exception rule {line!r}")
+                    raise ValueError(f"{where}: wildcard in exception rule {line!r}")
                 self._exceptions.add(rule)
             else:
                 rule = tuple(line.split("."))
                 if "*" in rule[1:]:
-                    raise ValueError(
-                        f"line {lineno}: wildcard not in the leftmost label of {line!r}"
-                    )
+                    raise ValueError(f"{where}: wildcard not in the leftmost label of {line!r}")
                 self._rules.add(rule)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PublicSuffixList":
-        return cls(Path(path).read_text("utf-8").splitlines())
+        return cls(Path(path).read_text("utf-8").splitlines(), source=path)
 
     @classmethod
     def bundled(cls) -> "PublicSuffixList":

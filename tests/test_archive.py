@@ -1,12 +1,29 @@
+import gzip
+import http.client
+import json
+import random
+import ssl
+import sys
+import threading
+import time
+import zlib
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from urllib.parse import parse_qsl, urlsplit
+
 import pytest
 
 from newsforensics.archive import (
     FAILED,
     FETCHED,
+    MAX_REDIRECTS,
     ArchiveError,
     CrawlManifest,
+    HttpSession,
     ManifestEntry,
     RateLimiter,
+    Response,
     SnapshotCache,
     SnapshotDocument,
     SnapshotRef,
@@ -15,10 +32,12 @@ from newsforensics.archive import (
     build_timelines,
     crawl_sites,
     load_documents,
+    prepare_url,
 )
 from newsforensics.timeline import MonthStamp, SiteState
 
-from fakes import FakeResponse, FakeSession, VirtualClock
+from fakes import FakeSession, VirtualClock
+from fixture_corpus import build_corpus, serve
 
 A, Z, D, M = SiteState.ALIVE, SiteState.ZOMBIE, SiteState.DEAD, SiteState.MISSING
 
@@ -63,7 +82,7 @@ class TestFetchCdxIndex:
 
     def test_empty_body(self):
         client, session, _ = make_client()
-        session.route_cdx_raw("example.com", FakeResponse(200, b""))
+        session.route_cdx_raw("example.com", Response(200, b""))
         assert client.fetch_cdx_index("example.com", WINDOW) == []
 
     def test_window_excludes_all_rows(self):
@@ -120,7 +139,7 @@ class TestFetchSnapshot:
     def test_body_bytes_identical(self, tmp_path):
         client, session, _ = make_client(tmp_path)
         body = b"<html><body>" + b"x" * 2048 + b"</body></html>"
-        session.route_snapshot("/web/20160105120000id_/http://example.com/", FakeResponse(200, body))
+        session.route_snapshot("/web/20160105120000id_/http://example.com/", Response(200, body))
         doc = client.fetch_snapshot(self.REF)
         assert doc.html == body
         assert client.cache.get("example.com", "20160105120000") == body
@@ -129,7 +148,7 @@ class TestFetchSnapshot:
         client, session, _ = make_client(tmp_path)
         session.route_snapshot(
             "/web/20160105120000id_/http://example.com/",
-            FakeResponse(404, b"replay error page"),
+            Response(404, b"replay error page"),
         )
         doc = client.fetch_snapshot(self.REF)
         assert doc.html == b""
@@ -138,7 +157,7 @@ class TestFetchSnapshot:
     def test_cache_hit_issues_no_request(self, tmp_path):
         client, session, _ = make_client(tmp_path)
         body = b"<html>cached</html>"
-        session.route_snapshot("/web/20160105120000id_/http://example.com/", FakeResponse(200, body))
+        session.route_snapshot("/web/20160105120000id_/http://example.com/", Response(200, body))
         first = client.fetch_snapshot(self.REF)
         before = client.request_count
         second = client.fetch_snapshot(self.REF)
@@ -148,7 +167,7 @@ class TestFetchSnapshot:
     def test_transport_failure_retried_then_succeeds(self, tmp_path):
         client, session, clock = make_client(tmp_path)
         session.failures_remaining = 2
-        session.route_snapshot("/web/20160105120000id_/http://example.com/", FakeResponse(200, b"ok"))
+        session.route_snapshot("/web/20160105120000id_/http://example.com/", Response(200, b"ok"))
         doc = client.fetch_snapshot(self.REF)
         assert doc.html == b"ok"
         assert client.request_count == 3
@@ -167,7 +186,7 @@ class TestFetchSnapshot:
     def test_server_errors_retried(self, tmp_path):
         client, session, _ = make_client(tmp_path)
         session.route_snapshot(
-            "/web/20160105120000id_/http://example.com/", FakeResponse(503, b"")
+            "/web/20160105120000id_/http://example.com/", Response(503, b"")
         )
         with pytest.raises(ArchiveError):
             client.fetch_snapshot(self.REF)
@@ -189,7 +208,7 @@ class TestRateLimiter:
         client, session, clock = make_client(tmp_path, rate_limit=4.0)
         session.route_cdx("example.com", CDX_ROWS)
         for path in {f"/web/{row[0]}id_/http://example.com/" for row in CDX_ROWS}:
-            session.route_snapshot(path, FakeResponse(200, b"<html>hi</html>"))
+            session.route_snapshot(path, Response(200, b"<html>hi</html>"))
         crawl_sites(client, ["example.com"], WINDOW, per_month=None, workers=3)
         times = sorted(t for t, _ in session.requests)
         for a, b in zip(times, times[1:]):
@@ -234,10 +253,10 @@ def seeded_session(session):
     )
     session.route_cdx("empty.org", [])
     session.route_snapshot(
-        "/web/20160105120000id_/http://example.com/", FakeResponse(200, b"<html>news</html>")
+        "/web/20160105120000id_/http://example.com/", Response(200, b"<html>news</html>")
     )
     session.route_snapshot(
-        "/web/20160203000000id_/http://example.com/", FakeResponse(404, b"")
+        "/web/20160203000000id_/http://example.com/", Response(404, b"")
     )
 
 
@@ -396,3 +415,260 @@ class TestBuildTimelines:
         manifest = self.manifest_for(entries=[("20160315000000", None)])
         (t,) = build_timelines(manifest, {}, ["example.com"], WINDOW)
         assert t.state_at(MonthStamp(2016, 3)) is M
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Keep-alive handler answering from its server's ``respond(path)``."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args):
+        pass
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.opened += 1
+
+    def finish(self):
+        super().finish()
+        with self.server.lock:
+            self.server.closed += 1
+
+    def do_GET(self):
+        with self.server.lock:
+            self.server.seen.append((self.path, dict(self.headers)))
+        status, headers, body = self.server.respond(self.path)
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        # closing without "Connection: close" is a server timing out an idle connection
+        self.close_connection = self.server.drop_idle
+
+
+TEST_CERT = Path(__file__).parent / "data" / "localhost-cert.pem"  # self-signed, for 127.0.0.1
+
+
+@contextmanager
+def local_server(respond, drop_idle=False, tls=False):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server.daemon_threads = True
+    server.respond, server.drop_idle = respond, drop_idle
+    server.lock = threading.Lock()
+    server.opened = server.closed = 0
+    server.seen = []
+    server.url = f"http://127.0.0.1:{server.server_port}"
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TEST_CERT, TEST_CERT.with_name("localhost-key.pem"))
+        server.socket = context.wrap_socket(server.socket, server_side=True)
+        server.url = f"https://127.0.0.1:{server.server_port}"
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def wait_for(condition, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+def archive_routes(path):
+    """CDX rows for any site, one per month of WINDOW, and a page per capture."""
+    split = urlsplit(path)
+    if split.path == "/cdx/search/cdx":
+        site = dict(parse_qsl(split.query))["url"]
+        rows = [["timestamp", "original", "statuscode", "mimetype"]] + [
+            [f"2016{m:02d}05120000", f"http://{site}/", "200", "text/html"] for m in range(1, 7)
+        ]
+        return 200, {"Content-Type": "application/json"}, json.dumps(rows).encode()
+    return 200, {}, f"<html>{split.path}</html>".encode()
+
+
+def live_client(base, **kwargs):
+    kwargs.setdefault("rate_limit", 0.0)
+    kwargs.setdefault("backoff_base", 0.0)
+    return WaybackClient(cdx_base=base, web_base=base, **kwargs)
+
+
+class TestHttpSession:
+    def test_sequential_gets_share_one_connection(self):
+        with local_server(lambda path: (200, {}, path.encode())) as server:
+            session = HttpSession(10.0)
+            bodies = [session.get(f"{server.url}/p{i}").content for i in range(8)]
+            assert bodies == [f"/p{i}".encode() for i in range(8)]
+            assert server.opened == 1
+            session.close()
+            assert wait_for(lambda: server.closed == 1)
+
+    def test_dropped_idle_connection_reconnects_without_retry(self, tmp_path):
+        with local_server(archive_routes, drop_idle=True) as server:
+            client = live_client(server.url, cache=SnapshotCache(tmp_path / "cache"),
+                                 max_retries=1)
+            manifest = crawl_sites(client, ["a.com", "b.com"], WINDOW, workers=1)
+            entries = [e for site in manifest.sites() for e in manifest.entries[site]]
+            assert len(entries) == 12
+            assert {(e.fetch_status, e.retries) for e in entries} == {(FETCHED, 0)}
+            assert client.request_count == 14 == len(server.seen) == server.opened
+
+    def test_crawl_closes_its_connections(self, tmp_path):
+        with local_server(archive_routes) as server:
+            client = live_client(server.url, cache=SnapshotCache(tmp_path / "cache"))
+            crawl_sites(client, ["a.com", "b.com", "c.com"], WINDOW, workers=3)
+            assert 1 < server.opened <= 4  # the CDX thread plus at most one per worker
+            assert wait_for(lambda: server.closed == server.opened)
+
+    def test_relative_and_absolute_redirects_followed(self):
+        def respond(path):
+            hops = {
+                "/start": (302, "/abs-path"),
+                "/abs-path": (301, "rel/x?q=1"),
+                "/rel/x?q=1": (307, f"{server.url}/full/url"),
+                "/full/url": (308, "../last"),
+            }
+            if path in hops:
+                status, location = hops[path]
+                return status, {"Location": location}, b"moved"
+            return 200, {}, f"at {path}".encode()
+
+        with local_server(respond) as server:
+            session = HttpSession(10.0)
+            assert session.get(f"{server.url}/start").content == b"at /last"
+            assert [p for p, _ in server.seen] == [
+                "/start", "/abs-path", "/rel/x?q=1", "/full/url", "/last"]
+            assert server.opened == 1
+            session.close()
+
+    @pytest.mark.parametrize("redirects, ok", [(MAX_REDIRECTS, True), (MAX_REDIRECTS + 1, False)])
+    def test_redirect_limit(self, tmp_path, redirects, ok):
+        def respond(path):
+            if path.startswith("/web/"):
+                return 302, {"Location": "/hop/1"}, b""
+            hop = int(path.rsplit("/", 1)[1])
+            if hop < redirects:
+                return 302, {"Location": f"/hop/{hop + 1}"}, b""
+            return 200, {}, b"<html>arrived</html>"
+
+        ref = SnapshotRef("a.com", "20160105120000", "http://a.com/")
+        with local_server(respond) as server:
+            client = live_client(server.url, max_retries=2)
+            if ok:
+                assert client.fetch_snapshot(ref).html == b"<html>arrived</html>"
+                assert len(server.seen) == MAX_REDIRECTS + 1
+                assert client.request_count == 1
+            else:
+                with pytest.raises(ArchiveError, match="gave up") as info:
+                    client.fetch_snapshot(ref)
+                assert isinstance(info.value.__cause__, http.client.HTTPException)
+                assert len(server.seen) == 2 * (MAX_REDIRECTS + 1)
+                assert client.request_count == 2
+            client.close()
+
+    @pytest.mark.parametrize("coding, encode", [
+        ("gzip", gzip.compress),
+        ("deflate", zlib.compress),
+        ("deflate", lambda body: zlib.compress(body)[2:-4]),  # raw deflate stream
+    ])
+    def test_compressed_bodies_decoded(self, coding, encode):
+        page = b"<html>" + b"news " * 500 + b"</html>"
+        with local_server(lambda path: (200, {"Content-Encoding": coding}, encode(page))) as server:
+            session = HttpSession(10.0)
+            assert session.get(f"{server.url}/page").content == page
+            (_, headers), = server.seen
+            assert headers["Accept-Encoding"] == "gzip, deflate"
+            session.close()
+
+    def test_undecodable_body_is_a_transport_error(self):
+        with local_server(lambda path: (200, {"Content-Encoding": "gzip"}, b"not gzip")) as server:
+            session = HttpSession(10.0)
+            with pytest.raises(http.client.HTTPException, match="undecodable gzip"):
+                session.get(f"{server.url}/page")
+            session.close()
+
+    def test_tls_certificate_verified_against_trusted_store(self, monkeypatch):
+        with local_server(lambda path: (200, {}, b"secure"), tls=True) as server:
+            with pytest.raises(ssl.SSLCertVerificationError):
+                HttpSession(10.0).get(f"{server.url}/page")
+            monkeypatch.setenv("SSL_CERT_FILE", str(TEST_CERT))  # trust the test certificate
+            session = HttpSession(10.0)
+            assert [session.get(f"{server.url}/p{i}").content for i in range(3)] == [b"secure"] * 3
+            assert server.opened == 1  # the refused handshake never reaches a handler
+            session.close()
+
+    def test_fixture_archive_http10_server(self, tmp_path):
+        corpus = build_corpus(tmp_path / "corpus")
+        with serve(corpus) as (base, request_log):
+            client = live_client(base, cache=SnapshotCache(tmp_path / "cache"), max_retries=1)
+            window = (MonthStamp(2015, 1), MonthStamp(2015, 12))
+            manifest = crawl_sites(client, ["twin-a.com", "twin-b.com"], window, workers=2)
+        entries = [e for site in manifest.sites() for e in manifest.entries[site]]
+        assert len(entries) == 24
+        assert {(e.fetch_status, e.retries) for e in entries} == {(FETCHED, 0)}
+        assert client.request_count == len(request_log) == 26
+        assert all(d.html.startswith(b"<html>") for d in load_documents(client.cache, manifest))
+
+    def test_http_proxy_gets_absolute_form_and_no_proxy_bypasses_it(self, tmp_path, monkeypatch):
+        for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        corpus = build_corpus(tmp_path / "corpus")
+        with serve(corpus) as (base, request_log):
+            monkeypatch.setenv("http_proxy", base)
+            assert live_client(base).fetch_cdx_index("twin-a.com", WINDOW) == []
+            assert request_log[-1].startswith(f"{base}/cdx/search/cdx?url=twin-a.com&")
+            monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+            live_client(base).fetch_cdx_index("twin-a.com", WINDOW)
+            assert request_log[-1].startswith("/cdx/search/cdx?url=twin-a.com&")
+
+
+def random_original_url(rng):
+    pieces = list("aZ09-._~!$&'()*+,;=:@/?# %[]|\\^`{}<>\"\t") + [
+        "%41", "%2f", "%2E", "%7e", "%zz", "%e9", "%", "..", ".", "é", "中", "\U0001f600"]
+    tail = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 16)))
+    return f"http://{rng.choice(['a.com', 'Mixed.Case.org'])}/{tail}"
+
+
+def test_request_target_matches_requests_path_url():
+    requests = pytest.importorskip("requests")
+    rng = random.Random(20240611)
+    for _ in range(3000):
+        original = random_original_url(rng)
+        url = f"https://archive.test/web/20160105120000id_/{original}"
+        params = None
+        if rng.random() < 0.3:
+            params = {"url": original, "output": "json", "from": "201601"}
+        want = requests.Request("GET", url, params=params).prepare().path_url
+        assert prepare_url(url, params)[2] == want, (url, params)
+
+
+def test_request_count_exact_under_thread_contention():
+    client, _, _ = make_client()  # no cache: every fetch is a request
+    ref = SnapshotRef("example.com", "20160105120000", "http://example.com/")
+    workers, per_worker = 8, 1000
+
+    def hammer():
+        for _ in range(per_worker):
+            client.fetch_snapshot(ref)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert client.request_count == workers * per_worker

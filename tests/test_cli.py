@@ -124,6 +124,18 @@ class TestPrerequisites:
         assert result.exit_code == 2
 
 
+def test_cli_runs_without_requests_installed():
+    src = str(Path(newsforensics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys; sys.modules['requests'] = None; "
+            "from newsforensics import cli; cli.main(['crawl', '--help'])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "--rate-limit" in result.stdout
+
+
 class TestPredictRejectedRows:
     def test_malformed_row_warns_on_stderr_and_rest_are_scored(self, corpus, tmp_path):
         header, *rows = corpus.predict_csv.read_text().splitlines()
@@ -268,7 +280,7 @@ class TestMalformedInputs:
         result = invoke(["--out", str(out), "trackers", "--filter-list",
                          str(corpus.filter_list), "--public-suffix-list", str(psl)])
         assert result.exit_code == 2
-        assert "error: line 3: wildcard not in the leftmost label of 'x.*.d'" in result.output
+        assert f"error: {psl}:3: wildcard not in the leftmost label of 'x.*.d'" in result.output
         assert not (out / "tracker_report.json").exists()
 
     def test_sync_names_file_and_line_of_bad_suffix_rule(self, tmp_path):
