@@ -15,7 +15,7 @@ import numpy as np
 
 from .textproc import Preprocessor, default_preprocessor
 from .tfidf import TfidfVector, build_tfidf, cosine
-from .timeline import MonthStamp, MonthlyTimeline, Quarter, SiteState
+from .timeline import MonthStamp, MonthlyTimeline, Quarter
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,9 @@ def quarterize(
     start, end = window
     if end < start:
         raise ValueError(f"empty quarter window: {start}..{end}")
-    values = []
-    q = start
-    while q <= end:
-        values.append(
-            sum(1 for m in q.months() if t.state_at(m) is SiteState.ALIVE)
-        )
-        q = q.plus(1)
-    return QuarterSeries(t.site, start, tuple(values))
+    codes = t.window(start.months()[0], end.months()[-1])
+    values = tuple(codes.count("A", i, i + 3) for i in range(0, len(codes), 3))
+    return QuarterSeries(t.site, start, values)
 
 
 @dataclass(frozen=True)

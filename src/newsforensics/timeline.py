@@ -16,12 +16,14 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
 
-class SiteState(Enum):
+class SiteState(str, Enum):
+    """One month's state; a member equals its one-letter code."""
+
     ALIVE = "A"
     ZOMBIE = "Z"
     DEAD = "D"
@@ -143,17 +145,29 @@ class Quarter:
         return f"{self.year:04d}-Q{self.q}"
 
 
+_CODES = frozenset(s.value for s in SiteState)
+
+
 @dataclass(frozen=True)
 class MonthlyTimeline:
-    """Contiguous monthly states for one site, starting at ``start``."""
+    """Contiguous monthly states for one site, starting at ``start``.
+
+    ``states`` holds one A/Z/D/M code per month; the constructor joins any
+    iterable of ``SiteState`` members or codes into that string.
+    """
 
     site: str
     start: MonthStamp
-    states: tuple[SiteState, ...]
+    states: str
 
     def __post_init__(self):
-        if not self.states:
-            raise ValueError("timeline must cover at least one month")
+        states = "".join(self.states)
+        if not states:
+            raise ValueError(f"timeline of {self.site} must cover at least one month")
+        bad = set(states) - _CODES
+        if bad:
+            raise ValueError(f"unknown state codes {sorted(bad)} for {self.site}")
+        object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -162,18 +176,15 @@ class MonthlyTimeline:
     def end(self) -> MonthStamp:
         return self.start.plus(len(self.states) - 1)
 
-    def months(self) -> Iterator[MonthStamp]:
-        return month_range(self.start, self.end)
-
-    def state_at(self, month: MonthStamp) -> SiteState:
-        """State for a month; months outside the covered span are Missing."""
-        i = month - self.start
-        if 0 <= i < len(self.states):
-            return self.states[i]
-        return SiteState.MISSING
-
-    def with_states(self, states: Sequence[SiteState]) -> "MonthlyTimeline":
-        return MonthlyTimeline(self.site, self.start, tuple(states))
+    def window(self, start: MonthStamp, end: MonthStamp) -> str:
+        """Codes for the months start..end inclusive, ``M`` outside this timeline."""
+        width = end - start + 1
+        if width < 1:
+            raise ValueError(f"empty month window: {start}..{end}")
+        lo = start - self.start
+        codes = self.states[max(lo, 0) : max(lo + width, 0)]
+        head = min(max(-lo, 0), width)
+        return "M" * head + codes + "M" * (width - head - len(codes))
 
 
 def aggregate_month(captures: Iterable[SiteState]) -> SiteState:
@@ -190,6 +201,12 @@ def aggregate_month(captures: Iterable[SiteState]) -> SiteState:
     return SiteState.MISSING
 
 
+# a maximal missing run between two equal alive/zombie labels
+_P1_GAP = re.compile(r"(?<=([AZ]))M+(?=\1)")
+# a maximal non-alive run between two alive months
+_P2_GAP = re.compile(r"(?<=A)[^A]+(?=A)")
+
+
 def interpolate_p1(t: MonthlyTimeline, max_gap_months: int = 36) -> MonthlyTimeline:
     """Phase 1: fill missing runs bounded by the same alive/zombie label.
 
@@ -201,27 +218,12 @@ def interpolate_p1(t: MonthlyTimeline, max_gap_months: int = 36) -> MonthlyTimel
     """
     if max_gap_months < 1:
         raise ValueError("max_gap_months must be >= 1")
-    states = list(t.states)
-    n = len(states)
-    i = 0
-    while i < n:
-        if states[i] is not SiteState.MISSING:
-            i += 1
-            continue
-        j = i
-        while j < n and states[j] is SiteState.MISSING:
-            j += 1
-        if (
-            0 < i
-            and j < n
-            and states[i - 1] is states[j]
-            and states[i - 1] in (SiteState.ALIVE, SiteState.ZOMBIE)
-            and j - i <= max_gap_months
-        ):
-            for k in range(i, j):
-                states[k] = states[i - 1]
-        i = j
-    return t.with_states(states)
+
+    def fill(run: re.Match) -> str:
+        gap = run[0]
+        return run[1] * len(gap) if len(gap) <= max_gap_months else gap
+
+    return MonthlyTimeline(t.site, t.start, _P1_GAP.sub(fill, t.states))
 
 
 def interpolate_p2(
@@ -234,20 +236,14 @@ def interpolate_p2(
     month in between becomes alive.  Observed zombie/dead months are
     never relabelled.
     """
-    states = list(t.states)
-    alive_idx = [i for i, s in enumerate(states) if s is SiteState.ALIVE]
-    for a, b in zip(alive_idx, alive_idx[1:]):
-        if b - a > max_span_months:
-            continue
-        nonalive = sum(
-            1 for k in range(a + 1, b) if states[k] in (SiteState.ZOMBIE, SiteState.DEAD)
-        )
-        if nonalive > max_nonalive:
-            continue
-        for k in range(a + 1, b):
-            if states[k] is SiteState.MISSING:
-                states[k] = SiteState.ALIVE
-    return t.with_states(states)
+
+    def bridge(run: re.Match) -> str:
+        gap = run[0]
+        if len(gap) < max_span_months and len(gap) - gap.count("M") <= max_nonalive:
+            return gap.replace("M", "A")
+        return gap
+
+    return MonthlyTimeline(t.site, t.start, _P2_GAP.sub(bridge, t.states))
 
 
 def interpolate(
@@ -272,10 +268,10 @@ class LifetimeSummary:
 
 def lifetime_summary(t: MonthlyTimeline) -> LifetimeSummary:
     """Inclusive span between first and last alive month, plus state counts."""
-    alive_idx = [i for i, s in enumerate(t.states) if s is SiteState.ALIVE]
-    lifespan = alive_idx[-1] - alive_idx[0] + 1 if alive_idx else 0
-    zombie = sum(1 for s in t.states if s is SiteState.ZOMBIE)
-    return LifetimeSummary(t.site, lifespan, len(alive_idx), zombie)
+    states = t.states
+    first = states.find("A")
+    lifespan = states.rfind("A") - first + 1 if first >= 0 else 0
+    return LifetimeSummary(t.site, lifespan, states.count("A"), states.count("Z"))
 
 
 @dataclass(frozen=True)
@@ -293,16 +289,13 @@ def cohort_histogram(
     timelines: Iterable[MonthlyTimeline], window: tuple[MonthStamp, MonthStamp]
 ) -> CohortHistogram:
     """Count cohort states per month; missing and out-of-range count as dead."""
-    ts = list(timelines)
-    months = list(month_range(*window))
-    alive, zombie, dead = [], [], []
-    for m in months:
-        a = sum(1 for t in ts if t.state_at(m) is SiteState.ALIVE)
-        z = sum(1 for t in ts if t.state_at(m) is SiteState.ZOMBIE)
-        alive.append(a)
-        zombie.append(z)
-        dead.append(len(ts) - a - z)
-    return CohortHistogram(tuple(months), tuple(alive), tuple(zombie), tuple(dead), len(ts))
+    months = tuple(month_range(*window))
+    rows = [t.window(*window) for t in timelines]
+    columns = list(zip(*rows)) or [()] * len(months)
+    alive = tuple(column.count("A") for column in columns)
+    zombie = tuple(column.count("Z") for column in columns)
+    dead = tuple(len(rows) - a - z for a, z in zip(alive, zombie))
+    return CohortHistogram(months, alive, zombie, dead, len(rows))
 
 
 @dataclass(frozen=True)
@@ -330,27 +323,17 @@ def lifetime_distribution(
 # ---------------------------------------------------------------------------
 # persistence
 
-_STATE_BY_CODE = {s.value: s for s in SiteState}
-
-
 def timeline_to_record(t: MonthlyTimeline) -> dict:
-    return {
-        "site": t.site,
-        "start": str(t.start),
-        "states": "".join(s.value for s in t.states),
-    }
+    return {"site": t.site, "start": str(t.start), "states": t.states}
 
 
-def timeline_from_record(rec: Mapping) -> MonthlyTimeline:
-    codes = rec["states"]
-    bad = set(codes) - set(_STATE_BY_CODE)
+def timeline_from_record(rec: object) -> MonthlyTimeline:
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+    bad = [key for key in ("site", "start", "states") if not isinstance(rec.get(key), str)]
     if bad:
-        raise ValueError(f"unknown state codes {sorted(bad)} for {rec.get('site')}")
-    return MonthlyTimeline(
-        site=rec["site"],
-        start=MonthStamp.parse(rec["start"]),
-        states=tuple(_STATE_BY_CODE[c] for c in codes),
-    )
+        raise ValueError(f"missing or non-string {', '.join(bad)}")
+    return MonthlyTimeline(rec["site"], MonthStamp.parse(rec["start"]), rec["states"])
 
 
 def write_timelines(timelines: Iterable[MonthlyTimeline], path: str | Path) -> None:
@@ -362,13 +345,24 @@ def write_timelines(timelines: Iterable[MonthlyTimeline], path: str | Path) -> N
 
 
 def read_timelines(path: str | Path) -> list[MonthlyTimeline]:
-    out = []
+    """Timelines of a JSON-lines file; each error names ``path:line:``.
+
+    Rows may start in different months: readers align them through
+    ``MonthlyTimeline.window``.  A site may appear only once.
+    """
+    out: dict[str, MonthlyTimeline] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(timeline_from_record(json.loads(line)))
-    return out
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                t = timeline_from_record(json.loads(line))
+                if t.site in out:
+                    raise ValueError(f"duplicate site {t.site!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            out[t.site] = t
+    return list(out.values())
 
 
 _ANNOTATION_STATES = {
@@ -423,16 +417,19 @@ def timelines_from_annotations(
         months = [m for per_site in annotations.values() for m in per_site]
         window = (min(months), max(months))
     start, end = window
-    months = list(month_range(start, end))
+    width = end - start + 1
+    if width < 1:
+        raise ValueError(f"empty month window: {start}..{end}")
     out = []
     for site in sorted(annotations):
-        per_month = annotations[site]
-        for month, found in per_month.items():
-            if start <= month <= end and len(set(found)) > 1:
-                log.info(
-                    "conflicting evidence for %s %s: %s",
-                    site, month, sorted(s.name for s in set(found)),
-                )
-        states = [aggregate_month(per_month.get(m, ())) for m in months]
-        out.append(MonthlyTimeline(site, start, tuple(states)))
+        row = ["M"] * width
+        for month, found in annotations[site].items():
+            if start <= month <= end:
+                if len(set(found)) > 1:
+                    log.info(
+                        "conflicting evidence for %s %s: %s",
+                        site, month, sorted(s.name for s in set(found)),
+                    )
+                row[month - start] = aggregate_month(found)
+        out.append(MonthlyTimeline(site, start, row))
     return out

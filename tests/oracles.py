@@ -13,9 +13,16 @@ import re
 import numpy as np
 
 from newsforensics.classify.encoder import REQUIRED_FEATURES
-from newsforensics.sync import ContentMatch, SyncCluster
+from newsforensics.sync import ContentMatch, QuarterSeries, SyncCluster
 from newsforensics.tfidf import build_tfidf, cosine
-from newsforensics.timeline import MonthlyTimeline, SiteState
+from newsforensics.timeline import (
+    CohortHistogram,
+    LifetimeSummary,
+    MonthStamp,
+    MonthlyTimeline,
+    SiteState,
+    month_range,
+)
 
 A, Z, D, M = SiteState.ALIVE, SiteState.ZOMBIE, SiteState.DEAD, SiteState.MISSING
 
@@ -27,7 +34,7 @@ def p1_reference(t: MonthlyTimeline, max_gap_months: int = 36) -> MonthlyTimelin
     (i, j) carrying the same alive/zombie label with exactly m missing
     months and nothing else between them, and propagate the label.
     """
-    states = list(t.states)
+    states = [SiteState(c) for c in t.states]
     n = len(states)
     for m in range(1, max_gap_months + 1):
         changed = True
@@ -43,7 +50,7 @@ def p1_reference(t: MonthlyTimeline, max_gap_months: int = 36) -> MonthlyTimelin
                     for k in range(i + 1, j):
                         states[k] = states[i]
                     changed = True
-    return t.with_states(states)
+    return MonthlyTimeline(t.site, t.start, states)
 
 
 def p2_reference(
@@ -56,7 +63,7 @@ def p2_reference(
     missing months relabelled alive.  No maximality restriction: the
     scan covers every alive pair and repeats until nothing changes.
     """
-    states = list(t.states)
+    states = [SiteState(c) for c in t.states]
     n = len(states)
     changed = True
     while changed:
@@ -74,7 +81,46 @@ def p2_reference(
                     if states[k] is M:
                         states[k] = A
                         changed = True
-    return t.with_states(states)
+    return MonthlyTimeline(t.site, t.start, states)
+
+
+def _state_at(t: MonthlyTimeline, month: MonthStamp) -> SiteState:
+    """State of one month; months outside the timeline are missing."""
+    i = month - t.start
+    return SiteState(t.states[i]) if 0 <= i < len(t.states) else M
+
+
+def cohort_histogram_reference(timelines, window) -> CohortHistogram:
+    """Per-month counts, one month and one site at a time."""
+    ts = list(timelines)
+    months = list(month_range(*window))
+    alive, zombie, dead = [], [], []
+    for m in months:
+        a = sum(1 for t in ts if _state_at(t, m) is A)
+        z = sum(1 for t in ts if _state_at(t, m) is Z)
+        alive.append(a)
+        zombie.append(z)
+        dead.append(len(ts) - a - z)
+    return CohortHistogram(tuple(months), tuple(alive), tuple(zombie), tuple(dead), len(ts))
+
+
+def quarterize_reference(t: MonthlyTimeline, window) -> QuarterSeries:
+    """Alive months per quarter, one month at a time."""
+    start, end = window
+    values = []
+    q = start
+    while q <= end:
+        values.append(sum(1 for m in q.months() if _state_at(t, m) is A))
+        q = q.plus(1)
+    return QuarterSeries(t.site, start, tuple(values))
+
+
+def lifetime_summary_reference(t: MonthlyTimeline) -> LifetimeSummary:
+    """First-to-last alive span and state counts from a month-by-month walk."""
+    alive = [m for m in month_range(t.start, t.end) if _state_at(t, m) is A]
+    zombie = sum(1 for m in month_range(t.start, t.end) if _state_at(t, m) is Z)
+    lifespan = alive[-1] - alive[0] + 1 if alive else 0
+    return LifetimeSummary(t.site, lifespan, len(alive), zombie)
 
 
 def pipeline_reference(t: MonthlyTimeline, max_gap_months=36, max_span_months=36,

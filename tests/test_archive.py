@@ -363,18 +363,18 @@ class TestBuildTimelines:
         manifest = self.manifest_for(window=window)
         annotations = {"example.com": {MonthStamp(2016, 3): [A]}}
         (t,) = build_timelines(manifest, annotations, ["example.com"], window)
-        assert t.states == (M, M, A, M)
+        assert t.states == "MMAM"
 
     def test_alive_annotation_beats_auto_dead(self):
         manifest = self.manifest_for(entries=[("20160315000000", "dead")])
         annotations = {"example.com": {MonthStamp(2016, 3): [A]}}
         (t,) = build_timelines(manifest, annotations, ["example.com"], WINDOW)
-        assert t.state_at(MonthStamp(2016, 3)) is A
+        assert t.window(MonthStamp(2016, 3), MonthStamp(2016, 3)) == "A"
 
     def test_auto_dead_alone_yields_dead_month(self):
         manifest = self.manifest_for(entries=[("20160315000000", "dead")])
         (t,) = build_timelines(manifest, {}, ["example.com"], WINDOW)
-        assert t.state_at(MonthStamp(2016, 3)) is D
+        assert t.window(MonthStamp(2016, 3), MonthStamp(2016, 3)) == "D"
 
     def test_site_without_captures_all_missing(self):
         manifest = self.manifest_for()
@@ -390,19 +390,19 @@ class TestBuildTimelines:
             manifest, annotations, ["crawled.com", "only-annotated.com"], window
         )
         by_site = {t.site: t for t in timelines}
-        assert by_site["only-annotated.com"].states == (M, A, M)
-        assert by_site["crawled.com"].states == (M, M, M)
+        assert by_site["only-annotated.com"].states == "MAM"
+        assert by_site["crawled.com"].states == "MMM"
 
     def test_cohort_site_never_seen_is_all_missing(self):
         window = (MonthStamp(2016, 1), MonthStamp(2016, 3))
         (t,) = build_timelines(CrawlManifest(window=window), {}, ["ghost.com"], window)
         assert t.site == "ghost.com"
-        assert t.states == (M, M, M)
+        assert t.states == "MMM"
 
     def test_without_manifest_annotations_alone(self):
         annotations = {"example.com": {MonthStamp(2016, 2): [Z, D]}}
         (t,) = build_timelines(None, annotations, ["example.com"], WINDOW)
-        assert t.states == (M, Z, M, M, M, M)
+        assert t.states == "MZMMMM"
 
     def test_only_requested_sites_built(self):
         manifest = self.manifest_for(entries=[("20160315000000", "dead")])
@@ -414,7 +414,7 @@ class TestBuildTimelines:
     def test_unknown_capture_without_annotation_is_missing(self):
         manifest = self.manifest_for(entries=[("20160315000000", None)])
         (t,) = build_timelines(manifest, {}, ["example.com"], WINDOW)
-        assert t.state_at(MonthStamp(2016, 3)) is M
+        assert t.window(MonthStamp(2016, 3), MonthStamp(2016, 3)) == "M"
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -302,6 +303,87 @@ class TestMalformedInputs:
                          "--suffix-rules", str(rules)])
         assert result.exit_code == 2
         assert f"error: {rules}:2: bad suffix rule: " in result.output
+
+
+def write_sync_inputs(out: Path, rows: list[str]) -> Path:
+    """A timelines_interpolated.jsonl of raw lines plus an empty crawl manifest."""
+    out.mkdir(parents=True, exist_ok=True)
+    CrawlManifest(window=(MonthStamp(2015, 1), MonthStamp(2015, 12))).save(
+        out / "crawl_manifest.json"
+    )
+    path = out / "timelines_interpolated.jsonl"
+    path.write_text("".join(row + "\n" for row in rows))
+    return path
+
+
+class TestTimelineFileDiagnostics:
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ('{"site": "b.com", "start": "2015-01"', "Expecting ',' delimiter"),
+            ('["b.com", "2015-01", "A"]', "expected a JSON object, got list"),
+            ('{"start": "2015-01", "states": "A"}', "missing or non-string site"),
+            ('{"site": "b.com", "states": "A"}', "missing or non-string start"),
+            ('{"site": "b.com", "start": "2015-01"}', "missing or non-string states"),
+            ('{"site": "b.com", "start": "2015-01", "states": ["A"]}',
+             "missing or non-string states"),
+            ('{"site": "b.com", "start": "2015-13", "states": "A"}',
+             "month out of range: 13"),
+            ('{"site": "b.com", "start": "2015/01", "states": "A"}',
+             "expected YYYY-MM, got '2015/01'"),
+            ('{"site": "b.com", "start": "2015-01", "states": "AXA"}',
+             "unknown state codes ['X'] for b.com"),
+            ('{"site": "b.com", "start": "2015-01", "states": ""}',
+             "timeline of b.com must cover at least one month"),
+            ('{"site": "a.com", "start": "2015-04", "states": "A"}', "duplicate site 'a.com'"),
+        ],
+        ids=["json", "not-object", "no-site", "no-start", "no-states", "list-states",
+             "start-range", "start-format", "unknown-code", "empty-states", "duplicate"],
+    )
+    def test_sync_names_file_and_line(self, tmp_path, row, reason):
+        out = tmp_path / "out"
+        path = write_sync_inputs(
+            out, ['{"site": "a.com", "start": "2015-01", "states": "AAA"}', "", row]
+        )
+        result = invoke(["--out", str(out), "sync", "--quarters", "2015-Q1", "2015-Q4"])
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}:3: {reason}" in result.output
+        assert not (out / "sync_report.json").exists()
+
+
+class TestTimelinesStartingInDifferentMonths:
+    """Rows need not share a start month: each is aligned to the quarter window."""
+
+    def sync(self, out: Path, rows: dict[str, tuple[str, str]]):
+        write_sync_inputs(out, [
+            json.dumps({"site": site, "start": start, "states": states})
+            for site, (start, states) in rows.items()
+        ])
+        csv_path = out / "distances.csv"
+        result = invoke(["--out", str(out), "sync", "--quarters", "2015-Q1", "2015-Q4",
+                         "--uptime-max-distance", "2.5", "--distances-csv", str(csv_path)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "sync_report.json").read_text())
+        return report["uptime_pairs"], csv_path.read_text()
+
+    def test_same_pairs_and_distances_as_shared_window(self, tmp_path):
+        ragged = {
+            # 2014-10..2015-06: starts before the window and ends inside it
+            "a.com": ("2014-10", "AAAAAZAAA"),
+            "b.com": ("2015-01", "AAZAMAMMMDAA"),
+            # 2015-05..2016-03: starts inside the window and ends after it
+            "c.com": ("2015-05", "AZAAAAAADAA"),
+        }
+        shared = {
+            "a.com": ("2014-10", "AAAAAZAAA" + "M" * 9),
+            "b.com": ("2014-10", "MMM" + "AAZAMAMMMDAA" + "MMM"),
+            "c.com": ("2014-10", "M" * 7 + "AZAAAAAADAA"),
+        }
+        pairs, csv_text = self.sync(tmp_path / "ragged", ragged)
+        assert (pairs, csv_text) == self.sync(tmp_path / "shared", shared)
+        # quarters 2015-Q1..Q4: a (2, 3, 0, 0), b (2, 2, 0, 2), c (0, 1, 3, 3)
+        assert pairs == [{"site_a": "a.com", "site_b": "b.com", "distance": math.sqrt(5)}]
+        assert csv_text.splitlines()[0] == "site,a.com,b.com,c.com"
 
 
 class TestNetworkFailure:

@@ -21,7 +21,9 @@ from oracles import (
     content_clusters_reference,
     content_matches_reference,
     euclidean_reference,
+    quarterize_reference,
 )
+from test_timeline import random_row, random_window
 
 A, Z, D, M = SiteState.ALIVE, SiteState.ZOMBIE, SiteState.DEAD, SiteState.MISSING
 
@@ -61,6 +63,14 @@ class TestQuarterize:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             quarterize(tl([A]), (Quarter(2016, 1), Q1_2015))
+
+    def test_matches_month_by_month_reference(self):
+        rng = random.Random(6)
+        for _ in range(1000):
+            t = random_row(rng)
+            first, last = random_window(rng, t)
+            window = (first.quarter, last.quarter)
+            assert quarterize(t, window) == quarterize_reference(t, window), (t, window)
 
     @given(st.lists(st.sampled_from([A, Z, D, M]), min_size=1, max_size=24))
     @settings(max_examples=150, deadline=None)

@@ -26,13 +26,45 @@ from newsforensics.timeline import (
     write_timelines,
 )
 
-from oracles import p1_reference, p2_reference
+from oracles import (
+    cohort_histogram_reference,
+    lifetime_summary_reference,
+    p1_reference,
+    p2_reference,
+)
 
 A, Z, D, M = SiteState.ALIVE, SiteState.ZOMBIE, SiteState.DEAD, SiteState.MISSING
 
 
 def tl(states, site="example.com", start=MonthStamp(2015, 1)):
     return MonthlyTimeline(site, start, tuple(states))
+
+
+def random_row(rng, site="example.com"):
+    """A random timeline starting within two years of 2015-01."""
+    states = "".join(rng.choice("AZDM") for _ in range(rng.randint(1, 30)))
+    return MonthlyTimeline(site, MonthStamp(2015, 1).plus(rng.randint(-24, 24)), states)
+
+
+def random_window(rng, t):
+    """A month window wholly before, after or inside ``t``, or straddling its ends."""
+    n = len(t)
+    kind = rng.choice(["before", "after", "inside", "straddle"])
+    if kind == "before":
+        hi = -rng.randint(1, 10)
+        lo = hi - rng.randint(0, 10)
+    elif kind == "after":
+        lo = n + rng.randint(0, 10)
+        hi = lo + rng.randint(0, 10)
+    elif kind == "inside":
+        lo = rng.randint(0, n - 1)
+        hi = rng.randint(lo, n - 1)
+    else:  # over the first month, the last or both
+        lo = rng.randint(-10, n - 1)
+        hi = rng.randint(max(lo, 0), n + 10)
+        if lo >= 0 and hi < n:
+            hi = n
+    return t.start.plus(lo), t.start.plus(hi)
 
 
 state_seq = st.lists(st.sampled_from([A, Z, D, M]), min_size=1, max_size=12)
@@ -113,51 +145,51 @@ class TestAggregateMonth:
 
 class TestInterpolateP1:
     def test_fills_single_gap(self):
-        assert interpolate_p1(tl([A, M, A])).states == (A, A, A)
+        assert interpolate_p1(tl([A, M, A])).states == "AAA"
 
     def test_mismatched_endpoints_unchanged(self):
-        assert interpolate_p1(tl([A, M, Z])).states == (A, M, Z)
+        assert interpolate_p1(tl([A, M, Z])).states == "AMZ"
 
     def test_gap_over_cap_unchanged(self):
         states = [A] + [M] * 37 + [A]
-        assert interpolate_p1(tl(states)).states == tuple(states)
+        assert interpolate_p1(tl(states)).states == "".join(states)
 
     def test_gap_at_cap_filled(self):
         states = [A] + [M] * 36 + [A]
-        assert interpolate_p1(tl(states)).states == tuple([A] * 38)
+        assert interpolate_p1(tl(states)).states == "A" * 38
 
     def test_zombie_endpoints_fill_zombie(self):
-        assert interpolate_p1(tl([Z, M, M, Z])).states == (Z, Z, Z, Z)
+        assert interpolate_p1(tl([Z, M, M, Z])).states == "ZZZZ"
 
     def test_dead_endpoints_do_not_fill(self):
-        assert interpolate_p1(tl([D, M, D])).states == (D, M, D)
+        assert interpolate_p1(tl([D, M, D])).states == "DMD"
 
     def test_edge_gaps_unfilled(self):
-        assert interpolate_p1(tl([M, A, M])).states == (M, A, M)
+        assert interpolate_p1(tl([M, A, M])).states == "MAM"
 
     def test_custom_cap(self):
-        assert interpolate_p1(tl([A, M, M, A]), max_gap_months=1).states == (A, M, M, A)
+        assert interpolate_p1(tl([A, M, M, A]), max_gap_months=1).states == "AMMA"
 
 
 class TestInterpolateP2:
     def test_bridges_missing_keeps_dead(self):
-        assert interpolate_p2(tl([A, D, M, A])).states == (A, D, A, A)
+        assert interpolate_p2(tl([A, D, M, A])).states == "ADAA"
 
     def test_thirteen_nonalive_not_bridged(self):
         states = [A] + [D] * 13 + [A]
-        assert interpolate_p2(tl(states)).states == tuple(states)
+        assert interpolate_p2(tl(states)).states == "".join(states)
 
     def test_pure_missing_bridged(self):
-        assert interpolate_p2(tl([A, M, M, A])).states == (A, A, A, A)
+        assert interpolate_p2(tl([A, M, M, A])).states == "AAAA"
 
     def test_twelve_nonalive_bridged(self):
         states = [A] + [D] * 6 + [M] + [Z] * 6 + [A]
         got = interpolate_p2(tl(states)).states
-        assert got == tuple([A] + [D] * 6 + [A] + [Z] * 6 + [A])
+        assert got == "A" + "D" * 6 + "A" + "Z" * 6 + "A"
 
     def test_span_at_cap_bridged(self):
         states = [A] + [M] * 35 + [A]
-        assert interpolate_p2(tl(states), max_span_months=36).states == tuple([A] * 37)
+        assert interpolate_p2(tl(states), max_span_months=36).states == "A" * 37
 
     def test_span_over_cap_not_bridged(self):
         got = interpolate_p2(tl([A] + [M] * 37 + [A]))
@@ -211,8 +243,8 @@ def test_p2_idempotent(t):
 def test_interpolation_only_fills_missing(t):
     out = interpolate(t)
     for before, after in zip(t.states, out.states):
-        if before is not M:
-            assert after is before
+        if before != M:
+            assert after == before
 
 
 @given(timelines_st)
@@ -220,10 +252,33 @@ def test_interpolation_only_fills_missing(t):
 def test_interpolation_never_adds_missing(t):
     p1 = interpolate_p1(t)
     p2 = interpolate_p2(p1)
-    n0 = sum(1 for s in t.states if s is M)
-    n1 = sum(1 for s in p1.states if s is M)
-    n2 = sum(1 for s in p2.states if s is M)
+    n0 = t.states.count(M)
+    n1 = p1.states.count(M)
+    n2 = p2.states.count(M)
     assert n0 >= n1 >= n2
+
+
+class TestMonthlyTimeline:
+    def test_states_are_codes(self):
+        assert SiteState.ALIVE == "A" and SiteState("Z") is Z
+        assert tl([A, "Z", D, M]).states == "AZDM"
+        assert tl("AZDM") == tl([A, Z, D, M])
+
+    @pytest.mark.parametrize("states, reason", [("", "at least one month"),
+                                                ("AXB", r"unknown state codes \['B', 'X'\]")])
+    def test_rejects_empty_and_unknown_codes(self, states, reason):
+        with pytest.raises(ValueError, match=reason):
+            tl(states)
+
+    def test_window_pads_outside_months(self):
+        t = tl("AZD", start=MonthStamp(2015, 2))
+        assert t.window(MonthStamp(2014, 12), MonthStamp(2015, 6)) == "MMAZDMM"
+        assert t.window(MonthStamp(2015, 3), MonthStamp(2015, 3)) == "Z"
+        assert t.window(MonthStamp(2016, 1), MonthStamp(2016, 2)) == "MM"
+
+    def test_window_rejects_empty_window(self):
+        with pytest.raises(ValueError, match="empty month window"):
+            tl("A").window(MonthStamp(2015, 2), MonthStamp(2015, 1))
 
 
 class TestLifetimeSummary:
@@ -232,6 +287,12 @@ class TestLifetimeSummary:
         s = lifetime_summary(tl(states))
         assert s.lifespan_months == 24
         assert s.alive_months == 2
+
+    def test_matches_month_by_month_reference(self):
+        rng = random.Random(4)
+        for _ in range(1000):
+            t = random_row(rng)
+            assert lifetime_summary(t) == lifetime_summary_reference(t), t
 
     def test_no_alive(self):
         s = lifetime_summary(tl([D, D, D]))
@@ -277,6 +338,14 @@ class TestCohortHistogram:
     def test_empty_cohort(self):
         h = cohort_histogram([], (MonthStamp(2018, 1), MonthStamp(2018, 2)))
         assert h.alive == (0, 0) and h.cohort_size == 0
+
+    def test_matches_month_by_month_reference(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            ts = [random_row(rng, site=f"s{i}.com") for i in range(rng.randint(0, 8))]
+            window = random_window(rng, ts[0] if ts else random_row(rng))
+            want = cohort_histogram_reference(ts, window)
+            assert cohort_histogram(ts, window) == want, (ts, window)
 
     @given(st.lists(timelines_st, max_size=6))
     @settings(max_examples=100, deadline=None)
@@ -345,8 +414,8 @@ class TestAnnotations:
         assert ann["example.com"][MonthStamp(2016, 3)] == [A]
         ts = timelines_from_annotations(ann, (MonthStamp(2016, 1), MonthStamp(2016, 4)))
         by_site = {t.site: t for t in ts}
-        assert by_site["example.com"].states == (M, M, A, Z)
-        assert by_site["other.net"].states == (M, M, D, M)
+        assert by_site["example.com"].states == "MMAZ"
+        assert by_site["other.net"].states == "MMDM"
 
     def test_conflicting_rows_aggregate(self, tmp_path):
         path = tmp_path / "ann.csv"
@@ -356,7 +425,7 @@ class TestAnnotations:
             "example.com,2016,3,alive\n"
         )
         ts = timelines_from_annotations(read_annotations(path))
-        assert ts[0].states == (A,)
+        assert ts[0].states == "A"
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "ann.csv"
