@@ -40,7 +40,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_ARCHIVE_BASE = "https://web.archive.org"
 
-_TIMESTAMP_RE = re.compile(r"^\d{14}$")
+_TIMESTAMP_RE = re.compile(r"\d{14}")
 
 
 class ArchiveError(Exception):
@@ -56,7 +56,7 @@ class SnapshotRef:
     mime_type: str = ""
 
     def __post_init__(self):
-        if not _TIMESTAMP_RE.match(self.timestamp):
+        if not _TIMESTAMP_RE.fullmatch(self.timestamp):
             raise ValueError(f"bad archive timestamp: {self.timestamp!r}")
         if not self.original_url:
             raise ValueError("original_url must be non-empty")
@@ -544,8 +544,9 @@ class WaybackClient:
         """Captures the CDX endpoint reports for a site within the window.
 
         Results come back ordered by timestamp, optionally collapsed to
-        the first per_month captures of each month; malformed rows are
-        skipped and counted on the client.
+        the first per_month captures of each month.  Malformed rows, and
+        rows repeating an earlier row's timestamp (an http and an https
+        capture of the same second), are skipped and counted on the client.
         """
         start, end = window
         if end < start:
@@ -576,7 +577,13 @@ class WaybackClient:
                 continue
             if start <= ref.month <= end:
                 refs.append(ref)
-        refs.sort(key=lambda r: r.timestamp)
+        refs.sort(key=lambda r: r.timestamp)  # stable: the first row per timestamp leads
+        unique = [r for i, r in enumerate(refs) if i == 0 or r.timestamp != refs[i - 1].timestamp]
+        if len(unique) < len(refs):
+            self.cdx_rows_skipped += len(refs) - len(unique)
+            log.warning("skipping %d CDX rows for %s that repeat a timestamp",
+                        len(refs) - len(unique), site)
+            refs = unique
         if per_month:
             kept, seen = [], {}
             for ref in refs:

@@ -36,6 +36,9 @@ REQUIRED_FEATURES = NUMERIC_FEATURES + CATEGORICAL_FEATURES
 
 LABEL_CODES = {"real": 0, "fake": 1}
 
+# numeric features whose variance falls below this are dropped as constant
+VARIANCE_THRESHOLD = 1e-12
+
 
 def missing_features(profile: TrafficProfile) -> list[str]:
     return [f for f in REQUIRED_FEATURES if getattr(profile, f) is None]
@@ -62,7 +65,7 @@ class FeatureEncoder:
     dropped: list[str]
 
     @classmethod
-    def fit(cls, profiles, variance_threshold: float = 1e-12) -> "FeatureEncoder":
+    def fit(cls, profiles) -> "FeatureEncoder":
         rows = complete_profiles(profiles)
         if not rows:
             raise ValueError("no profiles with a complete feature set")
@@ -72,7 +75,7 @@ class FeatureEncoder:
         columns = []
         for name in NUMERIC_FEATURES:
             values = table[:, REQUIRED_FEATURES.index(name)].astype(float)
-            if values.var() < variance_threshold:
+            if values.var() < VARIANCE_THRESHOLD:
                 dropped.append(name)
                 continue
             means[name] = float(values.mean())

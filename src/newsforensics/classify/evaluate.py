@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..traffic import TrafficProfile
 from .encoder import FeatureEncoder, complete_profiles
-from .metrics import MetricsReport, compute_metrics
-from .models import MODEL_KINDS, make_model
+from .metrics import DECISION_THRESHOLD, MetricsReport, compute_metrics
+from .models import make_model
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +30,6 @@ PERSIST_FORMAT_VERSION = 1
 
 @dataclass
 class NewsClassifier:
-    kind: str
     encoder: FeatureEncoder
     model: object
 
@@ -40,7 +40,7 @@ class NewsClassifier:
     def to_dict(self) -> dict:
         return {
             "format_version": PERSIST_FORMAT_VERSION,
-            "kind": self.kind,
+            "kind": self.model.kind,
             "encoder": self.encoder.to_dict(),
             "model": self.model.to_dict(),
         }
@@ -55,12 +55,9 @@ class NewsClassifier:
         version = data.get("format_version")
         if version != PERSIST_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version: {version}")
-        kind = data["kind"]
-        return cls(
-            kind=kind,
-            encoder=FeatureEncoder.from_dict(data["encoder"]),
-            model=MODEL_KINDS[kind].from_dict(data["model"]),
-        )
+        # make_model rejects an unknown kind; its class restores the fitted state
+        model = make_model(data.get("kind")).from_dict(data["model"])
+        return cls(FeatureEncoder.from_dict(data["encoder"]), model)
 
     @classmethod
     def load(cls, path: str | Path) -> "NewsClassifier":
@@ -81,7 +78,7 @@ def _fit_classifier(
     """Fit an encoder on rows, then a model on the encoded rows and labels."""
     encoder = FeatureEncoder.fit(rows)
     model = make_model(kind, **model_params).fit(encoder.transform(rows), labels, seed=seed)
-    return NewsClassifier(kind, encoder, model)
+    return NewsClassifier(encoder, model)
 
 
 def train_classifier(
@@ -135,7 +132,6 @@ def cross_validate(
     profiles: Iterable[TrafficProfile],
     k: int = 10,
     seed: int = 0,
-    threshold: float = 0.5,
     **model_params,
 ) -> MetricsReport:
     """Stratified k-fold cross-validation with per-fold encoders.
@@ -157,23 +153,16 @@ def cross_validate(
                                      fold_seeds[fold_id], model_params)
         scores = classifier.score([rows[i] for i in test_idx])
         pooled_scores[test_idx] = scores
-        fold_reports.append(
-            compute_metrics(scores, labels[test_idx], threshold=threshold)
-        )
+        fold_reports.append(compute_metrics(scores, labels[test_idx]))
 
-    report = compute_metrics(pooled_scores, labels, threshold=threshold)
+    report = compute_metrics(pooled_scores, labels)
     report.folds = fold_reports
     return report
 
 
 _PREDICATE_RE = re.compile(r"^\s*rank\s*(<=|>=|<|>)\s*(\d+)\s*$")
 
-_OPS: dict[str, Callable[[int, int], bool]] = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -218,7 +207,6 @@ def rank_split_experiment(
     spec: SplitSpec,
     kind: str = "random_forest",
     seed: int = 0,
-    threshold: float = 0.5,
     **model_params,
 ) -> MetricsReport:
     """Train on one rank band and test on the other (no cross-validation)."""
@@ -239,17 +227,15 @@ def rank_split_experiment(
     if len(set(y_test.tolist())) < 2:
         raise ValueError("test side must contain both classes")
     classifier = _fit_classifier(kind, train_rows, y_train, seed, model_params)
-    return compute_metrics(classifier.score(test_rows), y_test, threshold=threshold)
+    return compute_metrics(classifier.score(test_rows), y_test)
 
 
 def predict_profiles(
-    classifier: NewsClassifier,
-    profiles: Sequence[TrafficProfile],
-    threshold: float = 0.5,
+    classifier: NewsClassifier, profiles: Sequence[TrafficProfile]
 ) -> list[tuple[str, str, float]]:
     """Per-profile (site, label, score); raises on incomplete profiles."""
     scores = classifier.score(profiles).tolist()
     return [
-        (p.site, "fake" if score >= threshold else "real", score)
+        (p.site, "fake" if score >= DECISION_THRESHOLD else "real", score)
         for p, score in zip(profiles, scores)
     ]

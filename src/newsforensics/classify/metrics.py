@@ -1,8 +1,9 @@
 """Binary classification metrics with class-weighted aggregation.
 
-The fake class is positive.  Per-class TP rate equals that class's
-recall; aggregate values are support-weighted means of the per-class
-values.  AUC uses mid-ranks for tied scores, equivalent to trapezoidal
+The fake class is positive, and a score at or above DECISION_THRESHOLD
+is labelled fake.  Per-class TP rate equals that class's recall;
+aggregate values are support-weighted means of the per-class values.
+AUC uses mid-ranks for tied scores, equivalent to trapezoidal
 integration of the ROC curve.
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 
 POSITIVE_LABEL = 1  # fake
 NEGATIVE_LABEL = 0  # real
+DECISION_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ def auc_score(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
 
-def compute_metrics(scores, labels, threshold: float = 0.5) -> MetricsReport:
-    """Confusion counts at the threshold plus weighted per-class metrics.
+def compute_metrics(scores, labels) -> MetricsReport:
+    """Confusion counts at DECISION_THRESHOLD plus weighted per-class metrics.
 
     With a single class present, AUC is undefined and reported as None;
     everything else is still computed.
@@ -99,7 +101,7 @@ def compute_metrics(scores, labels, threshold: float = 0.5) -> MetricsReport:
         raise ValueError("scores and labels must have equal length")
     if scores.size == 0:
         raise ValueError("cannot compute metrics on empty input")
-    predicted = (scores >= threshold).astype(int)
+    predicted = (scores >= DECISION_THRESHOLD).astype(int)
 
     tp = int(((predicted == 1) & (labels == 1)).sum())
     fp = int(((predicted == 1) & (labels == 0)).sum())

@@ -168,12 +168,7 @@ class MlpModel:
         onehot[np.arange(n), y] = 1.0
 
         for _ in range(self.epochs):
-            hidden = _sigmoid(X @ self.w1 + self.b1)
-            logits = hidden @ self.w2 + self.b2
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=1, keepdims=True)
-
+            hidden, probs = self._forward(X)
             d_logits = (probs - onehot) / n
             d_w2 = hidden.T @ d_logits
             d_b2 = d_logits.sum(axis=0)
@@ -187,15 +182,18 @@ class MlpModel:
             self.b2 -= self.learning_rate * d_b2
         return self
 
+    def _forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden activations and softmax class probabilities."""
+        hidden = _sigmoid(X @ self.w1 + self.b1)
+        logits = hidden @ self.w2 + self.b2
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        return hidden, probs
+
     def score(self, X: np.ndarray) -> np.ndarray:
         if self.w1 is None:
             raise ValueError("model is not fitted")
-        hidden = _sigmoid(X @ self.w1 + self.b1)
-        logits = hidden @ self.w2 + self.b2
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return probs[:, 1]
+        return self._forward(X)[1][:, 1]
 
     def to_dict(self) -> dict:
         return {

@@ -18,6 +18,7 @@ import click
 
 from . import pipeline
 from .archive import ArchiveError
+from .classify import MODEL_KINDS
 from .pipeline import PrerequisiteError, RunConfig
 
 log = logging.getLogger(__name__)
@@ -212,8 +213,7 @@ def stats(ctx, traffic_data, sample_std):
 @main.command()
 @click.option("--traffic", "traffic_data", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Labeled traffic profiles (CSV or JSON lines).")
-@click.option("--model", type=click.Choice(
-    ["random_forest", "logistic_regression", "naive_bayes", "mlp"]), default=None)
+@click.option("--model", type=click.Choice(list(MODEL_KINDS)), default=None)
 @click.option("--k", "folds", type=int, default=None, help="Cross-validation folds.")
 @click.option("--split", default=None, metavar="TRAIN|TEST",
               help="Rank-split experiment, e.g. 'rank>10000|rank<=10000'.")

@@ -33,7 +33,7 @@ class SiteState(str, Enum):
         return self.name
 
 
-_DOMAIN_RE = re.compile(r"^[a-z0-9][a-z0-9.-]*\.[a-z0-9-]+$")
+_DOMAIN_RE = re.compile(r"[a-z0-9][a-z0-9.-]*\.[a-z0-9-]+")
 
 
 def normalize_site(raw: str) -> str:
@@ -54,7 +54,7 @@ def normalize_site(raw: str) -> str:
     s = s.rstrip(".")
     if s.startswith("www.") and s.count(".") > 1:
         s = s[4:]
-    if not _DOMAIN_RE.match(s):
+    if not _DOMAIN_RE.fullmatch(s):
         raise ValueError(f"not a valid site domain: {raw!r}")
     return s
 
@@ -89,7 +89,7 @@ class MonthStamp:
 
     @classmethod
     def parse(cls, text: str) -> "MonthStamp":
-        m = re.match(r"^(\d{4})-(\d{2})$", text)
+        m = re.fullmatch(r"(\d{4})-(\d{2})", text)
         if not m:
             raise ValueError(f"expected YYYY-MM, got {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
@@ -136,7 +136,7 @@ class Quarter:
 
     @classmethod
     def parse(cls, text: str) -> "Quarter":
-        m = re.match(r"^(\d{4})-?Q([1-4])$", text.upper())
+        m = re.fullmatch(r"(\d{4})-?Q([1-4])", text.upper())
         if not m:
             raise ValueError(f"expected YYYY-Qn, got {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
@@ -415,6 +415,8 @@ def timelines_from_annotations(
         return []
     if window is None:
         months = [m for per_site in annotations.values() for m in per_site]
+        if not months:
+            raise ValueError("no annotated month to span; pass a window")
         window = (min(months), max(months))
     start, end = window
     width = end - start + 1

@@ -10,66 +10,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
 from .timeline import normalize_site
-
-REQUIRED_COLUMNS = [
-    "domain",
-    "label",
-    "global_rank",
-    "country_rank",
-    "category_rank",
-    "country",
-    "category",
-    "total_visits",
-    "pages_per_visit",
-    "visit_duration_s",
-    "bounce_rate",
-    "src_direct",
-    "src_referrals",
-    "src_search",
-    "src_social",
-    "src_mail",
-    "src_display",
-    "backlinks",
-    "referring_domains",
-    "edu_backlinks",
-    "gov_backlinks",
-    "edu_ref_domains",
-    "gov_ref_domains",
-]
-
-SHARE_FIELDS = (
-    "src_direct",
-    "src_referrals",
-    "src_search",
-    "src_social",
-    "src_mail",
-    "src_display",
-)
-
-_INT_FIELDS = (
-    "global_rank",
-    "country_rank",
-    "category_rank",
-    "total_visits",
-    "backlinks",
-    "referring_domains",
-    "edu_backlinks",
-    "gov_backlinks",
-    "edu_ref_domains",
-    "gov_ref_domains",
-)
-
-_FLOAT_FIELDS = ("pages_per_visit", "visit_duration_s", "bounce_rate") + SHARE_FIELDS
-
-_SUFFIX_MULTIPLIERS = {"K": 1000, "M": 1000000, "B": 1000000000}
 
 
 @dataclass(frozen=True)
@@ -99,11 +48,24 @@ class TrafficProfile:
     gov_ref_domains: int | None = None
 
 
-METRIC_FIELDS = [
-    f.name
-    for f in fields(TrafficProfile)
-    if f.name not in ("site", "label", "country", "category")
-]
+# The dataclass is the schema: the "domain" column fills ``site``, count
+# columns are the ``int | None`` fields, and ``src_*`` shares are floats.
+_SCHEMA = get_type_hints(TrafficProfile)
+REQUIRED_COLUMNS = ["domain", *list(_SCHEMA)[1:]]
+METRIC_FIELDS = [n for n, t in _SCHEMA.items() if t in (int | None, float | None)]
+_INT_FIELDS = tuple(n for n in METRIC_FIELDS if _SCHEMA[n] == int | None)
+_FLOAT_FIELDS = tuple(n for n in METRIC_FIELDS if _SCHEMA[n] == float | None)
+SHARE_FIELDS = tuple(n for n in _FLOAT_FIELDS if n.startswith("src_"))
+
+# EDU/GOV share name -> (part, whole) count fields
+EDU_GOV_RATIOS = {
+    "edu_backlink_ratio": ("edu_backlinks", "backlinks"),
+    "gov_backlink_ratio": ("gov_backlinks", "backlinks"),
+    "edu_ref_domain_ratio": ("edu_ref_domains", "referring_domains"),
+    "gov_ref_domain_ratio": ("gov_ref_domains", "referring_domains"),
+}
+
+_SUFFIX_MULTIPLIERS = {"K": 1000, "M": 1000000, "B": 1000000000}
 
 
 def parse_quantity(raw: str) -> int:
@@ -117,6 +79,8 @@ def parse_quantity(raw: str) -> int:
         value = Decimal(text) * mult
     except InvalidOperation:
         raise ValueError(f"not a quantity: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite count: {raw!r}")
     if value != value.to_integral_value():
         raise ValueError(f"not a whole count: {raw!r}")
     return int(value)
@@ -133,7 +97,7 @@ def _blank(value) -> bool:
     return value is None or (isinstance(value, str) and not value.strip())
 
 
-def _parse_row(row: dict, line: int, allow_unlabeled: bool = False) -> TrafficProfile:
+def _parse_row(row: dict, allow_unlabeled: bool = False) -> TrafficProfile:
     nested = [c for c in REQUIRED_COLUMNS if isinstance(row.get(c), (list, dict))]
     if nested:
         raise ValueError(f"{nested[0]} must be a single value, got {row[nested[0]]!r}")
@@ -148,20 +112,19 @@ def _parse_row(row: dict, line: int, allow_unlabeled: bool = False) -> TrafficPr
     values: dict = {"site": site, "label": label}
     for name in ("country", "category"):
         values[name] = None if _blank(row.get(name)) else str(row[name]).strip()
-    for name in _INT_FIELDS:
+    for name in METRIC_FIELDS:
         raw = row.get(name)
         if _blank(raw):
             values[name] = None
             continue
-        if isinstance(raw, float) and not raw.is_integer():
-            raise ValueError(f"{name} must be a whole count, got {raw}")
-        v = parse_quantity(str(raw)) if isinstance(raw, str) else int(raw)
-        if v < 0:
-            raise ValueError(f"{name} must be non-negative, got {v}")
+        parse = parse_quantity if name in _INT_FIELDS else float
+        try:
+            v = parse(str(raw))  # from text, so JSON 5.5, inf or 400-digit ints fail as CSV cells do
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        if not math.isfinite(v) or v < 0:
+            raise ValueError(f"{name} must be finite and non-negative, got {raw!r}")
         values[name] = v
-    for name in _FLOAT_FIELDS:
-        raw = row.get(name)
-        values[name] = None if _blank(raw) else float(raw)
 
     for name in ("global_rank", "country_rank", "category_rank"):
         if values[name] is not None and values[name] < 1:
@@ -175,12 +138,7 @@ def _parse_row(row: dict, line: int, allow_unlabeled: bool = False) -> TrafficPr
         total = sum(shares)
         if not 99.0 <= total <= 101.0:
             raise ValueError(f"traffic source shares sum to {total:.2f}, not ~100")
-    for part, whole in (
-        ("edu_backlinks", "backlinks"),
-        ("gov_backlinks", "backlinks"),
-        ("edu_ref_domains", "referring_domains"),
-        ("gov_ref_domains", "referring_domains"),
-    ):
+    for part, whole in EDU_GOV_RATIOS.values():
         if (
             values[part] is not None
             and values[whole] is not None
@@ -240,7 +198,7 @@ def load_profiles(
     profiles = []
     for line, row in rows:
         try:
-            profiles.append(_parse_row(row, line, allow_unlabeled=allow_unlabeled))
+            profiles.append(_parse_row(row, allow_unlabeled=allow_unlabeled))
         except (ValueError, KeyError) as exc:
             errors.append(RowError(line, str(row.get("domain", "?")), str(exc)))
     errors.sort(key=lambda e: e.line)
@@ -288,28 +246,13 @@ def ecdf(values: Sequence[float]) -> list[tuple[float, float]]:
     return points
 
 
-@dataclass(frozen=True)
-class EduGovRatios:
-    edu_backlink_ratio: float
-    gov_backlink_ratio: float
-    edu_ref_domain_ratio: float
-    gov_ref_domain_ratio: float
-
-
-def _ratio(part: int | None, whole: int | None) -> float:
-    if not whole or part is None:
-        return 0.0
-    return part / whole
-
-
-def edu_gov_ratios(p: TrafficProfile) -> EduGovRatios:
+def edu_gov_ratios(p: TrafficProfile) -> dict[str, float]:
     """EDU/GOV shares of backlinks and referring domains; 0 for empty totals."""
-    return EduGovRatios(
-        _ratio(p.edu_backlinks, p.backlinks),
-        _ratio(p.gov_backlinks, p.backlinks),
-        _ratio(p.edu_ref_domains, p.referring_domains),
-        _ratio(p.gov_ref_domains, p.referring_domains),
-    )
+    out = {}
+    for name, (part, whole) in EDU_GOV_RATIOS.items():
+        n, d = getattr(p, part), getattr(p, whole)
+        out[name] = n / d if d and n is not None else 0.0
+    return out
 
 
 @dataclass
@@ -362,13 +305,10 @@ def cohort_report(
             ecdfs.setdefault(metric, {})[label] = ecdf(values)
 
     ratio_ecdfs: dict[str, dict[str, list]] = {}
-    ratio_fields = [f.name for f in fields(EduGovRatios)]
     for label in labels:
         ratios = [edu_gov_ratios(p) for p in profiles if p.label == label]
         if not ratios:
             continue
-        for name in ratio_fields:
-            ratio_ecdfs.setdefault(name, {})[label] = ecdf(
-                [getattr(r, name) for r in ratios]
-            )
+        for name in EDU_GOV_RATIOS:
+            ratio_ecdfs.setdefault(name, {})[label] = ecdf([r[name] for r in ratios])
     return CohortReport(stats, ecdfs, ratio_ecdfs, warnings)

@@ -70,6 +70,13 @@ def make_client(tmp_path=None, rate_limit=0.0, **kwargs):
     return client, session, clock
 
 
+class TestSnapshotRef:
+    @pytest.mark.parametrize("timestamp", ["20150101000000\n", "2015010100000", "2015-01-01"])
+    def test_timestamp_must_be_exactly_fourteen_digits(self, timestamp):
+        with pytest.raises(ValueError, match="bad archive timestamp"):
+            SnapshotRef("a.com", timestamp, "http://a.com/")
+
+
 class TestFetchCdxIndex:
     def test_fixture_rows_roundtrip(self):
         client, session, _ = make_client()
@@ -122,6 +129,25 @@ class TestFetchCdxIndex:
         )
         refs = client.fetch_cdx_index("example.com", WINDOW)
         assert len(refs) == 1
+        assert client.cdx_rows_skipped == 2
+
+    @pytest.mark.parametrize("per_month", [None, 0, 2])
+    def test_repeated_timestamp_keeps_first_row(self, per_month):
+        client, session, _ = make_client()
+        session.route_cdx(
+            "example.com",
+            [
+                ["20160105120000", "http://example.com/", "200", "text/html"],
+                ["20160105120000", "https://example.com/", "200", "text/html"],
+                ["20160203000000", "https://example.com/", "200", "text/html"],
+                ["20160203000000", "http://example.com/", "404", "text/html"],
+            ],
+        )
+        refs = client.fetch_cdx_index("example.com", WINDOW, per_month=per_month)
+        assert [(r.timestamp, r.original_url) for r in refs] == [
+            ("20160105120000", "http://example.com/"),
+            ("20160203000000", "https://example.com/"),
+        ]
         assert client.cdx_rows_skipped == 2
 
     def test_status_dash_becomes_none(self):
@@ -309,6 +335,27 @@ class TestCrawlSites:
         session.failures_remaining = 99
         manifest = crawl_sites(client, ["example.com"], WINDOW)
         assert manifest.entries["example.com"] == []  # CDX itself failed
+
+    @pytest.mark.parametrize("per_month", [0, 2])
+    def test_repeated_cdx_timestamps_crawl_once(self, tmp_path, per_month):
+        client, session, _ = make_client(tmp_path)
+        rows = []
+        for ts in ("20160105120000", "20160118090100", "20160203000000"):
+            for scheme in ("http", "https"):
+                rows.append([ts, f"{scheme}://example.com/", "200", "text/html"])
+                session.route_snapshot(
+                    f"/web/{ts}id_/{scheme}://example.com/", Response(200, b"<html>news</html>")
+                )
+        session.route_cdx("example.com", rows)
+        manifest = crawl_sites(client, ["example.com"], WINDOW, per_month=per_month, workers=2)
+        entries = sorted(manifest.entries["example.com"], key=lambda e: e.ref.timestamp)
+        assert [(e.ref.timestamp, e.ref.original_url, e.fetch_status) for e in entries] == [
+            ("20160105120000", "http://example.com/", FETCHED),
+            ("20160118090100", "http://example.com/", FETCHED),
+            ("20160203000000", "http://example.com/", FETCHED),
+        ]
+        assert session.snapshot_request_count() == 3
+        assert client.cdx_rows_skipped == 3
 
     def test_duplicate_entry_rejected(self):
         manifest = CrawlManifest()

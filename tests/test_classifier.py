@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from newsforensics.classify import (
+    MODEL_KINDS,
     FeatureEncoder,
     NewsClassifier,
     SplitSpec,
@@ -18,6 +19,7 @@ from newsforensics.classify import (
     train_classifier,
 )
 from newsforensics.classify.forest import DecisionTree, RandomForestModel
+from newsforensics.classify.metrics import DECISION_THRESHOLD
 from newsforensics.traffic import TrafficProfile
 
 from oracles import auc_pairwise_reference, encode_reference, tree_walk_reference
@@ -462,6 +464,35 @@ class TestTrainPredict:
         back = NewsClassifier.load(path)
         assert np.array_equal(back.score(dataset[:5]), clf.score(dataset[:5]))
         assert predict_profiles(back, dataset[:5]) == predict_profiles(clf, dataset[:5])
+
+    @pytest.mark.parametrize("kind", list(MODEL_KINDS))
+    def test_saved_kind_is_the_model_kind(self, kind, tmp_path):
+        params = {"n_trees": 3} if kind == "random_forest" else {}
+        rows = separable_dataset(30, seed=9)
+        clf = train_classifier(kind, rows, seed=0, **params)
+        path = tmp_path / "model.json"
+        clf.save(path)
+        assert json.loads(path.read_text())["kind"] == kind == clf.model.kind
+        back = NewsClassifier.load(path)
+        assert type(back.model) is MODEL_KINDS[kind]
+        assert np.array_equal(back.score(rows), clf.score(rows))
+
+    def test_unknown_kind_in_model_file_rejected(self):
+        doc = train_classifier("naive_bayes", separable_dataset(30, seed=9), seed=0).to_dict()
+        doc["kind"] = "svm"
+        with pytest.raises(ValueError, match="unknown model kind 'svm'"):
+            NewsClassifier.from_dict(doc)
+
+    def test_score_at_threshold_is_labelled_fake(self, dataset):
+        class FixedScores:
+            def score(self, profiles):
+                return np.array([DECISION_THRESHOLD, np.nextafter(DECISION_THRESHOLD, 0.0)])
+
+        predicted = predict_profiles(FixedScores(), dataset[:2])
+        assert [label for _, label, _ in predicted] == ["fake", "real"]
+        report = compute_metrics([DECISION_THRESHOLD, np.nextafter(DECISION_THRESHOLD, 0.0)],
+                                 [1, 0])
+        assert report.confusion == {"tp": 1, "fp": 0, "tn": 1, "fn": 0}
 
     def test_version_checked(self, tmp_path):
         clf = train_classifier("naive_bayes", separable_dataset(30, seed=9), seed=0)

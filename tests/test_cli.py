@@ -10,7 +10,8 @@ from click.testing import CliRunner
 
 import newsforensics
 from newsforensics.archive import CrawlManifest
-from newsforensics.cli import main
+from newsforensics.classify import MODEL_KINDS
+from newsforensics.cli import classify, main
 from newsforensics.timeline import MonthStamp
 
 from fixture_corpus import DEAD_SITE, FAKE_SITES, build_corpus, serve
@@ -166,6 +167,11 @@ class TestPredictRejectedRows:
         )
 
 
+def test_model_choices_are_the_registered_kinds():
+    [option] = [p for p in classify.params if p.name == "model"]
+    assert list(option.type.choices) == list(MODEL_KINDS)
+
+
 class TestTimelineWithoutCrawl:
     def timeline_sites(self, out):
         lines = (out / "timelines.jsonl").read_text().splitlines()
@@ -254,6 +260,29 @@ class TestMalformedInputs:
         report = json.loads((out / "traffic_report.json").read_text())
         assert report["rows_loaded"] == len(rows)
         assert [(e["line"], e["site"]) for e in report["rows_rejected"]] == [(4, "?"), (5, "?")]
+
+    def test_stats_rejects_non_finite_and_negative_values_per_row(self, corpus, tmp_path):
+        header, *rows = corpus.traffic_csv.read_text().splitlines()
+        columns = header.split(",")
+        bad = [("total_visits", "inf"), ("pages_per_visit", "nan"),
+               ("visit_duration_s", "-2"), ("pages_per_visit", "Infinity")]
+        for k, (column, value) in enumerate(bad):
+            cells = rows[k].split(",")
+            cells[columns.index(column)] = value
+            rows[k] = ",".join(cells)
+        traffic = tmp_path / "traffic.csv"
+        traffic.write_text("\n".join([header] + rows) + "\n")
+        out = tmp_path / "out"
+        result = invoke(["--out", str(out), "stats", "--traffic", str(traffic)])
+        assert result.exit_code == 0, result.output
+
+        def no_constants(token):
+            raise AssertionError(f"{token} in traffic_report.json")
+
+        text = (out / "traffic_report.json").read_text()
+        report = json.loads(text, parse_constant=no_constants)
+        assert report["rows_loaded"] == len(rows) - len(bad)
+        assert [e["line"] for e in report["rows_rejected"]] == [2, 3, 4, 5]
 
     def test_timeline_short_annotation_row_exits_2(self, tmp_path):
         annotations = tmp_path / "ann.csv"

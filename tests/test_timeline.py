@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -86,7 +88,7 @@ class TestNormalizeSite:
     def test_normalizes(self, raw, expected):
         assert normalize_site(raw) == expected
 
-    @pytest.mark.parametrize("raw", ["", "nodot", "http://", "..", "-"])
+    @pytest.mark.parametrize("raw", ["", "nodot", "http://", "..", "-", "a.com\n:80"])
     def test_rejects_junk(self, raw):
         with pytest.raises(ValueError):
             normalize_site(raw)
@@ -112,6 +114,16 @@ class TestMonthStamp:
             MonthStamp(1888, 1)
         with pytest.raises(ValueError):
             MonthStamp.parse("2016/03")
+
+    @pytest.mark.parametrize("text", ["2015-01\n", "2015-01\r\n", " 2015-01"])
+    def test_parse_rejects_text_around_the_month(self, text):
+        with pytest.raises(ValueError, match="expected YYYY-MM"):
+            MonthStamp.parse(text)
+
+    @pytest.mark.parametrize("text", ["2015-Q1\n", "2015-q1\n", "2015Q1 "])
+    def test_quarter_parse_rejects_text_around_the_quarter(self, text):
+        with pytest.raises(ValueError, match="expected YYYY-Qn"):
+            Quarter.parse(text)
 
     def test_quarter(self):
         assert MonthStamp(2016, 4).quarter == Quarter(2016, 2)
@@ -400,6 +412,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match="unknown state"):
             timeline_from_record({"site": "x.com", "start": "2016-01", "states": "AXB"})
 
+    def test_start_with_trailing_newline_names_path_and_line(self, tmp_path):
+        path = tmp_path / "timelines.jsonl"
+        rows = [
+            {"site": "a.com", "start": "2015-01", "states": "AM"},
+            {"site": "b.com", "start": "2015-01\n", "states": "AM"},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: expected YYYY-MM"):
+            read_timelines(path)
+
 
 class TestAnnotations:
     def test_import_and_build(self, tmp_path):
@@ -426,6 +448,12 @@ class TestAnnotations:
         )
         ts = timelines_from_annotations(read_annotations(path))
         assert ts[0].states == "A"
+
+    def test_no_annotated_month_needs_a_window(self):
+        with pytest.raises(ValueError, match="pass a window"):
+            timelines_from_annotations({"a.com": {}, "b.com": {}})
+        window = (MonthStamp(2016, 1), MonthStamp(2016, 2))
+        assert [t.states for t in timelines_from_annotations({"a.com": {}}, window)] == ["MM"]
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "ann.csv"

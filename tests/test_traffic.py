@@ -1,12 +1,17 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsforensics.traffic import (
+    _FLOAT_FIELDS,
+    _INT_FIELDS,
     REQUIRED_COLUMNS,
+    SHARE_FIELDS,
     TrafficProfile,
     cohort_report,
     describe,
@@ -77,6 +82,34 @@ class TestParseQuantity:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError, match="quantity"):
             parse_quantity("lots")
+
+    @pytest.mark.parametrize("raw", ["inf", "Infinity", "-inf", "nan", "1e400", "1e400K"])
+    def test_non_finite_rejected(self, raw):
+        with pytest.raises(ValueError):
+            parse_quantity(raw)
+
+
+class TestSchema:
+    def test_readme_header_is_the_profile_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"\*\*Traffic profiles\*\*.*?```\n(.*?)```", readme, re.S).group(1)
+        assert "".join(block.split()).split(",") == REQUIRED_COLUMNS
+        assert REQUIRED_COLUMNS[:2] == ["domain", "label"]
+
+    def test_count_and_float_columns(self):
+        assert _INT_FIELDS == (
+            "global_rank", "country_rank", "category_rank", "total_visits",
+            "backlinks", "referring_domains", "edu_backlinks", "gov_backlinks",
+            "edu_ref_domains", "gov_ref_domains",
+        )
+        assert _FLOAT_FIELDS == ("pages_per_visit", "visit_duration_s", "bounce_rate") + SHARE_FIELDS
+        assert SHARE_FIELDS == (
+            "src_direct", "src_referrals", "src_search", "src_social", "src_mail", "src_display",
+        )
+        typed = set(_INT_FIELDS) | set(_FLOAT_FIELDS)
+        assert [c for c in REQUIRED_COLUMNS if c not in typed] == [
+            "domain", "label", "country", "category",
+        ]
 
 
 class TestLoadProfiles:
@@ -163,6 +196,58 @@ class TestLoadProfiles:
         assert all("not a JSON object" in e.reason for e in errors[1:4])
         assert errors[4].site == "nested.com" and "global_rank" in errors[4].reason
 
+    def test_non_finite_and_negative_csv_values_rejected_per_row(self, tmp_path):
+        path = tmp_path / "traffic.csv"
+        bad = [
+            ("total_visits", "inf"),
+            ("backlinks", "Infinity"),
+            ("total_visits", "1e400"),
+            ("pages_per_visit", "nan"),
+            ("visit_duration_s", "inf"),
+            ("pages_per_visit", "-0.5"),
+            ("visit_duration_s", "-1"),
+            ("bounce_rate", "NaN"),
+            ("bounce_rate", "lots"),
+            ("total_visits", "lots"),
+        ]
+        rows = [profile_row(domain="a.com")]
+        rows += [profile_row(domain=f"bad{i}.com", **{f: v}) for i, (f, v) in enumerate(bad)]
+        rows.append(profile_row(domain="z.com"))
+        write_csv(path, rows)
+        profiles, errors = load_profiles(path)
+        assert [p.site for p in profiles] == ["a.com", "z.com"]
+        assert [(e.line, e.site) for e in errors] == [
+            (i + 3, f"bad{i}.com") for i in range(len(bad))
+        ]
+        for e, (field, _) in zip(errors, bad):
+            assert field in e.reason, e
+
+    def test_non_finite_and_negative_json_values_rejected_per_row(self, tmp_path):
+        path = tmp_path / "traffic.jsonl"
+        rec = {c: profile_row()[c] for c in REQUIRED_COLUMNS}
+        good = json.dumps(rec)
+        bad = [
+            ("pages_per_visit", "NaN"),
+            ("visit_duration_s", "Infinity"),
+            ("pages_per_visit", "-Infinity"),
+            ("total_visits", "1e400"),
+            ("pages_per_visit", "1e400"),
+            ("visit_duration_s", "1" + "0" * 400),
+            ("total_visits", "1" + "0" * 400),
+            ("global_rank", "NaN"),
+            ("visit_duration_s", "-3.5"),
+        ]
+        lines = [good]
+        for field, token in bad:
+            # raw tokens: json.dumps would quote them
+            lines.append(good.replace(f'"{field}": "{rec[field]}"', f'"{field}": {token}'))
+        path.write_text("\n".join(lines + [good]) + "\n")
+        profiles, errors = load_profiles(path)
+        assert len(profiles) == 2
+        assert [e.line for e in errors] == list(range(2, 2 + len(bad)))
+        for e, (field, _) in zip(errors, bad):
+            assert field in e.reason, e
+
     def test_json_lines_missing_key(self, tmp_path):
         path = tmp_path / "traffic.jsonl"
         rec = {c: profile_row()[c] for c in REQUIRED_COLUMNS}
@@ -243,15 +328,15 @@ class TestEcdf:
 class TestEduGovRatios:
     def test_basic_ratio(self):
         p = TrafficProfile("a.com", "fake", backlinks=50, edu_backlinks=5)
-        assert edu_gov_ratios(p).edu_backlink_ratio == pytest.approx(0.10)
+        assert edu_gov_ratios(p)["edu_backlink_ratio"] == pytest.approx(0.10)
 
     def test_zero_denominator(self):
         p = TrafficProfile("a.com", "fake", backlinks=0, edu_backlinks=0)
-        assert edu_gov_ratios(p).edu_backlink_ratio == 0.0
+        assert edu_gov_ratios(p)["edu_backlink_ratio"] == 0.0
 
     def test_zero_numerator(self):
         p = TrafficProfile("a.com", "fake", referring_domains=300, gov_ref_domains=0)
-        assert edu_gov_ratios(p).gov_ref_domain_ratio == 0.0
+        assert edu_gov_ratios(p)["gov_ref_domain_ratio"] == 0.0
 
 
 def make_profile(site, label, bounce, visits):
