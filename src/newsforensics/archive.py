@@ -70,6 +70,7 @@ class SnapshotRef:
 class SnapshotDocument:
     ref: SnapshotRef
     html: bytes
+    retries: int = 0  # attempts beyond the first; 0 when read from the cache
 
 
 def auto_dead_state(doc: SnapshotDocument) -> SiteState | None:
@@ -146,19 +147,16 @@ class ManifestEntry:
 
 @dataclass
 class CrawlManifest:
-    """Fetch ledger for one crawl: per-site snapshot refs plus outcomes."""
+    """Fetch ledger for one crawl: per-site snapshot refs plus outcomes.
+
+    Each site's entries are in timestamp order, one per timestamp:
+    ``crawl_sites`` appends them in the order of the CDX index, and
+    ``from_dict`` sorts and checks what it loads.
+    """
 
     window: tuple[MonthStamp, MonthStamp] | None = None
     entries: dict[str, list[ManifestEntry]] = field(default_factory=dict)
     cdx_failures: list[str] = field(default_factory=list)
-
-    def add(self, entry: ManifestEntry) -> None:
-        per_site = self.entries.setdefault(entry.ref.site, [])
-        if any(e.ref.timestamp == entry.ref.timestamp for e in per_site):
-            raise ValueError(
-                f"duplicate manifest entry: {entry.ref.site} {entry.ref.timestamp}"
-            )
-        per_site.append(entry)
 
     def sites(self) -> list[str]:
         return sorted(self.entries)
@@ -178,9 +176,9 @@ class CrawlManifest:
                         "retries": e.retries,
                         "auto_state": e.auto_state,
                     }
-                    for e in sorted(per_site, key=lambda e: e.ref.timestamp)
+                    for e in per_site
                 ]
-                for site, per_site in sorted(self.entries.items())
+                for site, per_site in self.entries.items()
             },
         }
 
@@ -194,9 +192,8 @@ class CrawlManifest:
             window = (MonthStamp.parse(data["window"][0]), MonthStamp.parse(data["window"][1]))
         manifest = cls(window=window, cdx_failures=list(data.get("cdx_failures", [])))
         for site, rows in data.get("sites", {}).items():
-            manifest.entries.setdefault(site, [])
-            for row in rows:
-                manifest.add(
+            per_site = sorted(
+                (
                     ManifestEntry(
                         ref=SnapshotRef(
                             site=site,
@@ -209,12 +206,22 @@ class CrawlManifest:
                         retries=row.get("retries", 0),
                         auto_state=row.get("auto_state"),
                     )
-                )
+                    for row in rows
+                ),
+                key=lambda e: e.ref.timestamp,
+            )
+            for before, after in zip(per_site, per_site[1:]):
+                if before.ref.timestamp == after.ref.timestamp:
+                    raise ValueError(f"duplicate manifest entry: {site} {after.ref.timestamp}")
+            manifest.entries[site] = per_site
         return manifest
 
     @classmethod
     def load(cls, path: str | Path) -> "CrawlManifest":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -493,21 +500,15 @@ class WaybackClient:
         self._limiter = RateLimiter(rate_limit, clock=clock, sleep=sleep)
         self._sleep = sleep
         self._jitter = random.Random(jitter_seed)
-        self._local = threading.local()
         self._count_lock = threading.Lock()
         self.request_count = 0
         self.cdx_rows_skipped = 0
 
-    @property
-    def last_retries(self) -> int:
-        """Retries spent on this thread's most recent successful request."""
-        return getattr(self._local, "retries", 0)
-
-    def _request(self, url: str, params: dict | None = None) -> Response:
+    def _request(self, url: str, params: dict | None = None) -> tuple[Response, int]:
         """GET with rate limiting and jittered exponential backoff.
 
         Retries transport errors and 429/5xx responses; other statuses
-        are returned to the caller.
+        are returned to the caller with the number of retries spent.
         """
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
@@ -527,8 +528,7 @@ class WaybackClient:
                 last_error = ArchiveError(f"HTTP {response.status_code} from {url}")
                 log.warning("retriable HTTP %d from %s", response.status_code, url)
                 continue
-            self._local.retries = attempt
-            return response
+            return response, attempt
         raise ArchiveError(f"gave up on {url} after {self.max_retries} attempts") from last_error
 
     def close(self) -> None:
@@ -544,13 +544,16 @@ class WaybackClient:
         """Captures the CDX endpoint reports for a site within the window.
 
         Results come back ordered by timestamp, optionally collapsed to
-        the first per_month captures of each month.  Malformed rows, and
+        the first per_month captures of each month (0 or None keeps
+        all; a negative per_month is a ValueError).  Malformed rows, and
         rows repeating an earlier row's timestamp (an http and an https
         capture of the same second), are skipped and counted on the client.
         """
         start, end = window
         if end < start:
             raise ValueError(f"empty crawl window: {start}..{end}")
+        if per_month is not None and per_month < 0:
+            raise ValueError(f"per_month must be >= 0, got {per_month}")
         params = {
             "url": site,
             "output": "json",
@@ -558,7 +561,7 @@ class WaybackClient:
             "to": f"{end.year:04d}{end.month:02d}",
             "fl": "timestamp,original,statuscode,mimetype",
         }
-        response = self._request(f"{self.cdx_base}/cdx/search/cdx", params=params)
+        response, _ = self._request(f"{self.cdx_base}/cdx/search/cdx", params=params)
         if not response.text.strip():
             return []
         try:
@@ -598,22 +601,21 @@ class WaybackClient:
         """Raw archived body for one capture, cached locally.
 
         A 404 yields an empty-body document (dead-state evidence);
-        transport failures raise ArchiveError after retries.
+        transport failures raise ArchiveError after retries.  The
+        document carries the retries its download spent.
         """
         if self.cache is not None:
             cached = self.cache.get(ref.site, ref.timestamp)
             if cached is not None:
-                self._local.retries = 0
                 return SnapshotDocument(ref, cached)
         url = f"{self.web_base}/web/{ref.timestamp}id_/{ref.original_url}"
-        response = self._request(url)
+        response, retries = self._request(url)
         html = b"" if response.status_code == 404 else response.content
         if response.status_code >= 400:
             ref = replace(ref, status_code=response.status_code)
-        doc = SnapshotDocument(ref, html)
         if self.cache is not None:
             self.cache.put(ref.site, ref.timestamp, html)
-        return doc
+        return SnapshotDocument(ref, html, retries)
 
 
 def crawl_sites(
@@ -626,44 +628,35 @@ def crawl_sites(
     """Index and download one crawl; returns the manifest of outcomes.
 
     Snapshot fetches run on a bounded worker pool behind the client's
-    global rate limiter.  Sites whose CDX query fails are recorded with
-    zero entries rather than aborting the crawl.  The client's connections
-    are closed when the crawl ends.
+    global rate limiter; their entries are appended in the order of the
+    refs (sites sorted, each site's captures by timestamp), so the
+    manifest does not depend on ``workers``.  Sites whose CDX query fails
+    are recorded with zero entries rather than aborting the crawl.  The
+    client's connections are closed when the crawl ends.
     """
     try:
         manifest = CrawlManifest(window=window)
-        lock = threading.Lock()
-
         refs: list[SnapshotRef] = []
         for site in sorted(set(sites)):
+            manifest.entries[site] = []
             try:
-                site_refs = client.fetch_cdx_index(site, window, per_month=per_month)
+                refs.extend(client.fetch_cdx_index(site, window, per_month=per_month))
             except ArchiveError as exc:
                 log.error("CDX index failed for %s: %s", site, exc)
-                manifest.entries.setdefault(site, [])
                 manifest.cdx_failures.append(site)
-                continue
-            manifest.entries.setdefault(site, [])
-            refs.extend(site_refs)
 
-        def fetch(ref: SnapshotRef) -> None:
+        def fetch(ref: SnapshotRef) -> ManifestEntry:
             try:
                 doc = client.fetch_snapshot(ref)
             except ArchiveError:
-                entry = ManifestEntry(ref, FAILED, retries=client.max_retries)
-            else:
-                state = auto_dead_state(doc)
-                entry = ManifestEntry(
-                    ref,
-                    FETCHED,
-                    retries=client.last_retries,
-                    auto_state="dead" if state is SiteState.DEAD else None,
-                )
-            with lock:
-                manifest.add(entry)
+                return ManifestEntry(ref, FAILED, retries=client.max_retries)
+            dead = auto_dead_state(doc) is SiteState.DEAD
+            return ManifestEntry(ref, FETCHED, retries=doc.retries,
+                                 auto_state="dead" if dead else None)
 
         with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            list(pool.map(fetch, refs))
+            for entry in pool.map(fetch, refs):
+                manifest.entries[entry.ref.site].append(entry)
         return manifest
     finally:
         client.close()
@@ -677,7 +670,7 @@ def load_documents(
     for site in manifest.sites():
         if wanted is not None and site not in wanted:
             continue
-        for entry in sorted(manifest.entries[site], key=lambda e: e.ref.timestamp):
+        for entry in manifest.entries[site]:
             if entry.fetch_status != FETCHED:
                 continue
             html = cache.get(site, entry.ref.timestamp)

@@ -17,7 +17,7 @@ import sys
 import click
 
 from . import pipeline
-from .archive import ArchiveError
+from .archive import FETCHED, ArchiveError
 from .classify import MODEL_KINDS
 from .pipeline import PrerequisiteError, RunConfig
 
@@ -114,7 +114,7 @@ def crawl(ctx, window, rate_limit, workers, per_month, cdx_base, web_base):
     manifest = pipeline.crawl(config)
     fetched = sum(
         1 for entries in manifest.entries.values() for e in entries
-        if e.fetch_status == "fetched"
+        if e.fetch_status == FETCHED
     )
     click.echo(f"crawled {len(manifest.entries)} sites, {fetched} snapshots fetched")
 

@@ -90,6 +90,8 @@ class RunConfig:
             raise ValueError("uptime_max_distance must be >= 0")
         if self.rate_limit < 0:
             raise ValueError("rate_limit must be >= 0")
+        if self.per_month < 0:
+            raise ValueError("per_month must be >= 0")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         self.seed = int(self.seed) & (2**64 - 1)

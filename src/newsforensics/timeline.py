@@ -382,7 +382,7 @@ def read_annotations(path: str | Path) -> Annotations:
         required = {"domain", "year", "month", "state"}
         missing = required - set(reader.fieldnames or [])
         if missing:
-            raise ValueError(f"annotation CSV missing columns: {sorted(missing)}")
+            raise ValueError(f"{path}: annotation CSV missing columns: {sorted(missing)}")
         for lineno, row in enumerate(reader, start=2):
             try:
                 short = sorted(c for c in required if row[c] is None)
@@ -394,7 +394,7 @@ def read_annotations(path: str | Path) -> Annotations:
                 site = normalize_site(row["domain"])
                 month = MonthStamp(int(row["year"]), int(row["month"]))
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             out.setdefault(site, {}).setdefault(month, []).append(
                 _ANNOTATION_STATES[state]
             )

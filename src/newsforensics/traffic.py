@@ -174,7 +174,7 @@ def load_profiles(
             header = set(reader.fieldnames or [])
             for col in required:
                 if col not in header:
-                    raise ValueError(f"missing required column: {col}")
+                    raise ValueError(f"{path}: missing required column: {col}")
             rows = [(i, row) for i, row in enumerate(reader, start=2)]
     else:
         with open(path, encoding="utf-8") as fh:
@@ -192,7 +192,7 @@ def load_profiles(
                     continue
                 for col in required:
                     if col not in rec:
-                        raise ValueError(f"missing required column: {col} (line {i})")
+                        raise ValueError(f"{path}:{i}: missing required column: {col}")
                 rows.append((i, rec))
 
     profiles = []

@@ -2,6 +2,7 @@ import gzip
 import http.client
 import json
 import random
+import re
 import ssl
 import sys
 import threading
@@ -150,6 +151,13 @@ class TestFetchCdxIndex:
         ]
         assert client.cdx_rows_skipped == 2
 
+    def test_negative_per_month_rejected(self):
+        client, session, _ = make_client()
+        session.route_cdx("example.com", CDX_ROWS)
+        with pytest.raises(ValueError, match="per_month must be >= 0"):
+            client.fetch_cdx_index("example.com", WINDOW, per_month=-1)
+        assert session.requests == []
+
     def test_status_dash_becomes_none(self):
         client, session, _ = make_client()
         session.route_cdx(
@@ -197,10 +205,9 @@ class TestFetchSnapshot:
         doc = client.fetch_snapshot(self.REF)
         assert doc.html == b"ok"
         assert client.request_count == 3
-        assert client.last_retries == 2
+        assert doc.retries == 2
         assert clock.now > 0  # backoff slept on the virtual clock
-        client.fetch_snapshot(self.REF)  # cache hit resets the counter
-        assert client.last_retries == 0
+        assert client.fetch_snapshot(self.REF).retries == 0  # cache hit
 
     def test_persistent_failure_raises(self, tmp_path):
         client, session, _ = make_client(tmp_path)
@@ -302,12 +309,30 @@ class TestCrawlSites:
         assert by_ts["20160105120000"].auto_state is None
         assert manifest.entries["empty.org"] == []
 
-    def test_cache_and_manifest_deterministic(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_cache_and_manifest_deterministic(self, tmp_path, workers):
         outputs = []
-        for run in ("one", "two"):
+        for run, run_workers in (("serial", 1), ("one", workers), ("two", workers)):
             client, session, _ = make_client(tmp_path / run)
             seeded_session(session)
-            manifest = crawl_sites(client, ["example.com", "empty.org"], WINDOW, workers=3)
+            session.route_cdx("busy.net", [
+                [f"2016{m:02d}05120000", "http://busy.net/", "200", "text/html"]
+                for m in range(1, 7)
+            ])
+            for m in range(1, 7):
+                session.route_snapshot(f"/web/2016{m:02d}05120000id_/http://busy.net/",
+                                       Response(200, f"<html>{m}</html>".encode()))
+            get = session.get
+
+            def earlier_finishes_later(url, params=None, get=get):
+                month = re.search(r"/web/2016(\d\d)", url)
+                if month:
+                    time.sleep((7 - int(month.group(1))) * 0.005)
+                return get(url, params)
+
+            session.get = earlier_finishes_later
+            manifest = crawl_sites(client, ["example.com", "busy.net", "empty.org"], WINDOW,
+                                   workers=run_workers)
             manifest_path = tmp_path / run / "manifest.json"
             manifest.save(manifest_path)
             cache_dump = {
@@ -315,7 +340,7 @@ class TestCrawlSites:
                 for p in sorted((tmp_path / run).rglob("*.html"))
             }
             outputs.append((manifest_path.read_bytes(), cache_dump))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_warm_cache_issues_zero_snapshot_requests(self, tmp_path):
         client, session, _ = make_client(tmp_path)
@@ -357,12 +382,30 @@ class TestCrawlSites:
         assert session.snapshot_request_count() == 3
         assert client.cdx_rows_skipped == 3
 
-    def test_duplicate_entry_rejected(self):
-        manifest = CrawlManifest()
-        ref = SnapshotRef("a.com", "20160101000000", "http://a.com/")
-        manifest.add(ManifestEntry(ref, FETCHED))
-        with pytest.raises(ValueError, match="duplicate"):
-            manifest.add(ManifestEntry(ref, FAILED))
+    @staticmethod
+    def ledger_row(timestamp, fetch_status=FETCHED):
+        return {"timestamp": timestamp, "original_url": "http://a.com/", "status_code": 200,
+                "mime_type": "text/html", "fetch_status": fetch_status, "retries": 0,
+                "auto_state": None}
+
+    def test_duplicate_entry_rejected(self, tmp_path):
+        rows = [self.ledger_row("20160101000000"), self.ledger_row("20160201000000"),
+                self.ledger_row("20160101000000", FAILED)]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"window": None, "sites": {"b.com": [], "a.com": rows}}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate manifest "
+                                             "entry: a.com 20160101000000$"):
+            CrawlManifest.load(path)
+
+    def test_out_of_order_rows_load_sorted(self, tmp_path):
+        stamps = ["20160301000000", "20160101000000", "20160201000000"]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"sites": {"a.com": [self.ledger_row(t) for t in stamps]}}))
+        manifest = CrawlManifest.load(path)
+        assert [e.ref.timestamp for e in manifest.entries["a.com"]] == sorted(stamps)
+        manifest.save(path)
+        saved = json.loads(path.read_text())["sites"]["a.com"]
+        assert [row["timestamp"] for row in saved] == sorted(stamps)
 
     def test_manifest_roundtrip(self, tmp_path):
         client, session, _ = make_client(tmp_path)
@@ -396,13 +439,10 @@ class TestLoadDocuments:
 class TestBuildTimelines:
     def manifest_for(self, site="example.com", entries=(), window=WINDOW):
         manifest = CrawlManifest(window=window)
-        manifest.entries.setdefault(site, [])
-        for ts, auto in entries:
-            manifest.add(
-                ManifestEntry(
-                    SnapshotRef(site, ts, f"http://{site}/"), FETCHED, auto_state=auto
-                )
-            )
+        manifest.entries[site] = [
+            ManifestEntry(SnapshotRef(site, ts, f"http://{site}/"), FETCHED, auto_state=auto)
+            for ts, auto in entries
+        ]
         return manifest
 
     def test_single_annotation_rest_missing(self):

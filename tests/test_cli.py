@@ -290,7 +290,7 @@ class TestMalformedInputs:
         result = invoke(["--out", str(tmp_path / "o"), "timeline", "--annotations",
                          str(annotations)])
         assert result.exit_code == 2
-        assert "error: line 3: row too short, no month, state" in result.output
+        assert f"error: {annotations}:3: row too short, no month, state" in result.output
 
     def test_ingest_names_file_and_line_of_invalid_domain(self, tmp_path):
         fake, real = tmp_path / "fake.txt", tmp_path / "real.txt"
@@ -447,6 +447,11 @@ class TestConfigPrecedence:
             env={"NEWSFORENSICS_TRAFFIC_DATA": str(corpus.traffic_csv)},
         )
         assert result.exit_code == 0
+
+    def test_negative_per_month_exits_2(self, tmp_path):
+        result = invoke(["--out", str(tmp_path / "o"), "crawl", "--per-month", "-1"])
+        assert result.exit_code == 2
+        assert "error: per_month must be >= 0" in result.output
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config_file = tmp_path / "config.json"

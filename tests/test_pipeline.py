@@ -33,6 +33,8 @@ class TestRunConfig:
             RunConfig(cosine_threshold=0.0)
         with pytest.raises(ValueError, match="folds"):
             RunConfig(folds=1)
+        with pytest.raises(ValueError, match="per_month must be >= 0"):
+            RunConfig(per_month=-1)
 
     def test_seed_masked_to_64_bits(self):
         assert RunConfig(seed=-1).seed == 2**64 - 1

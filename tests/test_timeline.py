@@ -458,7 +458,7 @@ class TestAnnotations:
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "ann.csv"
         path.write_text("domain,year,state\nexample.com,2016,alive\n")
-        with pytest.raises(ValueError, match="month"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*month"):
             read_annotations(path)
 
     @pytest.mark.parametrize(
@@ -475,5 +475,5 @@ class TestAnnotations:
     def test_unknown_state_rejected(self, tmp_path, row, reason):
         path = tmp_path / "ann.csv"
         path.write_text(f"domain,year,month,state\nexample.com,2016,2,alive\n{row}\n")
-        with pytest.raises(ValueError, match=f"^line 3: .*{reason}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*{reason}"):
             read_annotations(path)

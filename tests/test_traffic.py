@@ -154,7 +154,8 @@ class TestLoadProfiles:
         path.write_text(
             ",".join(cols) + "\n" + ",".join(str(row[c]) for c in cols) + "\n"
         )
-        with pytest.raises(ValueError, match="bounce_rate"):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: missing required column: bounce_rate"):
             load_profiles(path)
 
     def test_absent_optional_fields_allowed(self, tmp_path):
@@ -253,7 +254,8 @@ class TestLoadProfiles:
         rec = {c: profile_row()[c] for c in REQUIRED_COLUMNS}
         del rec["label"]
         path.write_text(json.dumps(rec) + "\n")
-        with pytest.raises(ValueError, match="label"):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}:1: missing required column: label"):
             load_profiles(path)
 
 
