@@ -145,6 +145,30 @@ class ManifestEntry:
     auto_state: str | None = None  # "dead" when the capture is auto-classified
 
 
+_MANIFEST_ROW_KEYS = ("timestamp", "original_url", "status_code", "fetch_status")
+
+
+def _manifest_entry(site: str, row) -> ManifestEntry:
+    """One ledger row of ``site``; ValueError names the site and the row."""
+    if not isinstance(row, dict):
+        raise ValueError(f"manifest row of {site} is not an object: {row!r}")
+    missing = [key for key in _MANIFEST_ROW_KEYS if key not in row]
+    if missing:
+        raise ValueError(f"manifest row of {site} lacks {', '.join(missing)}: {row!r}")
+    return ManifestEntry(
+        ref=SnapshotRef(
+            site=site,
+            timestamp=row["timestamp"],
+            original_url=row["original_url"],
+            status_code=row["status_code"],
+            mime_type=row.get("mime_type", ""),
+        ),
+        fetch_status=row["fetch_status"],
+        retries=row.get("retries", 0),
+        auto_state=row.get("auto_state"),
+    )
+
+
 @dataclass
 class CrawlManifest:
     """Fetch ledger for one crawl: per-site snapshot refs plus outcomes.
@@ -193,22 +217,7 @@ class CrawlManifest:
         manifest = cls(window=window, cdx_failures=list(data.get("cdx_failures", [])))
         for site, rows in data.get("sites", {}).items():
             per_site = sorted(
-                (
-                    ManifestEntry(
-                        ref=SnapshotRef(
-                            site=site,
-                            timestamp=row["timestamp"],
-                            original_url=row["original_url"],
-                            status_code=row["status_code"],
-                            mime_type=row.get("mime_type", ""),
-                        ),
-                        fetch_status=row["fetch_status"],
-                        retries=row.get("retries", 0),
-                        auto_state=row.get("auto_state"),
-                    )
-                    for row in rows
-                ),
-                key=lambda e: e.ref.timestamp,
+                (_manifest_entry(site, row) for row in rows), key=lambda e: e.ref.timestamp
             )
             for before, after in zip(per_site, per_site[1:]):
                 if before.ref.timestamp == after.ref.timestamp:

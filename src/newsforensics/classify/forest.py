@@ -1,9 +1,12 @@
 """Random forest of gini-split decision trees, built from scratch.
 
 Trees grow without a depth cap on bootstrap resamples, examining a
-random ceil(sqrt(d)) feature subset at every split.  All randomness
-derives from per-tree generators spawned off one master seed, and the
-fitted forest serializes to plain JSON-compatible dicts.
+random ceil(sqrt(d)) feature subset at every split.  A node's split is
+the threshold of least weighted gini over all its sampled features;
+ties go to the lowest feature index, then to the fewest rows on the
+left, i.e. the first minimum in (feature, left size) order.  All
+randomness derives from per-tree generators spawned off one master
+seed, and the fitted forest serializes to plain JSON-compatible dicts.
 """
 
 from __future__ import annotations
@@ -13,33 +16,30 @@ import math
 import numpy as np
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best threshold of one feature by weighted gini; None when unsplittable."""
-    order = np.argsort(x, kind="mergesort")
-    xs, ys = x[order], y[order]
-    boundaries = np.nonzero(xs[1:] != xs[:-1])[0] + 1  # candidate left sizes
-    if min_leaf > 1:
-        n = len(xs)
-        boundaries = boundaries[
-            (boundaries >= min_leaf) & (n - boundaries >= min_leaf)
-        ]
-    if boundaries.size == 0:
-        return None
-    n = len(xs)
-    cum_pos = np.cumsum(ys)
-    n_left = boundaries
+def _split_search(cols: np.ndarray, y: np.ndarray, min_leaf: int):
+    """Best (column, threshold) over a (features, rows) matrix; None if none splits.
+
+    Every column is stable-sorted and scored at each left size k by
+    weighted gini.  A k is a candidate only where the sorted value
+    changes and both sides keep min_leaf rows.
+    """
+    n = cols.shape[1]
+    order = np.argsort(cols, axis=1, kind="mergesort")
+    xs = np.take_along_axis(cols, order, axis=1)
+    cum_pos = np.cumsum(y[order], axis=1)
+    n_left = np.arange(1, n)
     n_right = n - n_left
-    pos_left = cum_pos[boundaries - 1]
-    pos_right = cum_pos[-1] - pos_left
+    valid = (xs[:, 1:] != xs[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not valid.any():
+        return None
+    pos_left = cum_pos[:, :-1]
     p_left = pos_left / n_left
-    p_right = pos_right / n_right
+    p_right = (cum_pos[:, -1:] - pos_left) / n_right
     gini_left = 1.0 - p_left**2 - (1.0 - p_left) ** 2
     gini_right = 1.0 - p_right**2 - (1.0 - p_right) ** 2
-    weighted = (n_left * gini_left + n_right * gini_right) / n
-    k = int(np.argmin(weighted))  # first minimum: deterministic
-    split_at = int(boundaries[k])
-    threshold = (xs[split_at - 1] + xs[split_at]) / 2.0
-    return float(weighted[k]), threshold
+    weighted = np.where(valid, (n_left * gini_left + n_right * gini_right) / n, np.inf)
+    col, last = divmod(int(np.argmin(weighted)), n - 1)  # last sorted row on the left
+    return col, (xs[col, last] + xs[col, last + 1]) / 2.0
 
 
 class DecisionTree:
@@ -85,15 +85,11 @@ class DecisionTree:
             if pure or too_small or too_deep:
                 continue
 
-            features = rng.choice(d, size=m, replace=False) if m < d else np.arange(d)
-            best = None
-            for f in sorted(features):
-                split = _best_split(X[idx, f], y[idx], self.min_samples_leaf)
-                if split and (best is None or split[0] < best[0]):
-                    best = (split[0], f, split[1])
-            if best is None:
-                continue  # sampled features are constant here: leaf
-            node[0], node[1] = int(best[1]), float(best[2])
+            features = np.sort(rng.choice(d, size=m, replace=False)) if m < d else np.arange(d)
+            split = _split_search(X[np.ix_(idx, features)].T, y[idx], self.min_samples_leaf)
+            if split is None:
+                continue  # no sampled feature splits here: leaf
+            node[0], node[1] = int(features[split[0]]), float(split[1])
             mask = X[idx, node[0]] <= node[1]
             stack.append((idx[~mask], depth + 1, node_id, False))
             stack.append((idx[mask], depth + 1, node_id, True))

@@ -21,6 +21,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by each row's max."""
+    out = np.exp(z - z.max(axis=1, keepdims=True))
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
 class LogisticRegressionModel:
     """L2-penalized logistic regression fitted by Newton steps.
 
@@ -115,11 +122,7 @@ class NaiveBayesModel:
     def score(self, X: np.ndarray) -> np.ndarray:
         if self.means is None:
             raise ValueError("model is not fitted")
-        jll = self._joint_log_likelihood(X)
-        shifted = jll - jll.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return probs[:, 1]
+        return _softmax(self._joint_log_likelihood(X))[:, 1]
 
     def to_dict(self) -> dict:
         return {
@@ -185,10 +188,7 @@ class MlpModel:
     def _forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hidden activations and softmax class probabilities."""
         hidden = _sigmoid(X @ self.w1 + self.b1)
-        logits = hidden @ self.w2 + self.b2
-        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
-        return hidden, probs
+        return hidden, _softmax(hidden @ self.w2 + self.b2)
 
     def score(self, X: np.ndarray) -> np.ndarray:
         if self.w1 is None:

@@ -90,6 +90,8 @@ class RunConfig:
             raise ValueError("uptime_max_distance must be >= 0")
         if self.rate_limit < 0:
             raise ValueError("rate_limit must be >= 0")
+        if self.backoff_base < 0:
+            raise ValueError("backoff_base must be >= 0")
         if self.per_month < 0:
             raise ValueError("per_month must be >= 0")
         if self.folds < 2:
@@ -274,6 +276,8 @@ def ingest_lists(config: RunConfig) -> SiteLists:
 def load_site_lists(config: RunConfig) -> SiteLists:
     path = _require(config.out / "sites.json", "ingest-lists")
     data = json.loads(path.read_text())
+    if not isinstance(data, dict) or not {"fake", "real"} <= data.keys():
+        raise ValueError(f"{path}: expected an object with \"fake\" and \"real\" lists")
     return SiteLists(data["fake"], data["real"])
 
 
@@ -595,10 +599,8 @@ def consolidated_report(config: RunConfig) -> dict:
 
     sites_path = out / "sites.json"
     if sites_path.exists():
-        data = json.loads(sites_path.read_text())
-        sections["sites"] = {
-            "fake": len(data["fake"]), "real": len(data["real"])
-        }
+        lists = load_site_lists(config)
+        sections["sites"] = {"fake": len(lists.fake), "real": len(lists.real)}
 
     crawl_path = out / "crawl_manifest.json"
     if crawl_path.exists():

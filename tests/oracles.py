@@ -163,6 +163,42 @@ def tree_walk_reference(tree, X) -> np.ndarray:
     return out
 
 
+def _feature_split_reference(x, y, min_leaf):
+    """Best threshold of one feature by weighted gini; None when unsplittable."""
+    order = np.argsort(x, kind="mergesort")
+    xs, ys = x[order], y[order]
+    boundaries = np.nonzero(xs[1:] != xs[:-1])[0] + 1  # candidate left sizes
+    n = len(xs)
+    if min_leaf > 1:
+        boundaries = boundaries[(boundaries >= min_leaf) & (n - boundaries >= min_leaf)]
+    if boundaries.size == 0:
+        return None
+    cum_pos = np.cumsum(ys)
+    n_left = boundaries
+    n_right = n - n_left
+    pos_left = cum_pos[boundaries - 1]
+    pos_right = cum_pos[-1] - pos_left
+    p_left = pos_left / n_left
+    p_right = pos_right / n_right
+    gini_left = 1.0 - p_left**2 - (1.0 - p_left) ** 2
+    gini_right = 1.0 - p_right**2 - (1.0 - p_right) ** 2
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+    k = int(np.argmin(weighted))  # first minimum within the feature
+    split_at = int(boundaries[k])
+    return float(weighted[k]), (xs[split_at - 1] + xs[split_at]) / 2.0
+
+
+def best_split_reference(X, y, features, min_leaf):
+    """(feature, threshold) of a node, one feature at a time; None when no
+    feature splits.  A later feature wins only with a strictly lower gini."""
+    best = None
+    for f in sorted(features):
+        split = _feature_split_reference(X[:, f], y, min_leaf)
+        if split and (best is None or split[0] < best[0]):
+            best = (split[0], int(f), split[1])
+    return None if best is None else (best[1], float(best[2]))
+
+
 def encode_reference(encoder, profile) -> np.ndarray:
     """One encoded row, column by column from the encoder's fitted statistics."""
     missing = [f for f in REQUIRED_FEATURES if getattr(profile, f) is None]

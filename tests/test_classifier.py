@@ -18,11 +18,16 @@ from newsforensics.classify import (
     stratified_folds,
     train_classifier,
 )
-from newsforensics.classify.forest import DecisionTree, RandomForestModel
+from newsforensics.classify.forest import DecisionTree, RandomForestModel, _split_search
 from newsforensics.classify.metrics import DECISION_THRESHOLD
 from newsforensics.traffic import TrafficProfile
 
-from oracles import auc_pairwise_reference, encode_reference, tree_walk_reference
+from oracles import (
+    auc_pairwise_reference,
+    best_split_reference,
+    encode_reference,
+    tree_walk_reference,
+)
 from synth import permuted_labels, rank_banded_dataset, separable_dataset
 
 
@@ -209,6 +214,28 @@ class TestModels:
                 # a row whose value equals the threshold must go left
                 probe[k % len(probe), tree.feature[node]] = tree.threshold[node]
             assert np.array_equal(tree.predict_proba(probe), tree_walk_reference(tree, probe))
+
+    def test_node_split_search_matches_per_feature_reference(self):
+        rng = np.random.default_rng(29)
+        found = 0
+        for trial in range(600):
+            n, d = int(rng.integers(2, 40)), int(rng.integers(1, 7))
+            if trial % 5 == 0:
+                X = rng.normal(size=(n, d))
+            else:  # few distinct values: ties within and across columns
+                X = rng.integers(0, int(rng.integers(1, 5)), size=(n, d)).astype(float)
+            if trial % 3 == 0:
+                X[:, int(rng.integers(d))] = 2.0  # a constant column
+            y = rng.integers(0, 2, size=n)
+            features = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+            min_leaf = int(rng.integers(1, 5))
+            columns = np.sort(features)
+            split = _split_search(X[:, columns].T, y, min_leaf)
+            if split is not None:
+                split = (int(columns[split[0]]), float(split[1]))
+                found += 1
+            assert split == best_split_reference(X, y, features, min_leaf), trial
+        assert 0 < found < 600  # both outcomes exercised
 
     @pytest.mark.parametrize("X,y", [
         (np.arange(12.0).reshape(6, 2), np.ones(6, dtype=int)),  # pure node

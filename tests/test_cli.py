@@ -380,6 +380,45 @@ class TestTimelineFileDiagnostics:
         assert not (out / "sync_report.json").exists()
 
 
+class TestMalformedReadBackArtifacts:
+    ROW = {"timestamp": "20150101000000", "original_url": "http://a.com/",
+           "status_code": 200, "fetch_status": "fetched"}
+
+    def write_manifest(self, out: Path, rows) -> Path:
+        out.mkdir(parents=True, exist_ok=True)
+        path = out / "crawl_manifest.json"
+        path.write_text(json.dumps({"window": ["2015-01", "2015-12"], "sites": {"a.com": rows}}))
+        return path
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ({k: v for k, v in ROW.items() if k != "fetch_status"},
+             "manifest row of a.com lacks fetch_status: {"),
+            ("x", "manifest row of a.com is not an object: 'x'"),
+        ],
+        ids=["no-fetch-status", "string-row"],
+    )
+    def test_timeline_names_manifest_and_row(self, tmp_path, row, reason):
+        out = tmp_path / "out"
+        path = self.write_manifest(out, [self.ROW | {"timestamp": "20150201000000"}, row])
+        result = invoke(["--out", str(out), "timeline"])
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}: {reason}" in result.output
+
+    @pytest.mark.parametrize("command", ["timeline", "report"])
+    def test_sites_json_without_real_list_exits_2(self, tmp_path, command):
+        out = tmp_path / "out"
+        self.write_manifest(out, [self.ROW])
+        sites = out / "sites.json"
+        sites.write_text(json.dumps({"fake": ["a.com"]}))
+        result = invoke(["--out", str(out), command])
+        assert result.exit_code == 2, result.output
+        assert f"error: {sites}: expected an object with \"fake\" and \"real\" lists" in (
+            result.output
+        )
+
+
 class TestTimelinesStartingInDifferentMonths:
     """Rows need not share a start month: each is aligned to the quarter window."""
 
@@ -452,6 +491,13 @@ class TestConfigPrecedence:
         result = invoke(["--out", str(tmp_path / "o"), "crawl", "--per-month", "-1"])
         assert result.exit_code == 2
         assert "error: per_month must be >= 0" in result.output
+
+    def test_negative_backoff_base_exits_2(self, tmp_path):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"backoff_base": -1}))
+        result = invoke(["--config", str(config_file), "--out", str(tmp_path / "o"), "crawl"])
+        assert result.exit_code == 2
+        assert "error: backoff_base must be >= 0" in result.output
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config_file = tmp_path / "config.json"

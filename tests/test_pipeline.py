@@ -35,6 +35,8 @@ class TestRunConfig:
             RunConfig(folds=1)
         with pytest.raises(ValueError, match="per_month must be >= 0"):
             RunConfig(per_month=-1)
+        with pytest.raises(ValueError, match="backoff_base must be >= 0"):
+            RunConfig(backoff_base=-1)
 
     def test_seed_masked_to_64_bits(self):
         assert RunConfig(seed=-1).seed == 2**64 - 1
