@@ -211,11 +211,19 @@ class CrawlManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CrawlManifest":
-        window = None
-        if data.get("window"):
-            window = (MonthStamp.parse(data["window"][0]), MonthStamp.parse(data["window"][1]))
-        manifest = cls(window=window, cdx_failures=list(data.get("cdx_failures", [])))
-        for site, rows in data.get("sites", {}).items():
+        if not isinstance(data, dict):
+            raise ValueError(f"crawl manifest is not an object: {type(data).__name__}")
+        sites = data.get("sites", {})
+        if not isinstance(sites, dict) or not all(isinstance(r, list) for r in sites.values()):
+            raise ValueError(f'manifest "sites" is not an object of lists: {sites!r:.80}')
+        window = data.get("window")
+        if window:
+            if not (isinstance(window, list) and len(window) == 2
+                    and all(isinstance(month, str) for month in window)):
+                raise ValueError(f'manifest "window" is not a pair of months: {window!r}')
+            window = (MonthStamp.parse(window[0]), MonthStamp.parse(window[1]))
+        manifest = cls(window=window or None, cdx_failures=list(data.get("cdx_failures", [])))
+        for site, rows in sites.items():
             per_site = sorted(
                 (_manifest_entry(site, row) for row in rows), key=lambda e: e.ref.timestamp
             )

@@ -4,9 +4,14 @@ Trees grow without a depth cap on bootstrap resamples, examining a
 random ceil(sqrt(d)) feature subset at every split.  A node's split is
 the threshold of least weighted gini over all its sampled features;
 ties go to the lowest feature index, then to the fewest rows on the
-left, i.e. the first minimum in (feature, left size) order.  All
+left, i.e. the first minimum in (feature, left size) order.  Columns
+are sorted without stability: only positions where the sorted value
+changes are scored, and there the left side is every row at or below
+that value, so the order of tied values cannot change a split.  Each
+node's positive count comes down from its parent's split.  All
 randomness derives from per-tree generators spawned off one master
 seed, and the fitted forest serializes to plain JSON-compatible dicts.
+Features must be finite.
 """
 
 from __future__ import annotations
@@ -17,29 +22,42 @@ import numpy as np
 
 
 def _split_search(cols: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best (column, threshold) over a (features, rows) matrix; None if none splits.
+    """Best split of a (features, rows) matrix; None if no column splits.
 
-    Every column is stable-sorted and scored at each left size k by
-    weighted gini.  A k is a candidate only where the sorted value
-    changes and both sides keep min_leaf rows.
+    Returns (column, threshold, positives left of the threshold).  A left
+    size k is a candidate only where the sorted column changes value and
+    both sides keep min_leaf rows, so the left side is the set of rows at
+    or below the threshold and the sort need not be stable.  Candidates
+    are scored by weighted gini in (column, k) order; the first minimum
+    wins.  The threshold is the midpoint of the two values around the
+    split, or the lower one where the midpoint rounds onto the upper
+    value or overflows, so that every threshold keeps that left side.
     """
     n = cols.shape[1]
-    order = np.argsort(cols, axis=1, kind="mergesort")
-    xs = np.take_along_axis(cols, order, axis=1)
-    cum_pos = np.cumsum(y[order], axis=1)
-    n_left = np.arange(1, n)
-    n_right = n - n_left
-    valid = (xs[:, 1:] != xs[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not valid.any():
+    lo, hi = min_leaf - 1, n - min_leaf  # last left row ranges over [lo, hi)
+    if lo >= hi:
         return None
-    pos_left = cum_pos[:, :-1]
+    order = cols.argsort(axis=1)
+    xs = cols[np.arange(len(cols))[:, None], order]
+    col, last = (xs[:, lo + 1:hi + 1] != xs[:, lo:hi]).nonzero()
+    if not col.size:
+        return None
+    last += lo
+    cum_pos = y[order].cumsum(axis=1)
+    pos_left = cum_pos[col, last]
+    n_left = last + 1
+    n_right = n - n_left
     p_left = pos_left / n_left
-    p_right = (cum_pos[:, -1:] - pos_left) / n_right
+    p_right = (cum_pos[col, -1] - pos_left) / n_right
     gini_left = 1.0 - p_left**2 - (1.0 - p_left) ** 2
     gini_right = 1.0 - p_right**2 - (1.0 - p_right) ** 2
-    weighted = np.where(valid, (n_left * gini_left + n_right * gini_right) / n, np.inf)
-    col, last = divmod(int(np.argmin(weighted)), n - 1)  # last sorted row on the left
-    return col, (xs[col, last] + xs[col, last + 1]) / 2.0
+    best = int(((n_left * gini_left + n_right * gini_right) / n).argmin())
+    c, k = int(col[best]), int(last[best])
+    below, above = float(xs[c, k]), float(xs[c, k + 1])
+    threshold = (below + above) / 2.0
+    if not below <= threshold < above:
+        threshold = below
+    return c, threshold, int(pos_left[best])
 
 
 class DecisionTree:
@@ -66,33 +84,37 @@ class DecisionTree:
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> "DecisionTree":
         n, d = X.shape
         m = min(self.max_features or d, d)
+        XT = np.ascontiguousarray(X.T)  # one row per feature: node gathers stay contiguous
         nodes = []  # [feature, threshold, left, right, prob] per node id
-        # (sample indices, depth, parent node id, is-left) processed LIFO so
-        # rng consumption follows a fixed traversal order
-        stack = [(np.arange(n), 0, -1, False)]
+        # (sample indices, positives among them, depth, parent node id,
+        # is-left) processed LIFO so rng consumption follows a fixed
+        # traversal order
+        stack = [(np.arange(n), int(y.sum()), 0, -1, False)]
         while stack:
-            idx, depth, parent, is_left = stack.pop()
+            idx, pos, depth, parent, is_left = stack.pop()
             node_id = len(nodes)
-            prob = float(y[idx].mean())
-            node = [-1, 0.0, -1, -1, prob]
+            size = len(idx)
+            node = [-1, 0.0, -1, -1, pos / size]
             nodes.append(node)
             if parent >= 0:
                 nodes[parent][2 if is_left else 3] = node_id
 
-            pure = prob == 0.0 or prob == 1.0
-            too_small = len(idx) < 2 * self.min_samples_leaf
+            pure = pos == 0 or pos == size
+            too_small = size < 2 * self.min_samples_leaf
             too_deep = self.max_depth is not None and depth >= self.max_depth
             if pure or too_small or too_deep:
                 continue
 
             features = np.sort(rng.choice(d, size=m, replace=False)) if m < d else np.arange(d)
-            split = _split_search(X[np.ix_(idx, features)].T, y[idx], self.min_samples_leaf)
+            cols = (XT.take(features, axis=0) if m < d else XT).take(idx, axis=1)
+            split = _split_search(cols, y[idx], self.min_samples_leaf)
             if split is None:
                 continue  # no sampled feature splits here: leaf
-            node[0], node[1] = int(features[split[0]]), float(split[1])
-            mask = X[idx, node[0]] <= node[1]
-            stack.append((idx[~mask], depth + 1, node_id, False))
-            stack.append((idx[mask], depth + 1, node_id, True))
+            col, threshold, pos_left = split
+            node[0], node[1] = int(features[col]), threshold
+            mask = cols[col] <= threshold
+            stack.append((idx[~mask], pos - pos_left, depth + 1, node_id, False))
+            stack.append((idx[mask], pos_left, depth + 1, node_id, True))
         self._set_nodes(nodes)
         return self
 
@@ -120,6 +142,15 @@ class DecisionTree:
         return tree
 
 
+def _at_least(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _require(ok: bool, name: str, rule: str, value) -> None:
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 class RandomForestModel:
     """Bootstrap ensemble of probability trees; score is the tree average."""
 
@@ -127,6 +158,13 @@ class RandomForestModel:
 
     def __init__(self, n_trees: int = 100, max_features: str | int = "sqrt",
                  min_samples_leaf: int = 1, max_depth: int | None = None):
+        _require(_at_least(n_trees, 1), "n_trees", "an int >= 1", n_trees)
+        _require(max_features == "sqrt" or _at_least(max_features, 1),
+                 "max_features", '"sqrt" or an int >= 1', max_features)
+        _require(_at_least(min_samples_leaf, 1), "min_samples_leaf", "an int >= 1",
+                 min_samples_leaf)
+        _require(max_depth is None or _at_least(max_depth, 0), "max_depth",
+                 "None or an int >= 0", max_depth)
         self.n_trees = n_trees
         self.max_features = max_features
         self.min_samples_leaf = min_samples_leaf
@@ -139,6 +177,8 @@ class RandomForestModel:
         return int(self.max_features)
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int) -> "RandomForestModel":
+        if not np.isfinite(X).all():
+            raise ValueError("forest features must be finite; X holds NaN or infinity")
         n, d = X.shape
         m = self._resolve_features(d)
         self.trees = []

@@ -275,7 +275,10 @@ def ingest_lists(config: RunConfig) -> SiteLists:
 
 def load_site_lists(config: RunConfig) -> SiteLists:
     path = _require(config.out / "sites.json", "ingest-lists")
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict) or not {"fake", "real"} <= data.keys():
         raise ValueError(f"{path}: expected an object with \"fake\" and \"real\" lists")
     return SiteLists(data["fake"], data["real"])

@@ -185,7 +185,9 @@ def _feature_split_reference(x, y, min_leaf):
     weighted = (n_left * gini_left + n_right * gini_right) / n
     k = int(np.argmin(weighted))  # first minimum within the feature
     split_at = int(boundaries[k])
-    return float(weighted[k]), (xs[split_at - 1] + xs[split_at]) / 2.0
+    below, above = xs[split_at - 1], xs[split_at]
+    threshold = (below + above) / 2.0
+    return float(weighted[k]), threshold if below <= threshold < above else below
 
 
 def best_split_reference(X, y, features, min_leaf):
@@ -197,6 +199,82 @@ def best_split_reference(X, y, features, min_leaf):
         if split and (best is None or split[0] < best[0]):
             best = (split[0], int(f), split[1])
     return None if best is None else (best[1], float(best[2]))
+
+
+def split_search_reference(cols, y, min_leaf):
+    """(column, threshold) of a (features, rows) matrix; None if none splits.
+
+    Every column is stable-sorted and scored at every left size k by
+    weighted gini; a k is valid only where the sorted value changes and
+    both sides keep min_leaf rows.  A midpoint that rounds onto the upper
+    value (or overflows) falls back to the lower one.
+    """
+    n = cols.shape[1]
+    order = np.argsort(cols, axis=1, kind="mergesort")
+    xs = np.take_along_axis(cols, order, axis=1)
+    cum_pos = np.cumsum(y[order], axis=1)
+    n_left = np.arange(1, n)
+    n_right = n - n_left
+    valid = (xs[:, 1:] != xs[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not valid.any():
+        return None
+    pos_left = cum_pos[:, :-1]
+    p_left = pos_left / n_left
+    p_right = (cum_pos[:, -1:] - pos_left) / n_right
+    gini_left = 1.0 - p_left**2 - (1.0 - p_left) ** 2
+    gini_right = 1.0 - p_right**2 - (1.0 - p_right) ** 2
+    weighted = np.where(valid, (n_left * gini_left + n_right * gini_right) / n, np.inf)
+    col, last = divmod(int(np.argmin(weighted)), n - 1)  # last sorted row on the left
+    threshold = (xs[col, last] + xs[col, last + 1]) / 2.0
+    if not xs[col, last] <= threshold < xs[col, last + 1]:
+        threshold = xs[col, last]
+    return col, float(threshold)
+
+
+def grow_tree_reference(X, y, rng, max_features, min_samples_leaf, max_depth):
+    """Serialized node list of one tree, grown node by node in LIFO order.
+
+    Each node's P(positive) is its label mean and its children are the
+    rows at or below / above the threshold of ``split_search_reference``.
+    """
+    n, d = X.shape
+    m = min(max_features, d)
+    nodes = []
+    stack = [(np.arange(n), 0, -1, False)]
+    while stack:
+        idx, depth, parent, is_left = stack.pop()
+        node_id = len(nodes)
+        prob = float(y[idx].mean())
+        node = [-1, 0.0, -1, -1, prob]
+        nodes.append(node)
+        if parent >= 0:
+            nodes[parent][2 if is_left else 3] = node_id
+        if (prob in (0.0, 1.0) or len(idx) < 2 * min_samples_leaf
+                or (max_depth is not None and depth >= max_depth)):
+            continue
+        features = np.sort(rng.choice(d, size=m, replace=False)) if m < d else np.arange(d)
+        split = split_search_reference(X[np.ix_(idx, features)].T, y[idx], min_samples_leaf)
+        if split is None:
+            continue
+        node[0], node[1] = int(features[split[0]]), split[1]
+        mask = X[idx, node[0]] <= node[1]
+        stack.append((idx[~mask], depth + 1, node_id, False))
+        stack.append((idx[mask], depth + 1, node_id, True))
+    return nodes
+
+
+def forest_reference(X, y, seed, n_trees, max_features, min_samples_leaf, max_depth) -> dict:
+    """Serialized forest: one bootstrap and one grown tree per spawned seed."""
+    n, d = X.shape
+    m = max(1, math.ceil(math.sqrt(d))) if max_features == "sqrt" else max_features
+    trees = []
+    for seq in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(seq)
+        sample = rng.integers(0, n, size=n)
+        nodes = grow_tree_reference(X[sample], y[sample], rng, m, min_samples_leaf, max_depth)
+        trees.append({"nodes": nodes})
+    return {"n_trees": n_trees, "max_features": max_features,
+            "min_samples_leaf": min_samples_leaf, "max_depth": max_depth, "trees": trees}
 
 
 def encode_reference(encoder, profile) -> np.ndarray:

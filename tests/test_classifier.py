@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -26,6 +27,8 @@ from oracles import (
     auc_pairwise_reference,
     best_split_reference,
     encode_reference,
+    forest_reference,
+    split_search_reference,
     tree_walk_reference,
 )
 from synth import permuted_labels, rank_banded_dataset, separable_dataset
@@ -152,6 +155,25 @@ def xor_free_blob(n=120, seed=5):
     return X, y
 
 
+def _random_columns(rng, m, n):
+    """(m, n) feature columns of one kind: normal, tied integers, one-hot
+    0/1, a constant among normals, or signed zeros among integers."""
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return rng.normal(size=(m, n))
+    if kind == 1:
+        return rng.integers(0, int(rng.integers(1, 5)), size=(m, n)).astype(float)
+    if kind == 2:
+        return np.eye(m)[:, rng.integers(0, m, size=n)]
+    cols = rng.normal(size=(m, n)) if kind == 3 else rng.integers(-2, 3, size=(m, n)) * 1.0
+    cols[int(rng.integers(m))] = 2.0 if kind == 3 else np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    return cols
+
+
+def _sha256(model_dict) -> str:
+    return hashlib.sha256(json.dumps(model_dict).encode()).hexdigest()
+
+
 class TestModels:
     @pytest.mark.parametrize("kind", ["random_forest", "logistic_regression", "naive_bayes", "mlp"])
     def test_separates_linear_blob(self, kind):
@@ -231,11 +253,84 @@ class TestModels:
             min_leaf = int(rng.integers(1, 5))
             columns = np.sort(features)
             split = _split_search(X[:, columns].T, y, min_leaf)
-            if split is not None:
+            if split is not None:  # the left positives are checked in the next test
                 split = (int(columns[split[0]]), float(split[1]))
                 found += 1
             assert split == best_split_reference(X, y, features, min_leaf), trial
         assert 0 < found < 600  # both outcomes exercised
+
+    def test_node_split_search_matches_stable_sort_reference(self):
+        rng = np.random.default_rng(31)
+        found = small = 0
+        for trial in range(800):
+            n, m = int(rng.integers(1, 50)), int(rng.integers(1, 6))
+            cols = _random_columns(rng, m, n)
+            y = rng.integers(0, 2, size=n)
+            min_leaf = int(rng.integers(1, 5))
+            small += n < 2 * min_leaf
+            split = _split_search(cols, y, min_leaf)
+            expect = split_search_reference(cols, y, min_leaf)
+            if split is None:
+                assert expect is None, trial
+                continue
+            found += 1
+            col, threshold, pos_left = split
+            assert (col, float(threshold)) == expect, trial
+            assert pos_left == y[cols[col] <= threshold].sum(), trial
+        assert found > 300 and small > 50
+
+    def test_forest_json_matches_stable_sort_reference(self):
+        rng = np.random.default_rng(37)
+        for trial in range(96):
+            n, d = int(rng.integers(2, 90)), int(rng.integers(2, 8))
+            X = _random_columns(rng, d, n).T.copy()
+            y = rng.integers(0, 2, size=n)
+            params = {
+                "n_trees": int(rng.integers(1, 4)),
+                "max_features": ["sqrt", 1, d, d - 1][trial % 4],
+                "min_samples_leaf": 1 + trial // 4 % 4,
+                "max_depth": [None, 0, 2, 5][trial // 16 % 4],
+            }
+            model = RandomForestModel(**params).fit(X, y, seed=trial)
+            expect = forest_reference(X, y, trial, **params)
+            assert _sha256(model.to_dict()) == _sha256(expect), (trial, params)
+
+    def test_midpoint_rounding_onto_upper_value_splits_below_it(self):
+        # (a + b) / 2 rounds to b for these neighbouring doubles; a split at
+        # b would send every row left and leave the right child empty, so
+        # max_depth bounds the tree should that threshold come back
+        a, b = 1 + 2.0**-52, 1 + 2.0**-51
+        X, y = np.array([[a], [b], [b]]), np.array([0, 1, 1])
+        tree = DecisionTree(max_depth=3).fit(X, y, np.random.default_rng(0))
+        assert tree.to_dict()["nodes"] == [[0, a, 1, 2, 2 / 3], [-1, 0.0, -1, -1, 0.0],
+                                           [-1, 0.0, -1, -1, 1.0]]
+
+    def test_huge_values_split_without_overflow(self):
+        # the sum overflows to inf; max_depth bounds the tree should that
+        # threshold come back and send every row left again
+        X, y = np.array([[1e308], [1.5e308]]), np.array([0, 1])
+        tree = DecisionTree(max_depth=3).fit(X, y, np.random.default_rng(0))
+        assert tree.threshold[0] == 1e308
+        assert np.array_equal(tree.predict_proba(X), y)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_forest_rejects_non_finite_features(self, value):
+        X, y = xor_free_blob(n=20)
+        X[3, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            RandomForestModel(n_trees=5).fit(X, y, seed=1)
+
+    @pytest.mark.parametrize("name,value", [
+        ("n_trees", 0), ("n_trees", 2.5), ("max_features", 0), ("max_features", -1),
+        ("max_features", "log2"), ("max_features", True), ("min_samples_leaf", 0),
+        ("max_depth", -1), ("max_depth", 1.5),
+    ])
+    def test_forest_rejects_bad_parameters(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            RandomForestModel(**{name: value})
+        saved = RandomForestModel(n_trees=1).to_dict() | {name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            RandomForestModel.from_dict(saved)
 
     @pytest.mark.parametrize("X,y", [
         (np.arange(12.0).reshape(6, 2), np.ones(6, dtype=int)),  # pure node

@@ -419,6 +419,42 @@ class TestMalformedReadBackArtifacts:
         )
 
 
+    @pytest.mark.parametrize("command", ["timeline", "report"])
+    def test_sites_json_that_is_not_json_exits_2(self, tmp_path, command):
+        out = tmp_path / "out"
+        self.write_manifest(out, [self.ROW])
+        sites = out / "sites.json"
+        sites.write_text("not json")
+        result = invoke(["--out", str(out), command])
+        assert result.exit_code == 2, result.output
+        assert f"error: {sites}: Expecting value: line 1 column 1" in result.output
+
+    @pytest.mark.parametrize(
+        "manifest, reason",
+        [
+            ([], "crawl manifest is not an object: list"),
+            ({"window": ["2015-01", "2015-12"], "sites": []},
+             'manifest "sites" is not an object of lists: []'),
+            ({"sites": {"a.com": {"timestamp": "20150101000000"}}},
+             'manifest "sites" is not an object of lists: {'),
+            ({"window": ["2015-01"], "sites": {}},
+             "manifest \"window\" is not a pair of months: ['2015-01']"),
+            ({"window": [2015, 2016], "sites": {}},
+             'manifest "window" is not a pair of months: [2015, 2016]'),
+        ],
+        ids=["list", "sites-list", "rows-object", "window-single", "window-ints"],
+    )
+    @pytest.mark.parametrize("command", ["timeline", "report"])
+    def test_misshapen_manifest_exits_2(self, tmp_path, command, manifest, reason):
+        out = tmp_path / "out"
+        path = self.write_manifest(out, [self.ROW])
+        (out / "sites.json").write_text(json.dumps({"fake": ["a.com"], "real": []}))
+        path.write_text(json.dumps(manifest))
+        result = invoke(["--out", str(out), command])
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}: {reason}" in result.output
+
+
 class TestTimelinesStartingInDifferentMonths:
     """Rows need not share a start month: each is aligned to the quarter window."""
 
