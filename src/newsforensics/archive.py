@@ -222,7 +222,10 @@ class CrawlManifest:
                     and all(isinstance(month, str) for month in window)):
                 raise ValueError(f'manifest "window" is not a pair of months: {window!r}')
             window = (MonthStamp.parse(window[0]), MonthStamp.parse(window[1]))
-        manifest = cls(window=window or None, cdx_failures=list(data.get("cdx_failures", [])))
+        failures = data.get("cdx_failures", [])
+        if not (isinstance(failures, list) and all(isinstance(site, str) for site in failures)):
+            raise ValueError(f'manifest "cdx_failures" is not a list of sites: {failures!r:.80}')
+        manifest = cls(window=window or None, cdx_failures=list(failures))
         for site, rows in sites.items():
             per_site = sorted(
                 (_manifest_entry(site, row) for row in rows), key=lambda e: e.ref.timestamp

@@ -12,8 +12,10 @@ import hashlib
 import io
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Iterator
 
 from . import archive as arch
 from . import sync as syncmod
@@ -594,6 +596,26 @@ def _ecdf_rows(metric: str, per_label: dict) -> list:
     return rows
 
 
+@contextmanager
+def _stage_report(path: Path, **shape: type) -> Iterator[dict]:
+    """A stage report read back as a JSON object holding each key of ``shape``
+    with its type.  Bad JSON, a missing key or a wrong type, also one met
+    while the caller reads the report's nested values, raise ValueError
+    naming the file."""
+    try:
+        report = json.loads(path.read_text())
+        if not isinstance(report, dict):
+            raise TypeError(f"not an object: {type(report).__name__}")
+        for key, kind in shape.items():
+            if not isinstance(report[key], kind):
+                raise TypeError(f"{key!r} is not a {kind.__name__}")
+        yield report
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def consolidated_report(config: RunConfig) -> dict:
     """summary.json plus per-figure plot CSVs from whatever reports exist."""
     out = config.out
@@ -618,111 +640,114 @@ def consolidated_report(config: RunConfig) -> dict:
 
     lifetime_path = out / "lifetime_report.json"
     if lifetime_path.exists():
-        lifetime = json.loads(lifetime_path.read_text())
-        sections["timeline"] = {
-            "sites": lifetime["sites"],
-            "median_months": {
-                metric: stats["median_months"]
+        with _stage_report(lifetime_path, sites=int, lifetime=dict, histogram=dict) as lifetime:
+            sections["timeline"] = {
+                "sites": lifetime["sites"],
+                "median_months": {
+                    metric: stats["median_months"]
+                    for metric, stats in lifetime["lifetime"].items()
+                },
+            }
+            hist = lifetime["histogram"]["p2"]
+            write_csv(
+                plots / "state_histogram.csv",
+                ["month", "alive", "zombie", "dead"],
+                zip(hist["months"], hist["alive"], hist["zombie"], hist["dead"]),
+            )
+            rows = [
+                [metric, int(months), fraction]
                 for metric, stats in lifetime["lifetime"].items()
-            },
-        }
-        hist = lifetime["histogram"]["p2"]
-        write_csv(
-            plots / "state_histogram.csv",
-            ["month", "alive", "zombie", "dead"],
-            zip(hist["months"], hist["alive"], hist["zombie"], hist["dead"]),
-        )
-        rows = [
-            [metric, int(months), fraction]
-            for metric, stats in lifetime["lifetime"].items()
-            for months, fraction in traf.ecdf(stats["values"])
-        ]
-        write_csv(plots / "lifetime_cdf.csv", ["metric", "months", "fraction"], rows)
+                for months, fraction in traf.ecdf(stats["values"])
+            ]
+            write_csv(plots / "lifetime_cdf.csv", ["metric", "months", "fraction"], rows)
 
     sync_path = out / "sync_report.json"
     if sync_path.exists():
-        sync_report = json.loads(sync_path.read_text())
-        sections["sync"] = {
-            "uptime_pairs": len(sync_report["uptime_pairs"]),
-            "content_matches": len(sync_report["content_matches"]),
-            "content_clusters": len(sync_report["content_clusters"]),
-        }
+        with _stage_report(sync_path, uptime_pairs=list, content_matches=list,
+                           content_clusters=list) as sync_report:
+            sections["sync"] = {
+                "uptime_pairs": len(sync_report["uptime_pairs"]),
+                "content_matches": len(sync_report["content_matches"]),
+                "content_clusters": len(sync_report["content_clusters"]),
+            }
 
     tracker_path = out / "tracker_report.json"
     if tracker_path.exists():
-        tracker_report = json.loads(tracker_path.read_text())
-        sections["trackers"] = {
-            "distinct_trackers_fake": len(tracker_report["distinct_trackers_fake"]),
-            "top_prevalence": [
-                s["tracker"] for s in tracker_report["prevalence"]
-            ],
-        }
-        rows = []
-        for s in tracker_report["prevalence"]:
-            for month, count in zip(s["months"], s["site_counts"]):
-                rows.append([s["tracker"], month, count])
-        write_csv(plots / "tracker_prevalence.csv", ["tracker", "month", "sites"], rows)
-        write_csv(
-            plots / "tracker_coverage.csv",
-            ["tracker", "fake_fraction", "real_fraction"],
-            [
-                [tracker, cov["fake"], cov["real"]]
-                for tracker, cov in sorted(tracker_report["coverage"].items())
-            ],
-        )
+        with _stage_report(tracker_path, distinct_trackers_fake=list, prevalence=list,
+                           coverage=dict) as tracker_report:
+            sections["trackers"] = {
+                "distinct_trackers_fake": len(tracker_report["distinct_trackers_fake"]),
+                "top_prevalence": [
+                    s["tracker"] for s in tracker_report["prevalence"]
+                ],
+            }
+            rows = []
+            for s in tracker_report["prevalence"]:
+                for month, count in zip(s["months"], s["site_counts"]):
+                    rows.append([s["tracker"], month, count])
+            write_csv(plots / "tracker_prevalence.csv", ["tracker", "month", "sites"], rows)
+            write_csv(
+                plots / "tracker_coverage.csv",
+                ["tracker", "fake_fraction", "real_fraction"],
+                [
+                    [tracker, cov["fake"], cov["real"]]
+                    for tracker, cov in sorted(tracker_report["coverage"].items())
+                ],
+            )
 
     traffic_path = out / "traffic_report.json"
     if traffic_path.exists():
-        traffic_report = json.loads(traffic_path.read_text())
-        sections["traffic"] = {
-            "rows": traffic_report["rows_loaded"],
-            "rejected": len(traffic_report["rows_rejected"]),
-        }
-        ecdfs = traffic_report["ecdfs"]
-        source_rows = []
-        for metric in sorted(ecdfs):
-            if metric.startswith("src_"):
-                source_rows.extend(_ecdf_rows(metric, ecdfs[metric]))
-        write_csv(
-            plots / "traffic_sources_ecdf.csv",
-            ["source", "label", "percent", "fraction"],
-            source_rows,
-        )
-        for metric, filename in (
-            ("visit_duration_s", "visit_duration_ecdf.csv"),
-            ("bounce_rate", "bounce_rate_ecdf.csv"),
-        ):
-            if metric in ecdfs:
-                write_csv(
-                    plots / filename,
-                    [metric, "label", "value", "fraction"],
-                    _ecdf_rows(metric, ecdfs[metric]),
-                )
-        link_rows = []
-        for metric in ("backlinks", "referring_domains"):
-            if metric in ecdfs:
-                link_rows.extend(_ecdf_rows(metric, ecdfs[metric]))
-        write_csv(
-            plots / "links_ecdf.csv", ["metric", "label", "value", "fraction"], link_rows
-        )
-        ratio_rows = []
-        for metric in sorted(traffic_report["ratio_ecdfs"]):
-            ratio_rows.extend(_ecdf_rows(metric, traffic_report["ratio_ecdfs"][metric]))
-        write_csv(
-            plots / "edu_gov_ratios_ecdf.csv",
-            ["ratio", "label", "value", "fraction"],
-            ratio_rows,
-        )
+        with _stage_report(traffic_path, rows_loaded=int, rows_rejected=list, ecdfs=dict,
+                           ratio_ecdfs=dict) as traffic_report:
+            sections["traffic"] = {
+                "rows": traffic_report["rows_loaded"],
+                "rejected": len(traffic_report["rows_rejected"]),
+            }
+            ecdfs = traffic_report["ecdfs"]
+            source_rows = []
+            for metric in sorted(ecdfs):
+                if metric.startswith("src_"):
+                    source_rows.extend(_ecdf_rows(metric, ecdfs[metric]))
+            write_csv(
+                plots / "traffic_sources_ecdf.csv",
+                ["source", "label", "percent", "fraction"],
+                source_rows,
+            )
+            for metric, filename in (
+                ("visit_duration_s", "visit_duration_ecdf.csv"),
+                ("bounce_rate", "bounce_rate_ecdf.csv"),
+            ):
+                if metric in ecdfs:
+                    write_csv(
+                        plots / filename,
+                        [metric, "label", "value", "fraction"],
+                        _ecdf_rows(metric, ecdfs[metric]),
+                    )
+            link_rows = []
+            for metric in ("backlinks", "referring_domains"):
+                if metric in ecdfs:
+                    link_rows.extend(_ecdf_rows(metric, ecdfs[metric]))
+            write_csv(
+                plots / "links_ecdf.csv", ["metric", "label", "value", "fraction"], link_rows
+            )
+            ratio_rows = []
+            for metric in sorted(traffic_report["ratio_ecdfs"]):
+                ratio_rows.extend(_ecdf_rows(metric, traffic_report["ratio_ecdfs"][metric]))
+            write_csv(
+                plots / "edu_gov_ratios_ecdf.csv",
+                ["ratio", "label", "value", "fraction"],
+                ratio_rows,
+            )
 
     classifier_path = out / "classifier_report.json"
     if classifier_path.exists():
-        classifier_report = json.loads(classifier_path.read_text())
-        cv = classifier_report["cross_validation"]
-        sections["classifier"] = {
-            "model": classifier_report["model"],
-            "f1": cv["f1"],
-            "auc": cv["auc"],
-        }
+        with _stage_report(classifier_path, model=str, cross_validation=dict) as classifier_report:
+            cv = classifier_report["cross_validation"]
+            sections["classifier"] = {
+                "model": classifier_report["model"],
+                "f1": cv["f1"],
+                "auc": cv["auc"],
+            }
 
     if not sections:
         raise PrerequisiteError("no module reports found: run a pipeline step first")

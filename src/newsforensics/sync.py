@@ -9,6 +9,7 @@ pairs into clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -103,29 +104,66 @@ class SyncCluster:
 # cosine reaches the threshold among the candidates.
 _CANDIDATE_SLACK = 1e-9
 
+# Documents and terms per dense block of the Gram product: a row block's
+# dot products with every later document are summed over column blocks,
+# so at most ROW x n dot products and n x COL weights are held at once.
+_ROW_BLOCK = 128
+_COL_BLOCK = 256
+
 
 def _candidate_pairs(
     vectors: Sequence[TfidfVector], threshold: float
 ) -> list[tuple[int, int]]:
-    """Index pairs (i < j) whose dot product may reach the threshold,
-    sorted by i then j.
+    """Index pairs (i < j) sharing a term whose dot product may reach the
+    threshold, sorted by i then j.
 
-    Dot products accumulate over an inverted index (term -> postings of
-    later documents) built from the last document back, so only pairs
-    sharing a term are ever visited.
+    Only terms held by two or more documents can add to a dot product, so
+    those columns alone are scattered, block by block, into a dense
+    float64 slab of the documents from a row block's first one onward,
+    and the row block's dot products are the sum of its slab products.
     """
+    n = len(vectors)
+    index = {t: c for c, t in enumerate(dict.fromkeys(chain.from_iterable(vectors)))}
+    lengths = [len(v) for v in vectors]
+    nnz = sum(lengths)
+    terms = np.fromiter(map(index.__getitem__, chain.from_iterable(vectors)), np.int32, nnz)
+    held = np.bincount(terms, minlength=len(index)) >= 2
+    if not held.any():
+        return []
+    column = np.cumsum(held, dtype=np.int32) - 1
+    shared = held[terms]
+    cols = column[terms[shared]]
+    rows = np.repeat(np.arange(n, dtype=np.int32), lengths)[shared]
+    weights = np.fromiter(chain.from_iterable(map(dict.values, vectors)), np.float64, nnz)[shared]
+    del terms, shared
+    # entries grouped by column block, in row order within each block
+    block = cols // _COL_BLOCK
+    order = np.argsort(block, kind="stable")
+    rows = rows[order]
+    cols = cols[order] % _COL_BLOCK
+    weights = weights[order]
+    bounds = np.searchsorted(block[order], np.arange(block.max() + 2))
+    del block, order
+
     cutoff = threshold - _CANDIDATE_SLACK
-    postings: dict[str, list[tuple[int, float]]] = {}
-    pairs = []
-    for i in range(len(vectors) - 1, -1, -1):
-        dots: dict[int, float] = {}
-        for term, w in vectors[i].items():
-            posting = postings.setdefault(term, [])
-            for j, wj in posting:
-                dots[j] = dots.get(j, 0.0) + w * wj
-            posting.append((i, w))
-        pairs.extend((i, j) for j in sorted(dots, reverse=True) if dots[j] >= cutoff)
-    pairs.reverse()
+    buffer = np.zeros((n, _COL_BLOCK))  # the last block's missing columns stay 0
+    pairs: list[tuple[int, int]] = []
+    for r0 in range(0, n - 1, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, n)
+        slab = buffer[: n - r0]
+        gram = np.zeros((r1 - r0, n - r0))
+        for lo, hi in zip(bounds, bounds[1:]):
+            first, stop = lo + np.searchsorted(rows[lo:hi], (r0, r1))
+            if first == stop:
+                continue  # no weight of this row block in these columns
+            at = rows[first:hi] - r0, cols[first:hi]
+            slab[at] = weights[first:hi]
+            gram += slab[: r1 - r0] @ slab.T
+            slab[at] = 0.0
+        # a pair sharing a term has a positive dot product
+        keep = gram >= cutoff if cutoff > 0 else gram > 0
+        i, j = np.nonzero(np.triu(keep, 1))
+        pairs.extend(zip((i + r0).tolist(), (j + r0).tolist()))
     return pairs
 
 

@@ -13,7 +13,7 @@ import re
 import numpy as np
 
 from newsforensics.classify.encoder import REQUIRED_FEATURES
-from newsforensics.sync import ContentMatch, QuarterSeries, SyncCluster
+from newsforensics.sync import _CANDIDATE_SLACK, ContentMatch, QuarterSeries, SyncCluster
 from newsforensics.tfidf import build_tfidf, cosine
 from newsforensics.timeline import (
     CohortHistogram,
@@ -349,6 +349,29 @@ def content_clusters_reference(matches) -> list:
     clusters = [SyncCluster(frozenset(s), frozenset(m)) for s, m in merged.values()]
     clusters.sort(key=lambda c: (min(c.months), sorted(c.sites)))
     return clusters
+
+
+def candidate_pairs_reference(vectors, threshold) -> list:
+    """Index pairs (i < j) whose dot product may reach the threshold,
+    sorted by i then j.
+
+    Dot products accumulate over an inverted index (term -> postings of
+    later documents) built from the last document back, so only pairs
+    sharing a term are ever visited.
+    """
+    cutoff = threshold - _CANDIDATE_SLACK
+    postings: dict[str, list[tuple[int, float]]] = {}
+    pairs = []
+    for i in range(len(vectors) - 1, -1, -1):
+        dots: dict[int, float] = {}
+        for term, w in vectors[i].items():
+            posting = postings.setdefault(term, [])
+            for j, wj in posting:
+                dots[j] = dots.get(j, 0.0) + w * wj
+            posting.append((i, w))
+        pairs.extend((i, j) for j in sorted(dots, reverse=True) if dots[j] >= cutoff)
+    pairs.reverse()
+    return pairs
 
 
 def public_suffix_reference(rule_lines, host):

@@ -441,8 +441,13 @@ class TestMalformedReadBackArtifacts:
              "manifest \"window\" is not a pair of months: ['2015-01']"),
             ({"window": [2015, 2016], "sites": {}},
              'manifest "window" is not a pair of months: [2015, 2016]'),
+            ({"cdx_failures": "a.com", "sites": {}},
+             "manifest \"cdx_failures\" is not a list of sites: 'a.com'"),
+            ({"cdx_failures": [1, None], "sites": {}},
+             'manifest "cdx_failures" is not a list of sites: [1, None]'),
         ],
-        ids=["list", "sites-list", "rows-object", "window-single", "window-ints"],
+        ids=["list", "sites-list", "rows-object", "window-single", "window-ints",
+             "cdx-failures-string", "cdx-failures-non-strings"],
     )
     @pytest.mark.parametrize("command", ["timeline", "report"])
     def test_misshapen_manifest_exits_2(self, tmp_path, command, manifest, reason):
@@ -451,6 +456,38 @@ class TestMalformedReadBackArtifacts:
         (out / "sites.json").write_text(json.dumps({"fake": ["a.com"], "real": []}))
         path.write_text(json.dumps(manifest))
         result = invoke(["--out", str(out), command])
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}: {reason}" in result.output
+
+
+    @pytest.mark.parametrize(
+        "name, content, reason",
+        [
+            ("lifetime_report.json", "{}", "missing key 'sites'"),
+            ("lifetime_report.json", '{"sites": 2, "lifetime": {"x": 1}, "histogram": {}}',
+             "'int' object is not subscriptable"),
+            ("sync_report.json", "{}", "missing key 'uptime_pairs'"),
+            ("sync_report.json",
+             '{"uptime_pairs": 3, "content_matches": [], "content_clusters": []}',
+             "'uptime_pairs' is not a list"),
+            ("tracker_report.json", "{}", "missing key 'distinct_trackers_fake'"),
+            ("tracker_report.json", "[]", "not an object: list"),
+            ("traffic_report.json", "{}", "missing key 'rows_loaded'"),
+            ("traffic_report.json", "not json", "Expecting value: line 1 column 1"),
+            ("classifier_report.json", "{}", "missing key 'model'"),
+            ("classifier_report.json", '{"model": "rf", "cross_validation": {}}',
+             "missing key 'f1'"),
+        ],
+        ids=["lifetime-empty", "lifetime-nested", "sync-empty", "sync-type", "tracker-empty",
+             "tracker-list", "traffic-empty", "traffic-not-json", "classifier-empty",
+             "classifier-nested"],
+    )
+    def test_bad_stage_report_exits_2(self, tmp_path, name, content, reason):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / name
+        path.write_text(content)
+        result = invoke(["--out", str(out), "report"])
         assert result.exit_code == 2, result.output
         assert f"error: {path}: {reason}" in result.output
 

@@ -1,10 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsforensics import sync
 from newsforensics.sync import (
     QuarterSeries,
     SyncCluster,
@@ -15,9 +17,12 @@ from newsforensics.sync import (
     quarterize,
 )
 from newsforensics.textproc import Preprocessor, default_preprocessor
+from newsforensics.tfidf import build_tfidf, cosine
 from newsforensics.timeline import MonthStamp, MonthlyTimeline, Quarter, SiteState
 
+import fixture_corpus
 from oracles import (
+    candidate_pairs_reference,
     content_clusters_reference,
     content_matches_reference,
     euclidean_reference,
@@ -404,3 +409,129 @@ def test_content_clusters_match_two_phase_reference():
         assert clusters == content_clusters_reference(matches)
         multi_month += sum(1 for c in clusters if len(c.months) > 1)
     assert multi_month >= 20
+
+
+def _random_month_vectors(rng):
+    """One month's TF-IDF vectors, sites in sorted order: copies, extended
+    copies, unrelated pages and empty documents over a small vocabulary,
+    or a ring of exact 0.5 cosines."""
+    if rng.random() < 0.1:
+        corpus = {site: text.split() for site, text in _ring_month(rng.randint(1, 4)).items()}
+    else:
+        vocab = WORDS[: rng.choice([5, 40, 150])]
+        base = [[rng.choice(vocab) for _ in range(rng.randint(1, 30))] for _ in range(3)]
+        corpus = {}
+        for k in range(rng.randint(1, 25)):
+            r = rng.random()
+            if r < 0.3:
+                tokens = list(rng.choice(base))
+            elif r < 0.5:
+                tokens = rng.choice(base) + [rng.choice(vocab) for _ in range(rng.randint(1, 20))]
+            elif r < 0.6:
+                tokens = []
+            else:
+                tokens = [rng.choice(vocab) for _ in range(rng.randint(1, 40))]
+            corpus[f"s{k:02d}.com"] = tokens
+    vectors = build_tfidf(corpus)
+    return [vectors[site] for site in sorted(vectors)]
+
+
+@pytest.mark.parametrize("row_block, col_block", [(1, 2), (2, 3), (3, 1), (128, 256)])
+def test_candidate_pairs_cover_every_pair_reaching_threshold(monkeypatch, row_block, col_block):
+    """Random months scored in many small blocks: every pair whose exact
+    cosine reaches the threshold is a candidate, also at thresholds on and
+    one ulp around an exact cosine, and every candidate shares a term."""
+    monkeypatch.setattr(sync, "_ROW_BLOCK", row_block)
+    monkeypatch.setattr(sync, "_COL_BLOCK", col_block)
+    rng = random.Random(61 + row_block * 7 + col_block)
+    on_threshold = 0
+    for _ in range(40):
+        vectors = _random_month_vectors(rng)
+        sims = {
+            (i, j): cosine(vectors[i], vectors[j])
+            for i in range(len(vectors))
+            for j in range(i + 1, len(vectors))
+        }
+        thresholds = {0.5, 1.0, rng.uniform(0.01, 0.99), 1e-12}
+        positive = sorted(set(sims.values()) - {0.0})
+        for sim in rng.sample(positive, min(4, len(positive))):
+            thresholds |= {sim, math.nextafter(sim, 0.0), min(1.0, math.nextafter(sim, 2.0))}
+        for threshold in sorted(thresholds):
+            candidates = sync._candidate_pairs(vectors, threshold)
+            assert candidates == sorted(set(candidates))
+            assert {pair for pair, sim in sims.items() if sim >= threshold} <= set(candidates)
+            assert all(i < j and vectors[i].keys() & vectors[j].keys() for i, j in candidates)
+            on_threshold += sum(1 for sim in sims.values() if sim == threshold)
+    assert on_threshold >= 50
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        {},
+        {"a.com": ["bakide"]},
+        {"a.com": ["bakide", "bakilo"], "b.com": ["bamude"], "c.com": []},
+        {"a.com": [], "b.com": []},
+    ],
+    ids=["empty", "single", "no-shared-term", "all-empty"],
+)
+def test_candidate_pairs_of_months_without_shared_terms(corpus, monkeypatch):
+    monkeypatch.setattr(sync, "_ROW_BLOCK", 1)
+    monkeypatch.setattr(sync, "_COL_BLOCK", 1)
+    vectors = list(build_tfidf(corpus).values()) if corpus else []
+    assert sync._candidate_pairs(vectors, 1e-12) == []
+    assert candidate_pairs_reference(vectors, 1e-12) == []
+
+
+@pytest.mark.parametrize("row_block, col_block", [(1, 2), (3, 1), (2, 3)])
+def test_content_matches_equal_postings_reference(tmp_path, monkeypatch, row_block, col_block):
+    """detect_content_sync reports the same matches whether its candidates
+    come from the blocked Gram product or from the postings loop."""
+    (tmp_path / "rules.txt").write_text("# none\n")
+    pre = Preprocessor(suffix_rules_path=tmp_path / "rules.txt")
+    rng = random.Random(67 + row_block + 5 * col_block)
+    matched = 0
+    for _ in range(20):
+        texts_by_month = {}
+        for offset in range(rng.randint(1, 3)):
+            vocab = WORDS[: rng.choice([8, 40, 400])]
+            pages = [" ".join(rng.choice(vocab) for _ in range(30)) for _ in range(3)]
+            texts_by_month[MonthStamp(2016, 1).plus(offset)] = {
+                f"s{k}.com": rng.choice(pages) if rng.random() < 0.4
+                else " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 40)))
+                for k in range(rng.randint(0, 14))
+            }
+        threshold = rng.choice([0.3, 0.5, 0.8, 1.0])
+        min_tokens = rng.choice([1, 10])
+        with monkeypatch.context() as m:
+            m.setattr(sync, "_candidate_pairs", candidate_pairs_reference)
+            expected = detect_content_sync(
+                texts_by_month, threshold=threshold, min_tokens=min_tokens, preprocessor=pre
+            )
+        monkeypatch.setattr(sync, "_ROW_BLOCK", row_block)
+        monkeypatch.setattr(sync, "_COL_BLOCK", col_block)
+        got = detect_content_sync(
+            texts_by_month, threshold=threshold, min_tokens=min_tokens, preprocessor=pre
+        )
+        assert got == expected
+        matched += len(expected[0])
+    assert matched >= 20
+
+
+def test_candidate_pairs_memory_bound():
+    """2,400 documents of 130 fixture words: the candidate search holds
+    blocks, never the 46 MB Gram matrix, and peaks at 28 MB or less."""
+    rng = random.Random(71)
+    corpus = {
+        f"s{k:04d}.com": [rng.choice(fixture_corpus.WORDS) for _ in range(130)]
+        for k in range(2400)
+    }
+    vectors = build_tfidf(corpus)
+    vectors = [vectors[site] for site in sorted(vectors)]
+    tracemalloc.start()
+    try:
+        sync._candidate_pairs(vectors, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * 2**20
