@@ -41,7 +41,11 @@ class PublicSuffixList:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PublicSuffixList":
-        return cls(Path(path).read_text("utf-8").splitlines(), source=path)
+        try:
+            text = Path(path).read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return cls(text.splitlines(), source=path)
 
     @classmethod
     def bundled(cls) -> "PublicSuffixList":

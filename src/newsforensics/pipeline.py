@@ -12,10 +12,11 @@ import hashlib
 import io
 import json
 import logging
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator
+from typing import IO, Iterator
 
 from . import archive as arch
 from . import sync as syncmod
@@ -29,7 +30,13 @@ from .classify import (
     train_classifier,
 )
 from .domains import PublicSuffixList, bundled_psl
-from .textproc import Preprocessor, default_preprocessor, extract_text
+# extract_text stays importable from here: perfbench/tracing.py wraps pipeline.extract_text
+from .textproc import (  # noqa: F401
+    Preprocessor,
+    default_preprocessor,
+    extract_text,
+    parse_page,
+)
 from .timeline import (
     MonthStamp,
     Quarter,
@@ -281,7 +288,14 @@ def load_site_lists(config: RunConfig) -> SiteLists:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(data, dict) or not {"fake", "real"} <= data.keys():
+    if not (
+        isinstance(data, dict)
+        and {"fake", "real"} <= data.keys()
+        and all(
+            isinstance(data[cohort], list) and all(isinstance(s, str) for s in data[cohort])
+            for cohort in ("fake", "real")
+        )
+    ):
         raise ValueError(f"{path}: expected an object with \"fake\" and \"real\" lists")
     return SiteLists(data["fake"], data["real"])
 
@@ -385,14 +399,93 @@ def _cached_pages(config: RunConfig, sites: set[str]):
     return (doc for doc in docs if doc.html)
 
 
+PAGE_URLS = "page_urls.jsonl"
+_PAGE_URL_FIELDS = {"sha256": str, "site": str, "timestamp": str, "urls": list}
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[IO[str]]:
+    """A text file written under a temporary name and moved onto ``path``
+    once complete, so a reader never sees a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def texts_by_month(config: RunConfig, sites: set[str]) -> dict:
-    """Extracted text per month per site from the snapshot cache (first capture wins)."""
+    """Extracted text per month per site from the snapshot cache (first capture wins).
+
+    The same parse gives each page's embedded URLs, streamed to
+    ``page_urls.jsonl`` (one row per parsed page, in (site, timestamp)
+    order, keyed by the body's sha256) for ``audit_trackers`` to reuse.
+    """
     texts: dict[MonthStamp, dict[str, str]] = {}
-    for doc in _cached_pages(config, sites):
-        per_month = texts.setdefault(doc.ref.month, {})
-        if doc.ref.site not in per_month:  # collapse to first capture per month
-            per_month[doc.ref.site] = extract_text(doc.html)
+    with _replacing(config.out / PAGE_URLS) as rows:
+        for doc in _cached_pages(config, sites):
+            per_month = texts.setdefault(doc.ref.month, {})
+            if doc.ref.site not in per_month:  # collapse to first capture per month
+                per_month[doc.ref.site], urls = parse_page(doc.html)
+                row = {"sha256": hashlib.sha256(doc.html).hexdigest(), "site": doc.ref.site,
+                       "timestamp": doc.ref.timestamp, "urls": urls}
+                rows.write(json.dumps(row, sort_keys=True) + "\n")
     return texts
+
+
+def _read_page_urls(path: Path) -> Iterator[tuple[tuple[str, str], str, list[str]]]:
+    """``((site, timestamp), sha256, urls)`` per row of a ``page_urls.jsonl``;
+    nothing if the file does not exist.  Bad JSON, a wrong shape or type,
+    or rows not in strictly increasing (site, timestamp) order raise
+    ValueError naming the file and the line."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        previous = None
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict) or row.keys() != _PAGE_URL_FIELDS.keys():
+                    raise ValueError(f"expected an object with keys {sorted(_PAGE_URL_FIELDS)}")
+                for key, kind in _PAGE_URL_FIELDS.items():
+                    if not isinstance(row[key], kind):
+                        raise ValueError(f"{key!r} is not a {kind.__name__}")
+                if not all(isinstance(url, str) for url in row["urls"]):
+                    raise ValueError("'urls' is not a list of strings")
+                page = (row["site"], row["timestamp"])
+                if previous is not None and page <= previous:
+                    raise ValueError(f"row {page} does not follow row {previous}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            previous = page
+            yield page, row["sha256"], row["urls"]
+
+
+def _pages_with_urls(config: RunConfig, sites: set[str]):
+    """``_cached_pages`` each with the URLs that ``sync`` recorded for its
+    body in ``page_urls.jsonl``, or None where it recorded none.
+
+    A merge of the two (site, timestamp)-ordered streams, so memory does
+    not grow with the number of rows.  Every row is read and checked.
+    """
+    rows = _read_page_urls(config.out / PAGE_URLS)
+    row = next(rows, None)
+    for doc in _cached_pages(config, sites):
+        page = (doc.ref.site, doc.ref.timestamp)
+        while row is not None and row[0] < page:
+            row = next(rows, None)
+        recorded = (
+            row is not None and row[0] == page
+            and row[1] == hashlib.sha256(doc.html).hexdigest()
+        )
+        yield doc, row[2] if recorded else None
+    for _ in rows:
+        pass
 
 
 def detect_sync(config: RunConfig, distances_csv: str | None = None) -> dict:
@@ -446,7 +539,7 @@ def detect_sync(config: RunConfig, distances_csv: str | None = None) -> dict:
     write_run_manifest(
         config, "sync",
         [timelines_path, config.out / "crawl_manifest.json"],
-        [config.out / "sync_report.json"],
+        [config.out / "sync_report.json", config.out / PAGE_URLS],
     )
     if distances_csv:
         export_distance_matrix(series, Path(distances_csv))
@@ -465,15 +558,22 @@ def export_distance_matrix(series: list[syncmod.QuarterSeries], path: Path) -> N
 def audit_trackers(config: RunConfig) -> dict:
     if not config.filter_list:
         raise ValueError("a filter_list path is required for the tracker audit")
-    filter_text = Path(config.filter_list).read_text()
+    try:
+        filter_text = Path(config.filter_list).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{config.filter_list}: {exc}") from None
     parsed = trk.parse_filter_list(filter_text)
     psl = config.psl()
     lists = load_site_lists(config)
     fake = set(lists.fake)
     fake_hits, real_hits = [], []
-    for doc in _cached_pages(config, fake | set(lists.real)):
+    hosts: dict[str, str | None] = {}  # host -> registrable domain, for recorded URLs
+    for doc, urls in _pages_with_urls(config, fake | set(lists.real)):
         hits = fake_hits if doc.ref.site in fake else real_hits
-        third_parties = trk.extract_third_parties(doc.html, doc.ref.site, psl=psl)
+        if urls is None:
+            third_parties = trk.extract_third_parties(doc.html, doc.ref.site, psl=psl)
+        else:
+            third_parties = trk.third_party_domains(urls, doc.ref.site, psl, hosts)
         for domain in sorted(trk.match_trackers(third_parties, parsed.rules)):
             hits.append(trk.ThirdPartyHit(doc.ref.site, doc.ref.month, domain))
     window = config.month_window

@@ -93,7 +93,10 @@ def _load_lines(path: str | Path | None, default_resource: str) -> list[tuple[in
             "utf-8"
         )
     else:
-        text = Path(path).read_text("utf-8")
+        try:
+            text = Path(path).read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return [
         (lineno, line)
         for lineno, line in enumerate(text.splitlines(), 1)

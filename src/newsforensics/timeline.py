@@ -377,27 +377,30 @@ Annotations = dict[str, dict[MonthStamp, list[SiteState]]]
 def read_annotations(path: str | Path) -> Annotations:
     """Load a ``domain,year,month,state`` CSV of human/imported month labels."""
     out: Annotations = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"domain", "year", "month", "state"}
-        missing = required - set(reader.fieldnames or [])
-        if missing:
-            raise ValueError(f"{path}: annotation CSV missing columns: {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                short = sorted(c for c in required if row[c] is None)
-                if short:
-                    raise ValueError(f"row too short, no {', '.join(short)}")
-                state = row["state"].strip().lower()
-                if state not in _ANNOTATION_STATES:
-                    raise ValueError(f"unknown state {row['state']!r}")
-                site = normalize_site(row["domain"])
-                month = MonthStamp(int(row["year"]), int(row["month"]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            out.setdefault(site, {}).setdefault(month, []).append(
-                _ANNOTATION_STATES[state]
-            )
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            required = {"domain", "year", "month", "state"}
+            missing = required - set(reader.fieldnames or [])
+            if missing:
+                raise ValueError(f"{path}: annotation CSV missing columns: {sorted(missing)}")
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    short = sorted(c for c in required if row[c] is None)
+                    if short:
+                        raise ValueError(f"row too short, no {', '.join(short)}")
+                    state = row["state"].strip().lower()
+                    if state not in _ANNOTATION_STATES:
+                        raise ValueError(f"unknown state {row['state']!r}")
+                    site = normalize_site(row["domain"])
+                    month = MonthStamp(int(row["year"]), int(row["month"]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                out.setdefault(site, {}).setdefault(month, []).append(
+                    _ANNOTATION_STATES[state]
+                )
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return out
 
 

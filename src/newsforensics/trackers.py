@@ -95,23 +95,28 @@ def unwrap_archive_url(url: str) -> str:
         url = url[m.end() :]
 
 
-def extract_third_parties(
-    html: bytes | str,
+def third_party_domains(
+    urls: Iterable[str],
     first_party: str,
     psl: PublicSuffixList | None = None,
+    hosts: dict[str, str | None] | None = None,
 ) -> set[str]:
-    """Registrable domains of embedded third-party resources.
+    """Registrable domains of the third parties that ``urls`` point to.
 
-    Scans src/href/data-src attributes and inline ``url(...)``
-    references; absolute and protocol-relative URLs only.  Hosts are
-    reduced to registrable domains and the first party's own domain is
-    dropped.
+    Only absolute and protocol-relative URLs count, archive-rewritten
+    ones unwrapped.  Hosts are reduced to registrable domains and the
+    first party's own domain is dropped.  ``hosts`` maps each host seen
+    so far to its registrable domain; callers auditing many pages pass
+    one dict to all of them.  It belongs to the caller, never to the
+    (possibly process-wide) suffix list.
     """
     psl = psl or bundled_psl()
+    if hosts is None:
+        hosts = {}
     own = psl.registrable_domain(first_party) or first_party.lower()
 
     found: set[str] = set()
-    for raw in parse_page(html)[1]:
+    for raw in urls:
         url = unwrap_archive_url(raw.strip())
         if url.startswith("//"):
             url = "http:" + url
@@ -123,10 +128,26 @@ def extract_third_parties(
             continue
         if not host:
             continue
-        domain = psl.registrable_domain(host)
+        try:
+            domain = hosts[host]
+        except KeyError:
+            domain = hosts[host] = psl.registrable_domain(host)
         if domain and domain != own:
             found.add(domain)
     return found
+
+
+def extract_third_parties(
+    html: bytes | str,
+    first_party: str,
+    psl: PublicSuffixList | None = None,
+) -> set[str]:
+    """Registrable domains of embedded third-party resources.
+
+    ``third_party_domains`` of the page's src/href/data-src attributes
+    and inline ``url(...)`` references (see ``parse_page``).
+    """
+    return third_party_domains(parse_page(html)[1], first_party, psl)
 
 
 def match_trackers(domains: Iterable[str], rules: Iterable[FilterRule]) -> set[str]:

@@ -168,32 +168,35 @@ def load_profiles(
     ]
     rows: list[tuple[int, dict]] = []
     errors: list[RowError] = []
-    if not json_lines:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = set(reader.fieldnames or [])
-            for col in required:
-                if col not in header:
-                    raise ValueError(f"{path}: missing required column: {col}")
-            rows = [(i, row) for i, row in enumerate(reader, start=2)]
-    else:
-        with open(path, encoding="utf-8") as fh:
-            for i, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError as exc:
-                    errors.append(RowError(i, "?", f"not valid JSON: {exc}"))
-                    continue
-                if not isinstance(rec, dict):
-                    errors.append(RowError(i, "?", f"not a JSON object: {line[:40]}"))
-                    continue
+    try:
+        if not json_lines:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
+                header = set(reader.fieldnames or [])
                 for col in required:
-                    if col not in rec:
-                        raise ValueError(f"{path}:{i}: missing required column: {col}")
-                rows.append((i, rec))
+                    if col not in header:
+                        raise ValueError(f"{path}: missing required column: {col}")
+                rows = [(i, row) for i, row in enumerate(reader, start=2)]
+        else:
+            with open(path, encoding="utf-8") as fh:
+                for i, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        rec = json.loads(line)
+                    except ValueError as exc:
+                        errors.append(RowError(i, "?", f"not valid JSON: {exc}"))
+                        continue
+                    if not isinstance(rec, dict):
+                        errors.append(RowError(i, "?", f"not a JSON object: {line[:40]}"))
+                        continue
+                    for col in required:
+                        if col not in rec:
+                            raise ValueError(f"{path}:{i}: missing required column: {col}")
+                    rows.append((i, rec))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
     profiles = []
     for line, row in rows:

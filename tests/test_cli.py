@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from newsforensics.classify import MODEL_KINDS
 from newsforensics.cli import classify, main
 from newsforensics.timeline import MonthStamp
 
-from fixture_corpus import DEAD_SITE, FAKE_SITES, build_corpus, serve
+from fixture_corpus import DEAD_SITE, FAKE_SITES, REAL_SITES, build_corpus, serve
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +335,37 @@ class TestMalformedInputs:
         assert f"error: {rules}:2: bad suffix rule: " in result.output
 
 
+class TestUndecodableInputs:
+    """An input file that is not UTF-8 stops the command with exit code 2,
+    naming the file."""
+
+    @pytest.mark.parametrize(
+        "name, content, args",
+        [
+            ("filters.txt", b"||tr\xe9cker.com^\n", ["trackers", "--filter-list", "{bad}"]),
+            ("traffic.csv", b"domain,label\ntr\xe9.com,fake\n", ["stats", "--traffic", "{bad}"]),
+            ("traffic.jsonl", b'{"domain": "tr\xe9.com"}\n', ["stats", "--traffic", "{bad}"]),
+            ("ann.csv", b"domain,year,month,state\ntr\xe9.com,2015,1,alive\n",
+             ["timeline", "--annotations", "{bad}"]),
+            ("psl.dat", b"com\ntr\xe9\n",
+             ["trackers", "--filter-list", "{filters}", "--public-suffix-list", "{bad}"]),
+            ("rules.txt", b"x\xe9 y\n",
+             ["sync", "--quarters", "2015-Q1", "2015-Q4", "--suffix-rules", "{bad}"]),
+        ],
+        ids=["filter-list", "traffic-csv", "traffic-jsonl", "annotations", "suffix-list",
+             "suffix-rules"],
+    )
+    def test_names_the_file(self, corpus, tmp_path, name, content, args):
+        out = tmp_path / "out"
+        write_sync_inputs(out, ['{"site": "a.com", "start": "2015-01", "states": "AAA"}'])
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        args = [a.format(bad=bad, filters=corpus.filter_list) for a in args]
+        result = invoke(["--out", str(out)] + args)
+        assert result.exit_code == 2, result.output
+        assert f"error: {bad}: 'utf-8' codec can't decode byte 0xe9" in result.output
+
+
 def write_sync_inputs(out: Path, rows: list[str]) -> Path:
     """A timelines_interpolated.jsonl of raw lines plus an empty crawl manifest."""
     out.mkdir(parents=True, exist_ok=True)
@@ -418,6 +450,26 @@ class TestMalformedReadBackArtifacts:
             result.output
         )
 
+
+    @pytest.mark.parametrize(
+        "sites_json",
+        [{"fake": 3, "real": []}, {"fake": ["a.com"], "real": "b.com"},
+         {"fake": ["a.com"], "real": [1]}],
+        ids=["int", "string", "list-of-int"],
+    )
+    @pytest.mark.parametrize("command", ["timeline", "report"])
+    def test_sites_json_with_a_cohort_that_is_not_a_list_of_sites_exits_2(
+        self, tmp_path, command, sites_json
+    ):
+        out = tmp_path / "out"
+        self.write_manifest(out, [self.ROW])
+        sites = out / "sites.json"
+        sites.write_text(json.dumps(sites_json))
+        result = invoke(["--out", str(out), command])
+        assert result.exit_code == 2, result.output
+        assert f"error: {sites}: expected an object with \"fake\" and \"real\" lists" in (
+            result.output
+        )
 
     @pytest.mark.parametrize("command", ["timeline", "report"])
     def test_sites_json_that_is_not_json_exits_2(self, tmp_path, command):
@@ -653,6 +705,122 @@ class TestFullPipeline:
         result = invoke(["--seed", "7", "--out", str(pipeline_out), "report"])
         assert result.exit_code == 0
         assert (pipeline_out / "summary.json").read_bytes() == before
+
+
+@pytest.fixture(scope="module")
+def synced_out(corpus, tmp_path_factory):
+    """An output directory after ingest-lists, crawl, timeline and sync over
+    both cohorts: page_urls.jsonl holds a row for every cached page."""
+    out = tmp_path_factory.mktemp("synced") / "out"
+    common = ["--seed", "7", "--out", str(out)]
+    with serve(corpus) as (base_url, _):
+        for args in (
+            ["ingest-lists", "--fake", str(corpus.fake_list), "--real", str(corpus.real_list)],
+            ["crawl", "--window", "2015-01", "2017-12", "--rate-limit", "0",
+             "--cdx-base", base_url, "--web-base", base_url],
+            ["timeline", "--annotations", str(corpus.annotations), "--window", "2015-01",
+             "2017-12", "--cohort", "all"],
+            ["sync", "--quarters", "2015-Q1", "2017-Q4"],
+        ):
+            result = invoke(common + args)
+            assert result.exit_code == 0, (args, result.output)
+    return out
+
+
+def page_url_rows(out: Path) -> list[dict]:
+    return [json.loads(line) for line in (out / "page_urls.jsonl").read_text().splitlines()]
+
+
+class TestPageUrls:
+    """trackers reuses the URLs that sync's parse recorded in page_urls.jsonl."""
+
+    def copy(self, synced_out: Path, tmp_path: Path) -> Path:
+        out = tmp_path / "out"
+        shutil.copytree(synced_out, out)
+        return out
+
+    def test_sync_records_every_parsed_page_and_lists_the_file(self, synced_out):
+        rows = page_url_rows(synced_out)
+        assert {row["site"] for row in rows} == set(FAKE_SITES + REAL_SITES) - {DEAD_SITE}
+        assert [(r["site"], r["timestamp"]) for r in rows] == sorted(
+            (r["site"], r["timestamp"]) for r in rows
+        )
+        manifest = json.loads((synced_out / "manifests" / "sync.json").read_text())
+        assert manifest["outputs"] == ["page_urls.jsonl", "sync_report.json"]
+
+    def test_tracker_report_does_not_depend_on_page_urls(self, synced_out, corpus, tmp_path):
+        out = self.copy(synced_out, tmp_path)
+        common = ["--seed", "7", "--out", str(out)]
+        path = out / "page_urls.jsonl"
+        reports = {}
+
+        def trackers(case):
+            result = invoke(common + ["trackers", "--filter-list", str(corpus.filter_list)])
+            assert result.exit_code == 0, (case, result.output)
+            reports[case] = (out / "tracker_report.json").read_bytes()
+
+        trackers("after sync")
+        rows = page_url_rows(out)
+        path.unlink()
+        trackers("no page_urls.jsonl")
+        path.write_text("".join(
+            json.dumps(row | {"sha256": "0" * 64}, sort_keys=True) + "\n" for row in rows
+        ))
+        trackers("every digest altered")
+        for args in (["timeline", "--annotations", str(corpus.annotations),
+                      "--window", "2015-01", "2017-12"],
+                     ["sync", "--quarters", "2015-Q1", "2017-Q4"]):
+            assert invoke(common + args).exit_code == 0, args
+        assert {row["site"] for row in page_url_rows(out)} == set(FAKE_SITES) - {DEAD_SITE}
+        trackers("sync on the fake cohort")
+        assert len(set(reports.values())) == 1, sorted(reports)
+
+    @staticmethod
+    def edit(rows: list[str], index: int, **changes) -> list[str]:
+        row = json.loads(rows[index])
+        for key, value in changes.items():
+            if value is None:
+                del row[key]
+            else:
+                row[key] = value
+        rows[index] = json.dumps(row)
+        return rows
+
+    KEYS = "expected an object with keys ['sha256', 'site', 'timestamp', 'urls']"
+    FIRST = "row ('copy1.com', '20150915120000')"  # the first page's (site, timestamp)
+
+    @pytest.mark.parametrize(
+        "corrupt, line, reason",
+        [
+            (lambda rows: rows[:1] + [rows[1][:-1]] + rows[2:], 2, "Expecting ',' delimiter"),
+            (lambda rows: rows[:2] + ["[]"] + rows[3:], 3, KEYS),
+            (lambda rows: TestPageUrls.edit(rows, 0, urls=None), 1, KEYS),
+            (lambda rows: TestPageUrls.edit(rows, 0, text="x"), 1, KEYS),
+            (lambda rows: TestPageUrls.edit(rows, 1, site=3), 2, "'site' is not a str"),
+            (lambda rows: TestPageUrls.edit(rows, 1, urls="https://t.com/"), 2,
+             "'urls' is not a list"),
+            (lambda rows: TestPageUrls.edit(rows, 1, urls=[1]), 2,
+             "'urls' is not a list of strings"),
+            (lambda rows: [rows[1], rows[0]] + rows[2:], 2, FIRST + " does not follow row"),
+            (lambda rows: rows[:1] + rows[:1] + rows[2:], 2, FIRST + " does not follow row"),
+            (lambda rows: rows + ['{"sha256": "", "site": "zz.com", "timestamp": "1", '
+                                  '"urls": {}}'], "last", "'urls' is not a list"),
+            (lambda rows: rows[:1] + ['{"site": "tr\udce9.com"}'] + rows[2:], 2,
+             "'utf-8' codec can't decode byte 0xe9"),
+        ],
+        ids=["json", "not-object", "missing-key", "extra-key", "site-type", "urls-type",
+             "url-type", "out-of-order", "repeated", "after-last-page", "not-utf8"],
+    )
+    def test_malformed_rows_exit_2(self, synced_out, corpus, tmp_path, corrupt, line, reason):
+        out = self.copy(synced_out, tmp_path)
+        path = out / "page_urls.jsonl"
+        rows = corrupt(path.read_text().splitlines())
+        path.write_bytes("".join(row + "\n" for row in rows).encode("utf-8", "surrogateescape"))
+        line = len(rows) if line == "last" else line
+        result = invoke(["--out", str(out), "trackers", "--filter-list", str(corpus.filter_list)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}:{line}: {reason}" in result.output
+        assert not (out / "tracker_report.json").exists()
 
 
 class TestEndToEndDeterminism:

@@ -22,6 +22,7 @@ from newsforensics.trackers import (
     parse_filter_list,
     prevalence_timeline,
     serialize_rule,
+    third_party_domains,
     unwrap_archive_url,
 )
 
@@ -297,6 +298,36 @@ class TestExtractThirdParties:
         got = extract_third_parties(html, "example.com")
         assert "example.com" not in got
         assert got == {"example.org"}
+
+
+class TestThirdPartyDomains:
+    URLS = ["https://www.google-analytics.com/ga.js", "//px.google-analytics.com/p.gif",
+            "https://cdn.example.com/x.js", "/local.png", "https://t.example.org/y.js"]
+
+    def test_shared_hosts_resolve_each_host_once(self):
+        looked_up = []
+
+        class CountingPSL(PublicSuffixList):
+            def registrable_domain(self, host):
+                looked_up.append(host)
+                return super().registrable_domain(host)
+
+        psl = CountingPSL.bundled()
+        hosts = {}
+        first = third_party_domains(self.URLS, "example.com", psl, hosts)
+        assert first == {"google-analytics.com", "example.org"}
+        assert third_party_domains(self.URLS, "example.org", psl, hosts) == {
+            "google-analytics.com", "example.com"}
+        assert hosts == {"www.google-analytics.com": "google-analytics.com",
+                         "px.google-analytics.com": "google-analytics.com",
+                         "cdn.example.com": "example.com", "t.example.org": "example.org"}
+        # the two first parties, and each URL host once
+        assert sorted(looked_up) == sorted(["example.com", "example.org", *hosts])
+
+    def test_equals_extract_third_parties_of_the_page(self):
+        html = "".join(f'<script src="{url}"></script>' for url in self.URLS)
+        assert third_party_domains(self.URLS, "news.org") == extract_third_parties(
+            html, "news.org")
 
 
 class TestMatchTrackers:
