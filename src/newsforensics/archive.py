@@ -155,6 +155,14 @@ def _manifest_entry(site: str, row) -> ManifestEntry:
     missing = [key for key in _MANIFEST_ROW_KEYS if key not in row]
     if missing:
         raise ValueError(f"manifest row of {site} lacks {', '.join(missing)}: {row!r}")
+    wrong = [key for key, ok in (
+        ("timestamp", isinstance(row["timestamp"], str)),
+        ("original_url", isinstance(row["original_url"], str)),
+        ("status_code", row["status_code"] is None or type(row["status_code"]) is int),
+        ("fetch_status", row["fetch_status"] in (FETCHED, FAILED)),
+    ) if not ok]
+    if wrong:
+        raise ValueError(f"manifest row of {site} has a bad {', '.join(wrong)}: {row!r}")
     return ManifestEntry(
         ref=SnapshotRef(
             site=site,

@@ -140,26 +140,27 @@ class RunConfig:
     def from_sources(cls, config_file: str | None, env: dict, overrides: dict) -> "RunConfig":
         values: dict = {}
         if config_file:
-            loaded = json.loads(Path(config_file).read_text())
-            known = {f.name for f in fields(cls)}
-            unknown = set(loaded) - known
-            if unknown:
-                raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            values.update(loaded)
+            with _read_json(Path(config_file)) as loaded:
+                unknown = set(loaded) - {f.name for f in fields(cls)}
+                if unknown:
+                    raise ValueError(f"unknown config keys: {sorted(unknown)}")
+                values.update(loaded)
         for f in fields(cls):
             env_key = f"NEWSFORENSICS_{f.name.upper()}"
             if env_key in env:
                 values[f.name] = env[env_key]
         values.update({k: v for k, v in overrides.items() if v is not None})
-        # coerce strings coming from env/JSON to the declared types
+        # coerce env/JSON strings to the declared types (``f.type`` is the annotation's text)
+        numbers = {"int": int, "float": float}
         for f in fields(cls):
-            if f.name in values and values[f.name] is not None:
-                if f.type in ("int", int):
-                    values[f.name] = int(values[f.name])
-                elif f.type in ("float", float):
-                    values[f.name] = float(values[f.name])
-                elif f.type in ("bool", bool) and isinstance(values[f.name], str):
-                    values[f.name] = values[f.name].strip().lower() in ("1", "true", "yes")
+            value = values.get(f.name)
+            try:
+                if value is not None and f.type in numbers:
+                    values[f.name] = numbers[f.type](value)
+                elif f.type == "bool" and isinstance(value, str):
+                    values[f.name] = value.strip().lower() in ("1", "true", "yes")
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{f.name!r}: {exc}") from None
         return cls(**values)
 
 
@@ -175,6 +176,36 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     path.write_text(buf.getvalue())
+
+
+def _check(obj, shape: dict) -> None:
+    """Raises TypeError or KeyError unless ``obj`` is a JSON object holding
+    each key of ``shape`` with that key's type; ``[str]`` means a list of
+    strings."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"not an object: {type(obj).__name__}")
+    for key, kind in shape.items():
+        strings = kind == [str]
+        value = obj[key]
+        if not isinstance(value, list if strings else kind):
+            raise TypeError(f"{key!r} is not a {'list' if strings else kind.__name__}")
+        if strings and not all(isinstance(item, str) for item in value):
+            raise TypeError(f"{key!r} is not a list of strings")
+
+
+@contextmanager
+def _read_json(path: Path, **shape) -> Iterator[dict]:
+    """The JSON object in ``path``, checked against ``shape`` (see ``_check``).
+    Bad JSON, a wrong shape, or a missing key or wrong type met while the
+    caller reads nested values raise ValueError naming the file."""
+    try:
+        obj = json.loads(path.read_text())
+        _check(obj, shape)
+        yield obj
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _sha256(path: Path) -> str:
@@ -283,21 +314,9 @@ def ingest_lists(config: RunConfig) -> SiteLists:
 
 
 def load_site_lists(config: RunConfig) -> SiteLists:
-    path = _require(config.out / "sites.json", "ingest-lists")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not (
-        isinstance(data, dict)
-        and {"fake", "real"} <= data.keys()
-        and all(
-            isinstance(data[cohort], list) and all(isinstance(s, str) for s in data[cohort])
-            for cohort in ("fake", "real")
-        )
-    ):
-        raise ValueError(f"{path}: expected an object with \"fake\" and \"real\" lists")
-    return SiteLists(data["fake"], data["real"])
+    with _read_json(_require(config.out / "sites.json", "ingest-lists"),
+                    fake=[str], real=[str]) as data:
+        return SiteLists(data["fake"], data["real"])
 
 
 def crawl(config: RunConfig, client: arch.WaybackClient | None = None) -> arch.CrawlManifest:
@@ -400,7 +419,7 @@ def _cached_pages(config: RunConfig, sites: set[str]):
 
 
 PAGE_URLS = "page_urls.jsonl"
-_PAGE_URL_FIELDS = {"sha256": str, "site": str, "timestamp": str, "urls": list}
+_PAGE_URL_FIELDS = {"sha256": str, "site": str, "timestamp": str, "urls": [str]}
 
 
 @contextmanager
@@ -452,15 +471,11 @@ def _read_page_urls(path: Path) -> Iterator[tuple[tuple[str, str], str, list[str
                 row = json.loads(line)
                 if not isinstance(row, dict) or row.keys() != _PAGE_URL_FIELDS.keys():
                     raise ValueError(f"expected an object with keys {sorted(_PAGE_URL_FIELDS)}")
-                for key, kind in _PAGE_URL_FIELDS.items():
-                    if not isinstance(row[key], kind):
-                        raise ValueError(f"{key!r} is not a {kind.__name__}")
-                if not all(isinstance(url, str) for url in row["urls"]):
-                    raise ValueError("'urls' is not a list of strings")
+                _check(row, _PAGE_URL_FIELDS)
                 page = (row["site"], row["timestamp"])
                 if previous is not None and page <= previous:
                     raise ValueError(f"row {page} does not follow row {previous}")
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             previous = page
             yield page, row["sha256"], row["urls"]
@@ -688,38 +703,87 @@ def classify(
 # ---------------------------------------------------------------------------
 # consolidated report
 
-def _ecdf_rows(metric: str, per_label: dict) -> list:
-    rows = []
-    for label in sorted(per_label):
-        for value, fraction in per_label[label]:
-            rows.append([metric, label, value, fraction])
-    return rows
+def _ecdf_rows(table: dict, metrics) -> list:
+    """``[metric, label, value, fraction]`` rows of the ECDFs that ``table``
+    holds under ``metrics``, labels in sorted order."""
+    return [
+        [metric, label, value, fraction]
+        for metric in metrics if metric in table
+        for label in sorted(table[metric])
+        for value, fraction in table[metric][label]
+    ]
 
 
-@contextmanager
-def _stage_report(path: Path, **shape: type) -> Iterator[dict]:
-    """A stage report read back as a JSON object holding each key of ``shape``
-    with its type.  Bad JSON, a missing key or a wrong type, also one met
-    while the caller reads the report's nested values, raise ValueError
-    naming the file."""
-    try:
-        report = json.loads(path.read_text())
-        if not isinstance(report, dict):
-            raise TypeError(f"not an object: {type(report).__name__}")
-        for key, kind in shape.items():
-            if not isinstance(report[key], kind):
-                raise TypeError(f"{key!r} is not a {kind.__name__}")
-        yield report
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+def _timeline_section(report: dict):
+    lifetime = report["lifetime"]
+    return {
+        "sites": report["sites"],
+        "median_months": {metric: stats["median_months"] for metric, stats in lifetime.items()},
+    }, [
+        ("state_histogram.csv", ["month", "alive", "zombie", "dead"],
+         zip(*(report["histogram"]["p2"][key] for key in ("months", "alive", "zombie", "dead")))),
+        ("lifetime_cdf.csv", ["metric", "months", "fraction"],
+         [[metric, int(months), fraction] for metric, stats in lifetime.items()
+          for months, fraction in traf.ecdf(stats["values"])]),
+    ]
+
+
+def _trackers_section(report: dict):
+    prevalence = report["prevalence"]
+    return {
+        "distinct_trackers_fake": len(report["distinct_trackers_fake"]),
+        "top_prevalence": [s["tracker"] for s in prevalence],
+    }, [
+        ("tracker_prevalence.csv", ["tracker", "month", "sites"],
+         [[s["tracker"], month, count] for s in prevalence
+          for month, count in zip(s["months"], s["site_counts"])]),
+        ("tracker_coverage.csv", ["tracker", "fake_fraction", "real_fraction"],
+         [[tracker, cov["fake"], cov["real"]]
+          for tracker, cov in sorted(report["coverage"].items())]),
+    ]
+
+
+def _traffic_section(report: dict):
+    ecdfs = report["ecdfs"]
+    return {"rows": report["rows_loaded"], "rejected": len(report["rows_rejected"])}, [
+        ("traffic_sources_ecdf.csv", ["source", "label", "percent", "fraction"],
+         _ecdf_rows(ecdfs, [m for m in sorted(ecdfs) if m.startswith("src_")])),
+        *(
+            (filename, [metric, "label", "value", "fraction"], _ecdf_rows(ecdfs, [metric]))
+            for metric, filename in (("visit_duration_s", "visit_duration_ecdf.csv"),
+                                     ("bounce_rate", "bounce_rate_ecdf.csv"))
+            if metric in ecdfs
+        ),
+        ("links_ecdf.csv", ["metric", "label", "value", "fraction"],
+         _ecdf_rows(ecdfs, ["backlinks", "referring_domains"])),
+        ("edu_gov_ratios_ecdf.csv", ["ratio", "label", "value", "fraction"],
+         _ecdf_rows(report["ratio_ecdfs"], sorted(report["ratio_ecdfs"]))),
+    ]
+
+
+# One row per stage report that ``report`` reads back: file name, summary
+# section, top-level shape, and report -> (section, [(plot CSV, header, rows)]).
+_STAGE_REPORTS = (
+    ("lifetime_report.json", "timeline", {"sites": int, "lifetime": dict, "histogram": dict},
+     _timeline_section),
+    ("sync_report.json", "sync",
+     {"uptime_pairs": list, "content_matches": list, "content_clusters": list},
+     lambda report: ({key: len(report[key]) for key in
+                      ("uptime_pairs", "content_matches", "content_clusters")}, [])),
+    ("tracker_report.json", "trackers",
+     {"distinct_trackers_fake": list, "prevalence": list, "coverage": dict}, _trackers_section),
+    ("traffic_report.json", "traffic",
+     {"rows_loaded": int, "rows_rejected": list, "ecdfs": dict, "ratio_ecdfs": dict},
+     _traffic_section),
+    ("classifier_report.json", "classifier", {"model": str, "cross_validation": dict},
+     lambda report: ({"model": report["model"], "f1": report["cross_validation"]["f1"],
+                      "auc": report["cross_validation"]["auc"]}, [])),
+)
 
 
 def consolidated_report(config: RunConfig) -> dict:
     """summary.json plus per-figure plot CSVs from whatever reports exist."""
     out = config.out
-    plots = out / "plots"
     sections: dict[str, dict] = {}
 
     sites_path = out / "sites.json"
@@ -738,116 +802,12 @@ def consolidated_report(config: RunConfig) -> dict:
             "failed": sum(1 for e in entries if e.fetch_status == arch.FAILED),
         }
 
-    lifetime_path = out / "lifetime_report.json"
-    if lifetime_path.exists():
-        with _stage_report(lifetime_path, sites=int, lifetime=dict, histogram=dict) as lifetime:
-            sections["timeline"] = {
-                "sites": lifetime["sites"],
-                "median_months": {
-                    metric: stats["median_months"]
-                    for metric, stats in lifetime["lifetime"].items()
-                },
-            }
-            hist = lifetime["histogram"]["p2"]
-            write_csv(
-                plots / "state_histogram.csv",
-                ["month", "alive", "zombie", "dead"],
-                zip(hist["months"], hist["alive"], hist["zombie"], hist["dead"]),
-            )
-            rows = [
-                [metric, int(months), fraction]
-                for metric, stats in lifetime["lifetime"].items()
-                for months, fraction in traf.ecdf(stats["values"])
-            ]
-            write_csv(plots / "lifetime_cdf.csv", ["metric", "months", "fraction"], rows)
-
-    sync_path = out / "sync_report.json"
-    if sync_path.exists():
-        with _stage_report(sync_path, uptime_pairs=list, content_matches=list,
-                           content_clusters=list) as sync_report:
-            sections["sync"] = {
-                "uptime_pairs": len(sync_report["uptime_pairs"]),
-                "content_matches": len(sync_report["content_matches"]),
-                "content_clusters": len(sync_report["content_clusters"]),
-            }
-
-    tracker_path = out / "tracker_report.json"
-    if tracker_path.exists():
-        with _stage_report(tracker_path, distinct_trackers_fake=list, prevalence=list,
-                           coverage=dict) as tracker_report:
-            sections["trackers"] = {
-                "distinct_trackers_fake": len(tracker_report["distinct_trackers_fake"]),
-                "top_prevalence": [
-                    s["tracker"] for s in tracker_report["prevalence"]
-                ],
-            }
-            rows = []
-            for s in tracker_report["prevalence"]:
-                for month, count in zip(s["months"], s["site_counts"]):
-                    rows.append([s["tracker"], month, count])
-            write_csv(plots / "tracker_prevalence.csv", ["tracker", "month", "sites"], rows)
-            write_csv(
-                plots / "tracker_coverage.csv",
-                ["tracker", "fake_fraction", "real_fraction"],
-                [
-                    [tracker, cov["fake"], cov["real"]]
-                    for tracker, cov in sorted(tracker_report["coverage"].items())
-                ],
-            )
-
-    traffic_path = out / "traffic_report.json"
-    if traffic_path.exists():
-        with _stage_report(traffic_path, rows_loaded=int, rows_rejected=list, ecdfs=dict,
-                           ratio_ecdfs=dict) as traffic_report:
-            sections["traffic"] = {
-                "rows": traffic_report["rows_loaded"],
-                "rejected": len(traffic_report["rows_rejected"]),
-            }
-            ecdfs = traffic_report["ecdfs"]
-            source_rows = []
-            for metric in sorted(ecdfs):
-                if metric.startswith("src_"):
-                    source_rows.extend(_ecdf_rows(metric, ecdfs[metric]))
-            write_csv(
-                plots / "traffic_sources_ecdf.csv",
-                ["source", "label", "percent", "fraction"],
-                source_rows,
-            )
-            for metric, filename in (
-                ("visit_duration_s", "visit_duration_ecdf.csv"),
-                ("bounce_rate", "bounce_rate_ecdf.csv"),
-            ):
-                if metric in ecdfs:
-                    write_csv(
-                        plots / filename,
-                        [metric, "label", "value", "fraction"],
-                        _ecdf_rows(metric, ecdfs[metric]),
-                    )
-            link_rows = []
-            for metric in ("backlinks", "referring_domains"):
-                if metric in ecdfs:
-                    link_rows.extend(_ecdf_rows(metric, ecdfs[metric]))
-            write_csv(
-                plots / "links_ecdf.csv", ["metric", "label", "value", "fraction"], link_rows
-            )
-            ratio_rows = []
-            for metric in sorted(traffic_report["ratio_ecdfs"]):
-                ratio_rows.extend(_ecdf_rows(metric, traffic_report["ratio_ecdfs"][metric]))
-            write_csv(
-                plots / "edu_gov_ratios_ecdf.csv",
-                ["ratio", "label", "value", "fraction"],
-                ratio_rows,
-            )
-
-    classifier_path = out / "classifier_report.json"
-    if classifier_path.exists():
-        with _stage_report(classifier_path, model=str, cross_validation=dict) as classifier_report:
-            cv = classifier_report["cross_validation"]
-            sections["classifier"] = {
-                "model": classifier_report["model"],
-                "f1": cv["f1"],
-                "auc": cv["auc"],
-            }
+    for name, section, shape, summarize in _STAGE_REPORTS:
+        if (out / name).exists():
+            with _read_json(out / name, **shape) as report:
+                sections[section], plots = summarize(report)
+                for filename, header, rows in plots:
+                    write_csv(out / "plots" / filename, header, rows)
 
     if not sections:
         raise PrerequisiteError("no module reports found: run a pipeline step first")
@@ -855,8 +815,7 @@ def consolidated_report(config: RunConfig) -> dict:
     write_json(out / "summary.json", summary)
     write_run_manifest(
         config, "report",
-        [sites_path, crawl_path, lifetime_path, sync_path, tracker_path,
-         traffic_path, classifier_path],
+        [sites_path, crawl_path] + [out / name for name, *_ in _STAGE_REPORTS],
         [out / "summary.json"],
     )
     return summary

@@ -428,8 +428,14 @@ class TestMalformedReadBackArtifacts:
             ({k: v for k, v in ROW.items() if k != "fetch_status"},
              "manifest row of a.com lacks fetch_status: {"),
             ("x", "manifest row of a.com is not an object: 'x'"),
+            (ROW | {"timestamp": 20150101000000},
+             "manifest row of a.com has a bad timestamp: {"),
+            (ROW | {"status_code": "200"}, "manifest row of a.com has a bad status_code: {"),
+            (ROW | {"fetch_status": "bogus"},
+             "manifest row of a.com has a bad fetch_status: {"),
         ],
-        ids=["no-fetch-status", "string-row"],
+        ids=["no-fetch-status", "string-row", "number-timestamp", "string-status-code",
+             "unknown-fetch-status"],
     )
     def test_timeline_names_manifest_and_row(self, tmp_path, row, reason):
         out = tmp_path / "out"
@@ -446,20 +452,18 @@ class TestMalformedReadBackArtifacts:
         sites.write_text(json.dumps({"fake": ["a.com"]}))
         result = invoke(["--out", str(out), command])
         assert result.exit_code == 2, result.output
-        assert f"error: {sites}: expected an object with \"fake\" and \"real\" lists" in (
-            result.output
-        )
-
+        assert f"error: {sites}: missing key 'real'" in result.output
 
     @pytest.mark.parametrize(
-        "sites_json",
-        [{"fake": 3, "real": []}, {"fake": ["a.com"], "real": "b.com"},
-         {"fake": ["a.com"], "real": [1]}],
+        "sites_json, reason",
+        [({"fake": 3, "real": []}, "'fake' is not a list"),
+         ({"fake": ["a.com"], "real": "b.com"}, "'real' is not a list"),
+         ({"fake": ["a.com"], "real": [1]}, "'real' is not a list of strings")],
         ids=["int", "string", "list-of-int"],
     )
     @pytest.mark.parametrize("command", ["timeline", "report"])
     def test_sites_json_with_a_cohort_that_is_not_a_list_of_sites_exits_2(
-        self, tmp_path, command, sites_json
+        self, tmp_path, command, sites_json, reason
     ):
         out = tmp_path / "out"
         self.write_manifest(out, [self.ROW])
@@ -467,9 +471,7 @@ class TestMalformedReadBackArtifacts:
         sites.write_text(json.dumps(sites_json))
         result = invoke(["--out", str(out), command])
         assert result.exit_code == 2, result.output
-        assert f"error: {sites}: expected an object with \"fake\" and \"real\" lists" in (
-            result.output
-        )
+        assert f"error: {sites}: {reason}" in result.output
 
     @pytest.mark.parametrize("command", ["timeline", "report"])
     def test_sites_json_that_is_not_json_exits_2(self, tmp_path, command):
@@ -529,10 +531,20 @@ class TestMalformedReadBackArtifacts:
             ("classifier_report.json", "{}", "missing key 'model'"),
             ("classifier_report.json", '{"model": "rf", "cross_validation": {}}',
              "missing key 'f1'"),
+            ("lifetime_report.json", '{"sites": 1, "lifetime": {}, "histogram": {"raw": {}}}',
+             "missing key 'p2'"),
+            ("tracker_report.json",
+             '{"distinct_trackers_fake": [], "coverage": {},'
+             ' "prevalence": [{"tracker": "t.com", "site_counts": [1]}]}',
+             "missing key 'months'"),
+            ("traffic_report.json",
+             '{"rows_loaded": 1, "rows_rejected": [], "ratio_ecdfs": {},'
+             ' "ecdfs": {"bounce_rate": [[0.5, 1.0]]}}',
+             "list indices must be integers or slices, not list"),
         ],
         ids=["lifetime-empty", "lifetime-nested", "sync-empty", "sync-type", "tracker-empty",
              "tracker-list", "traffic-empty", "traffic-not-json", "classifier-empty",
-             "classifier-nested"],
+             "classifier-nested", "lifetime-no-p2", "tracker-no-months", "traffic-ecdf-list"],
     )
     def test_bad_stage_report_exits_2(self, tmp_path, name, content, reason):
         out = tmp_path / "out"
@@ -630,6 +642,29 @@ class TestConfigPrecedence:
         result = invoke(["--config", str(config_file), "report"])
         assert result.exit_code == 2
         assert "tyop" in result.output
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [("not json", "Expecting value: line 1 column 1"), ("5", "not an object: int")],
+        ids=["not-json", "not-object"],
+    )
+    def test_misshapen_config_file_exits_2_naming_it(self, tmp_path, content, reason):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(content)
+        result = invoke(["--config", str(config_file), "--out", str(tmp_path / "o"), "report"])
+        assert result.exit_code == 2, result.output
+        assert f"error: {config_file}: {reason}" in result.output
+
+    @pytest.mark.parametrize("source", ["file", "env"])
+    def test_bad_value_exits_2_naming_the_key(self, tmp_path, source):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"workers": "x"} if source == "file" else {}))
+        result = invoke(
+            ["--config", str(config_file), "--out", str(tmp_path / "o"), "report"],
+            env={"NEWSFORENSICS_WORKERS": "x"} if source == "env" else {},
+        )
+        assert result.exit_code == 2, result.output
+        assert "error: 'workers': invalid literal for int() with base 10: 'x'" in result.output
 
 
 @pytest.fixture(scope="module")
