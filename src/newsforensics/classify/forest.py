@@ -1,14 +1,17 @@
 """Random forest of gini-split decision trees, built from scratch.
 
 Trees grow without a depth cap on bootstrap resamples, examining a
-random ceil(sqrt(d)) feature subset at every split.  A node's split is
-the threshold of least weighted gini over all its sampled features;
-ties go to the lowest feature index, then to the fewest rows on the
-left, i.e. the first minimum in (feature, left size) order.  Columns
-are sorted without stability: only positions where the sorted value
-changes are scored, and there the left side is every row at or below
-that value, so the order of tied values cannot change a split.  Each
-node's positive count comes down from its parent's split.  All
+random ceil(sqrt(d)) feature subset at every split.  A bootstrap is a
+multiset of rows, so a tree grows over its distinct rows and weighs each
+by how often it was drawn: node sizes, positive counts and left sizes
+are sums of those counts, and equal what the drawn copies would give.
+A node's split is the threshold of least weighted gini over all its
+sampled features; ties go to the lowest feature index, then to the
+fewest rows on the left, i.e. the first minimum in (feature, left size)
+order.  Columns are sorted without stability: only positions where the
+sorted value changes are scored, and there the left side is every row at
+or below that value, so the order of tied values cannot change a split.
+Each node's positive count comes down from its parent's split.  All
 randomness derives from per-tree generators spawned off one master
 seed, and the fitted forest serializes to plain JSON-compatible dicts.
 Features must be finite.
@@ -21,38 +24,45 @@ import math
 import numpy as np
 
 
-def _split_search(cols: np.ndarray, y: np.ndarray, min_leaf: int):
+def _split_search(cols: np.ndarray, y: np.ndarray, counts: np.ndarray, min_leaf: int):
     """Best split of a (features, rows) matrix; None if no column splits.
 
-    Returns (column, threshold, positives left of the threshold).  A left
-    size k is a candidate only where the sorted column changes value and
-    both sides keep min_leaf rows, so the left side is the set of rows at
-    or below the threshold and the sort need not be stable.  Candidates
-    are scored by weighted gini in (column, k) order; the first minimum
-    wins.  The threshold is the midpoint of the two values around the
-    split, or the lower one where the midpoint rounds onto the upper
-    value or overflows, so that every threshold keeps that left side.
+    Row i stands for counts[i] >= 1 copies of itself.  Returns (column,
+    threshold, positives left of the threshold), counted in copies.
+    A split is a candidate only where the sorted column changes value and
+    both sides keep min_leaf copies, so the left side is the set of rows
+    at or below the threshold and the sort need not be stable.
+    Candidates are scored by weighted gini in (column, left size) order;
+    the first minimum wins.  The threshold is the midpoint of the two
+    values around the split, or the lower one where the midpoint rounds
+    onto the upper value or overflows, so that every threshold keeps that
+    left side.
     """
-    n = cols.shape[1]
-    lo, hi = min_leaf - 1, n - min_leaf  # last left row ranges over [lo, hi)
-    if lo >= hi:
+    n = int(counts.sum())
+    if n < 2 * min_leaf:
         return None
+    m, u = cols.shape
     order = cols.argsort(axis=1)
-    xs = cols[np.arange(len(cols))[:, None], order]
-    col, last = (xs[:, lo + 1:hi + 1] != xs[:, lo:hi]).nonzero()
-    if not col.size:
+    xs = cols.take(order + np.arange(0, m * u, u)[:, None])  # each column sorted
+    cum_n = counts.take(order).cumsum(axis=1)  # copies up to each sorted row
+    # a candidate is the last sorted row left of a value change; flat
+    # positions into the (m, u) arrays come out in (column, left size) order
+    valid = np.zeros((m, u), dtype=bool)
+    np.not_equal(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])
+    if min_leaf > 1:  # at one copy per row or more, min_leaf 1 always holds
+        valid &= (cum_n >= min_leaf) & (cum_n <= n - min_leaf)
+    at = valid.ravel().nonzero()[0]
+    if not at.size:
         return None
-    last += lo
-    cum_pos = y[order].cumsum(axis=1)
-    pos_left = cum_pos[col, last]
-    n_left = last + 1
+    pos_left = (counts * y).take(order).cumsum(axis=1).take(at)
+    n_left = cum_n.take(at)
     n_right = n - n_left
     p_left = pos_left / n_left
-    p_right = (cum_pos[col, -1] - pos_left) / n_right
+    p_right = (int(counts @ y) - pos_left) / n_right
     gini_left = 1.0 - p_left**2 - (1.0 - p_left) ** 2
     gini_right = 1.0 - p_right**2 - (1.0 - p_right) ** 2
     best = int(((n_left * gini_left + n_right * gini_right) / n).argmin())
-    c, k = int(col[best]), int(last[best])
+    c, k = divmod(int(at[best]), u)
     below, above = float(xs[c, k]), float(xs[c, k + 1])
     threshold = (below + above) / 2.0
     if not below <= threshold < above:
@@ -82,18 +92,24 @@ class DecisionTree:
         self.prob = table[:, 4]
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> "DecisionTree":
-        n, d = X.shape
+        return self._grow(np.ascontiguousarray(X.T), y, np.ones(len(X), dtype=np.intp), rng)
+
+    def _grow(self, XT: np.ndarray, y: np.ndarray, counts: np.ndarray,
+              rng: np.random.Generator) -> "DecisionTree":
+        """Grow on the columns of XT (one row per feature, so node gathers
+        stay contiguous); column i stands for counts[i] copies of itself,
+        and columns with a zero count take no part."""
+        d = len(XT)
         m = min(self.max_features or d, d)
-        XT = np.ascontiguousarray(X.T)  # one row per feature: node gathers stay contiguous
+        rows = counts.nonzero()[0]
         nodes = []  # [feature, threshold, left, right, prob] per node id
-        # (sample indices, positives among them, depth, parent node id,
-        # is-left) processed LIFO so rng consumption follows a fixed
-        # traversal order
-        stack = [(np.arange(n), int(y.sum()), 0, -1, False)]
+        # (distinct rows, copies and positives among them, depth, parent
+        # node id, is-left) processed LIFO so rng consumption follows a
+        # fixed traversal order
+        stack = [(rows, int(counts.sum()), int((counts * y).sum()), 0, -1, False)]
         while stack:
-            idx, pos, depth, parent, is_left = stack.pop()
+            idx, size, pos, depth, parent, is_left = stack.pop()
             node_id = len(nodes)
-            size = len(idx)
             node = [-1, 0.0, -1, -1, pos / size]
             nodes.append(node)
             if parent >= 0:
@@ -107,14 +123,17 @@ class DecisionTree:
 
             features = np.sort(rng.choice(d, size=m, replace=False)) if m < d else np.arange(d)
             cols = (XT.take(features, axis=0) if m < d else XT).take(idx, axis=1)
-            split = _split_search(cols, y[idx], self.min_samples_leaf)
+            w = counts.take(idx)
+            split = _split_search(cols, y.take(idx), w, self.min_samples_leaf)
             if split is None:
                 continue  # no sampled feature splits here: leaf
             col, threshold, pos_left = split
             node[0], node[1] = int(features[col]), threshold
             mask = cols[col] <= threshold
-            stack.append((idx[~mask], pos - pos_left, depth + 1, node_id, False))
-            stack.append((idx[mask], pos_left, depth + 1, node_id, True))
+            size_left = int(w[mask].sum())
+            stack.append((idx[~mask], size - size_left, pos - pos_left, depth + 1, node_id,
+                          False))
+            stack.append((idx[mask], size_left, pos_left, depth + 1, node_id, True))
         self._set_nodes(nodes)
         return self
 
@@ -181,13 +200,13 @@ class RandomForestModel:
             raise ValueError("forest features must be finite; X holds NaN or infinity")
         n, d = X.shape
         m = self._resolve_features(d)
+        XT = np.ascontiguousarray(X.T)  # shared by every tree
         self.trees = []
         for seq in np.random.SeedSequence(seed).spawn(self.n_trees):
             rng = np.random.default_rng(seq)
-            sample = rng.integers(0, n, size=n)
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)  # the bootstrap
             tree = DecisionTree(m, self.min_samples_leaf, self.max_depth)
-            tree.fit(X[sample], y[sample], rng)
-            self.trees.append(tree)
+            self.trees.append(tree._grow(XT, y, counts, rng))
         return self
 
     def score(self, X: np.ndarray) -> np.ndarray:

@@ -150,15 +150,21 @@ class RunConfig:
             if env_key in env:
                 values[f.name] = env[env_key]
         values.update({k: v for k, v in overrides.items() if v is not None})
-        # coerce env/JSON strings to the declared types (``f.type`` is the annotation's text)
+        # coerce env/JSON values to the declared types, and require text fields to be
+        # text (``f.type`` is the annotation's text)
         numbers = {"int": int, "float": float}
+        strings = {"str": str, "str | None": (str, type(None))}
         for f in fields(cls):
-            value = values.get(f.name)
+            if f.name not in values:
+                continue
+            value = values[f.name]
             try:
-                if value is not None and f.type in numbers:
+                if f.type in numbers:
                     values[f.name] = numbers[f.type](value)
                 elif f.type == "bool" and isinstance(value, str):
                     values[f.name] = value.strip().lower() in ("1", "true", "yes")
+                elif not isinstance(value, strings.get(f.type, object)):
+                    raise TypeError(f"expected a string, got {value!r}")
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{f.name!r}: {exc}") from None
         return cls(**values)

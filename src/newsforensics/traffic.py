@@ -12,7 +12,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
@@ -79,6 +80,8 @@ def parse_quantity(raw: str) -> int:
         value = Decimal(text) * mult
     except InvalidOperation:
         raise ValueError(f"not a quantity: {raw!r}") from None
+    except Overflow:  # an exponent beyond the decimal context's
+        raise ValueError(f"not a finite count: {raw!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"not a finite count: {raw!r}")
     if value != value.to_integral_value():
@@ -93,59 +96,201 @@ class RowError:
     reason: str
 
 
+def _read_csv(path: Path, required: list[str]) -> tuple[list[int], dict[str, Sequence]]:
+    """The CSV's rows as one cell sequence per column, and the physical line
+    each row starts on.  Like csv.DictReader, blank lines are skipped, a
+    repeated column name keeps its last column and a short row's missing
+    cells are None."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for col in required:
+            if col not in header:
+                raise ValueError(f"{path}: missing required column: {col}")
+        lines, rows = [], []
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                lines.append(start)
+                rows.append(row)
+            start = reader.line_num + 1
+    width = len(header)
+    rows = [r if len(r) == width else (r + [None] * width)[:width] for r in rows]
+    cells = list(zip(*rows)) if rows else [()] * width
+    index = {name: i for i, name in enumerate(header)}
+    absent = (None,) * len(rows)
+    return lines, {c: cells[index[c]] if c in index else absent for c in REQUIRED_COLUMNS}
+
+
+def _read_json_lines(
+    path: Path, required: list[str]
+) -> tuple[list[int], dict[str, Sequence], list[RowError]]:
+    """Like _read_csv, for one JSON object per line; lines that are not a
+    JSON object of single values are RowErrors."""
+    lines, records, errors = [], [], []
+    with open(path, encoding="utf-8") as fh:
+        for i, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                errors.append(RowError(i, "?", f"not valid JSON: {exc}"))
+                continue
+            if not isinstance(rec, dict):
+                errors.append(RowError(i, "?", f"not a JSON object: {line[:40]}"))
+                continue
+            for col in required:
+                if col not in rec:
+                    raise ValueError(f"{path}:{i}: missing required column: {col}")
+            nested = [c for c in REQUIRED_COLUMNS if isinstance(rec.get(c), (list, dict))]
+            if nested:
+                errors.append(RowError(i, str(rec["domain"]), f"{nested[0]} must be a single "
+                                                              f"value, got {rec[nested[0]]!r}"))
+                continue
+            lines.append(i)
+            records.append(rec)
+    return lines, {c: [rec.get(c) for rec in records] for c in REQUIRED_COLUMNS}, errors
+
+
 def _blank(value) -> bool:
     return value is None or (isinstance(value, str) and not value.strip())
 
 
-def _parse_row(row: dict, allow_unlabeled: bool = False) -> TrafficProfile:
-    nested = [c for c in REQUIRED_COLUMNS if isinstance(row.get(c), (list, dict))]
-    if nested:
-        raise ValueError(f"{nested[0]} must be a single value, got {row[nested[0]]!r}")
-    site = normalize_site(str(row["domain"]))
-    label = str(row.get("label") or "").strip().lower()
-    if label not in ("fake", "real"):
-        if allow_unlabeled and not label:
-            label = "unknown"
-        else:
-            raise ValueError(f"label must be fake or real, got {row.get('label')!r}")
+def _count(text: str) -> int:
+    # at most 308 digits stay below 1e308, where parse_quantity stops
+    if text.isascii() and text.isdigit() and len(text) <= 308:
+        return int(text)
+    return parse_quantity(text)
 
-    values: dict = {"site": site, "label": label}
-    for name in ("country", "category"):
-        values[name] = None if _blank(row.get(name)) else str(row[name]).strip()
-    for name in METRIC_FIELDS:
-        raw = row.get(name)
-        if _blank(raw):
-            values[name] = None
-            continue
-        parse = parse_quantity if name in _INT_FIELDS else float
+
+def _map(parse, items: list) -> tuple[list, dict[int, str]]:
+    """parse per item, and the error text of each item it rejects (whose
+    value is None)."""
+    try:
+        return list(map(parse, items)), {}
+    except ValueError:
+        pass
+    values, errors = [], {}
+    for i, item in enumerate(items):
         try:
-            v = parse(str(raw))  # from text, so JSON 5.5, inf or 400-digit ints fail as CSV cells do
+            values.append(parse(item))
         except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"{name} must be finite and non-negative, got {raw!r}")
-        values[name] = v
+            values.append(None)
+            errors[i] = str(exc)
+    return values, errors
+
+
+def _parse_cells(cells: Sequence, parse) -> tuple[list, dict[int, str]]:
+    """parse(str(cell)) per cell, None for a blank one, and the error text
+    of each cell that does not parse (whose value is None)."""
+    try:
+        joined = "".join(cells)  # TypeError: a None or a JSON number
+    except TypeError:
+        joined = None
+    if joined is not None and all(cells):  # all text and none empty: one C-level pass
+        if parse is float:
+            try:
+                return list(map(float, cells)), {}
+            except ValueError:
+                pass
+        elif joined.isascii() and joined.isdigit() and max(map(len, cells)) <= 308:
+            return list(map(int, cells)), {}
+    texts = [None if _blank(raw) else str(raw) for raw in cells]
+    return _map(lambda text: None if text is None else parse(text), texts)
+
+
+def _array(values: list, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """values as an array, 0 where None, and the mask of those not None.
+    Integers beyond int64 make an object array of exact ints."""
+    if None in values:
+        present = np.array([v is not None for v in values], dtype=bool)
+        values = [0 if v is None else v for v in values]
+    else:
+        present = np.ones(len(values), dtype=bool)
+    try:
+        return np.array(values, dtype=dtype), present
+    except OverflowError:
+        return np.array(values, dtype=object), present
+
+
+def _parse_columns(
+    lines: list[int], cols: dict[str, Sequence], allow_unlabeled: bool
+) -> tuple[list[TrafficProfile], list[RowError]]:
+    """Profiles of the rows that pass every check, and a RowError for each
+    row that does not, with the first reason in this order: domain, label,
+    each metric's parse and sign in schema order, ranks, percentages, the
+    share sum and the EDU/GOV counts."""
+    reasons: list[str | None] = [None] * len(lines)
+
+    def reject(rows, reason) -> None:  # a row keeps its first reason
+        for i in rows:
+            if reasons[i] is None:
+                reasons[i] = reason(i)
+
+    sites, errors = _map(normalize_site, [str(d) for d in cols["domain"]])
+    reject(errors, errors.get)
+    labels = []
+    for i, raw in enumerate(cols["label"]):
+        label = str(raw or "").strip().lower()
+        if label not in ("fake", "real"):
+            if allow_unlabeled and not label:
+                label = "unknown"
+            elif reasons[i] is None:
+                reasons[i] = f"label must be fake or real, got {raw!r}"
+        labels.append(label)
+    # a cell that is not text is never blank
+    values = {name: [None if raw is None else str(raw).strip() or None for raw in cols[name]]
+              for name in ("country", "category")}
+
+    arrays = {}
+    for name in METRIC_FIELDS:
+        raw = cols[name]
+        values[name], errors = _parse_cells(raw, _count if name in _INT_FIELDS else float)
+        reject(errors, lambda i: f"{name}: {errors[i]}")
+        arr, present = _array(values[name], np.int64 if name in _INT_FIELDS else float)
+        ok = arr >= 0 if arr.dtype != float else np.isfinite(arr) & (arr >= 0)
+        bad = present & ~ok
+        reject(bad.nonzero()[0], lambda i: f"{name} must be finite and non-negative, "
+                                           f"got {raw[i]!r}")
+        arr[bad] = 0  # later checks see only the values this one accepted
+        arrays[name] = arr, present & ok
 
     for name in ("global_rank", "country_rank", "category_rank"):
-        if values[name] is not None and values[name] < 1:
-            raise ValueError(f"{name} must be positive, got {values[name]}")
+        arr, present = arrays[name]
+        reject((present & (arr < 1)).nonzero()[0],
+               lambda i: f"{name} must be positive, got {values[name][i]}")
     for name in ("bounce_rate",) + SHARE_FIELDS:
-        v = values[name]
-        if v is not None and not 0.0 <= v <= 100.0:
-            raise ValueError(f"{name} out of [0, 100]: {v}")
-    shares = [values[name] for name in SHARE_FIELDS]
-    if all(s is not None for s in shares):
-        total = sum(shares)
-        if not 99.0 <= total <= 101.0:
-            raise ValueError(f"traffic source shares sum to {total:.2f}, not ~100")
+        arr, present = arrays[name]
+        reject((present & ~((arr >= 0.0) & (arr <= 100.0))).nonzero()[0],
+               lambda i: f"{name} out of [0, 100]: {values[name][i]}")
+    total = np.zeros(len(lines))
+    every = np.ones(len(lines), dtype=bool)
+    for name in SHARE_FIELDS:  # left to right from 0, as sum() adds them
+        total = total + arrays[name][0]
+        every &= arrays[name][1]
+    reject((every & ~((total >= 99.0) & (total <= 101.0))).nonzero()[0],
+           lambda i: f"traffic source shares sum to {float(total[i]):.2f}, not ~100")
     for part, whole in EDU_GOV_RATIOS.values():
-        if (
-            values[part] is not None
-            and values[whole] is not None
-            and values[part] > values[whole]
-        ):
-            raise ValueError(f"{part} ({values[part]}) exceeds {whole} ({values[whole]})")
-    return TrafficProfile(**values)
+        (part_arr, part_ok), (whole_arr, whole_ok) = arrays[part], arrays[whole]
+        reject((part_ok & whole_ok & (part_arr > whole_arr)).nonzero()[0],
+               lambda i: f"{part} ({values[part][i]}) exceeds {whole} ({values[whole][i]})")
+
+    fields = [sites, labels] + [values[name] for name in REQUIRED_COLUMNS[2:]]
+    accepted = [reason is None for reason in reasons]
+    profiles = []
+    for row in compress(zip(*fields), accepted):
+        # filling the instance dict skips the frozen dataclass's __init__, whose
+        # per-field object.__setattr__ is most of the cost of a profile; every
+        # value here has passed its checks
+        profile = object.__new__(TrafficProfile)
+        profile.__dict__.update(zip(_SCHEMA, row))
+        profiles.append(profile)
+    domains = cols["domain"]
+    rejected = [RowError(lines[i], str(domains[i]), reason)
+                for i, reason in enumerate(reasons) if reason is not None]
+    return profiles, rejected
 
 
 def load_profiles(
@@ -156,55 +301,25 @@ def load_profiles(
     Files ending in .jsonl, .ndjson or .json are read as JSON lines,
     anything else as CSV.  A missing required column is a hard error;
     rows violating value invariants, and JSON lines that are not a JSON
-    object, are returned as RowErrors in line order.  With
-    allow_unlabeled, rows may leave the label blank (prediction inputs)
-    and get label "unknown".
+    object, are returned as RowErrors in line order, each with the
+    physical line its row starts on.  With allow_unlabeled, rows may
+    leave the label blank (prediction inputs) and get label "unknown".
+    All rows are read first, then parsed and checked a column at a time.
     """
     path = Path(path)
-    json_lines = path.suffix in (".jsonl", ".ndjson", ".json")
-
     required = [
         c for c in REQUIRED_COLUMNS if not (allow_unlabeled and c == "label")
     ]
-    rows: list[tuple[int, dict]] = []
     errors: list[RowError] = []
     try:
-        if not json_lines:
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                header = set(reader.fieldnames or [])
-                for col in required:
-                    if col not in header:
-                        raise ValueError(f"{path}: missing required column: {col}")
-                rows = [(i, row) for i, row in enumerate(reader, start=2)]
+        if path.suffix in (".jsonl", ".ndjson", ".json"):
+            lines, cols, errors = _read_json_lines(path, required)
         else:
-            with open(path, encoding="utf-8") as fh:
-                for i, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                    except ValueError as exc:
-                        errors.append(RowError(i, "?", f"not valid JSON: {exc}"))
-                        continue
-                    if not isinstance(rec, dict):
-                        errors.append(RowError(i, "?", f"not a JSON object: {line[:40]}"))
-                        continue
-                    for col in required:
-                        if col not in rec:
-                            raise ValueError(f"{path}:{i}: missing required column: {col}")
-                    rows.append((i, rec))
+            lines, cols = _read_csv(path, required)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-    profiles = []
-    for line, row in rows:
-        try:
-            profiles.append(_parse_row(row, allow_unlabeled=allow_unlabeled))
-        except (ValueError, KeyError) as exc:
-            errors.append(RowError(line, str(row.get("domain", "?")), str(exc)))
-    errors.sort(key=lambda e: e.line)
+    profiles, rejected = _parse_columns(lines, cols, allow_unlabeled)
+    errors = sorted(errors + rejected, key=lambda e: e.line)
     return profiles, errors
 
 

@@ -7,6 +7,8 @@ library, so they stay independent of the implementations they verify.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import re
 
@@ -22,6 +24,17 @@ from newsforensics.timeline import (
     MonthlyTimeline,
     SiteState,
     month_range,
+    normalize_site,
+)
+from newsforensics.traffic import (
+    EDU_GOV_RATIOS,
+    METRIC_FIELDS,
+    REQUIRED_COLUMNS,
+    SHARE_FIELDS,
+    RowError,
+    TrafficProfile,
+    _INT_FIELDS,
+    parse_quantity,
 )
 
 A, Z, D, M = SiteState.ALIVE, SiteState.ZOMBIE, SiteState.DEAD, SiteState.MISSING
@@ -446,3 +459,114 @@ def content_matches_reference(texts_by_month, threshold, min_tokens, pre):
                 if sim >= threshold:
                     matches.append(ContentMatch(a, b, month, sim))
     return matches
+
+
+def _blank(value) -> bool:
+    return value is None or (isinstance(value, str) and not value.strip())
+
+
+def _profile_row_reference(row: dict, allow_unlabeled: bool) -> TrafficProfile:
+    """One row's profile, checking each rule in turn; ValueError names the first broken."""
+    nested = [c for c in REQUIRED_COLUMNS if isinstance(row.get(c), (list, dict))]
+    if nested:
+        raise ValueError(f"{nested[0]} must be a single value, got {row[nested[0]]!r}")
+    site = normalize_site(str(row["domain"]))
+    label = str(row.get("label") or "").strip().lower()
+    if label not in ("fake", "real"):
+        if allow_unlabeled and not label:
+            label = "unknown"
+        else:
+            raise ValueError(f"label must be fake or real, got {row.get('label')!r}")
+
+    values: dict = {"site": site, "label": label}
+    for name in ("country", "category"):
+        values[name] = None if _blank(row.get(name)) else str(row[name]).strip()
+    for name in METRIC_FIELDS:
+        raw = row.get(name)
+        if _blank(raw):
+            values[name] = None
+            continue
+        parse = parse_quantity if name in _INT_FIELDS else float
+        try:
+            v = parse(str(raw))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        if not math.isfinite(v) or v < 0:
+            raise ValueError(f"{name} must be finite and non-negative, got {raw!r}")
+        values[name] = v
+
+    for name in ("global_rank", "country_rank", "category_rank"):
+        if values[name] is not None and values[name] < 1:
+            raise ValueError(f"{name} must be positive, got {values[name]}")
+    for name in ("bounce_rate",) + SHARE_FIELDS:
+        v = values[name]
+        if v is not None and not 0.0 <= v <= 100.0:
+            raise ValueError(f"{name} out of [0, 100]: {v}")
+    shares = [values[name] for name in SHARE_FIELDS]
+    if all(s is not None for s in shares):
+        total = sum(shares)
+        if not 99.0 <= total <= 101.0:
+            raise ValueError(f"traffic source shares sum to {total:.2f}, not ~100")
+    for part, whole in EDU_GOV_RATIOS.values():
+        if (
+            values[part] is not None
+            and values[whole] is not None
+            and values[part] > values[whole]
+        ):
+            raise ValueError(f"{part} ({values[part]}) exceeds {whole} ({values[whole]})")
+    return TrafficProfile(**values)
+
+
+def load_profiles_reference(path, allow_unlabeled: bool = False):
+    """(profiles, RowErrors) of a traffic export, one row at a time.
+
+    CSV rows come from csv.DictReader; each row's line is the first
+    non-blank physical line read since the previous row ended.
+    """
+    json_lines = str(path).endswith((".jsonl", ".ndjson", ".json"))
+    required = [c for c in REQUIRED_COLUMNS if not (allow_unlabeled and c == "label")]
+    rows, errors = [], []
+    if not json_lines:
+        with open(path, newline="", encoding="utf-8") as fh:
+            read = []  # (line number, text) since the previous row
+
+            def numbered():
+                for i, text in enumerate(fh, start=1):
+                    read.append((i, text))
+                    yield text
+
+            reader = csv.DictReader(numbered())
+            header = set(reader.fieldnames or [])
+            for col in required:
+                if col not in header:
+                    raise ValueError(f"{path}: missing required column: {col}")
+            read.clear()
+            for row in reader:
+                rows.append((next(i for i, text in read if text.rstrip("\r\n")), row))
+                read.clear()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            for i, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except ValueError as exc:
+                    errors.append(RowError(i, "?", f"not valid JSON: {exc}"))
+                    continue
+                if not isinstance(rec, dict):
+                    errors.append(RowError(i, "?", f"not a JSON object: {line[:40]}"))
+                    continue
+                for col in required:
+                    if col not in rec:
+                        raise ValueError(f"{path}:{i}: missing required column: {col}")
+                rows.append((i, rec))
+    profiles = []
+    for line, row in rows:
+        try:
+            profiles.append(_profile_row_reference(row, allow_unlabeled))
+        except ValueError as exc:
+            errors.append(RowError(line, str(row.get("domain", "?")), str(exc)))
+    errors.sort(key=lambda e: e.line)
+    return profiles, errors

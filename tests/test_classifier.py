@@ -252,7 +252,7 @@ class TestModels:
             features = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
             min_leaf = int(rng.integers(1, 5))
             columns = np.sort(features)
-            split = _split_search(X[:, columns].T, y, min_leaf)
+            split = _split_search(X[:, columns].T, y, np.ones(n, dtype=int), min_leaf)
             if split is not None:  # the left positives are checked in the next test
                 split = (int(columns[split[0]]), float(split[1]))
                 found += 1
@@ -268,7 +268,7 @@ class TestModels:
             y = rng.integers(0, 2, size=n)
             min_leaf = int(rng.integers(1, 5))
             small += n < 2 * min_leaf
-            split = _split_search(cols, y, min_leaf)
+            split = _split_search(cols, y, np.ones(n, dtype=int), min_leaf)
             expect = split_search_reference(cols, y, min_leaf)
             if split is None:
                 assert expect is None, trial
@@ -291,6 +291,43 @@ class TestModels:
                 "min_samples_leaf": 1 + trial // 4 % 4,
                 "max_depth": [None, 0, 2, 5][trial // 16 % 4],
             }
+            model = RandomForestModel(**params).fit(X, y, seed=trial)
+            expect = forest_reference(X, y, trial, **params)
+            assert _sha256(model.to_dict()) == _sha256(expect), (trial, params)
+
+    def test_counted_split_search_matches_reference_on_the_copies(self):
+        # a row with count c stands for c copies: the search must pick the
+        # split the reference picks on the matrix with the copies written out
+        rng = np.random.default_rng(41)
+        found = 0
+        for trial in range(600):
+            n, m = int(rng.integers(1, 16)), int(rng.integers(1, 5))
+            cols = _random_columns(rng, m, n)
+            y = rng.integers(0, 2, size=n)
+            counts = rng.integers(1, 5, size=n)
+            min_leaf = int(rng.integers(1, 6))
+            split = _split_search(cols, y, counts, min_leaf)
+            copies = np.repeat(cols, counts, axis=1), np.repeat(y, counts)
+            expect = split_search_reference(*copies, min_leaf)
+            if split is None:
+                assert expect is None, trial
+                continue
+            found += 1
+            col, threshold, pos_left = split
+            assert (col, float(threshold)) == expect, trial
+            assert pos_left == copies[1][copies[0][col] <= threshold].sum(), trial
+        assert found > 200
+
+    def test_duplicate_heavy_forest_json_matches_reference(self):
+        # ~12 rows, so each bootstrap draws most rows several times and node
+        # sizes in copies straddle min_samples_leaf where distinct rows do not
+        rng = np.random.default_rng(43)
+        for trial in range(48):
+            n, d = int(rng.integers(8, 16)), int(rng.integers(2, 6))
+            X = rng.integers(0, int(rng.integers(2, 5)), size=(n, d)).astype(float)
+            y = rng.integers(0, 2, size=n)
+            params = {"n_trees": 4, "max_features": [d, "sqrt"][trial % 2],
+                      "min_samples_leaf": 2 + trial // 2 % 3, "max_depth": None}
             model = RandomForestModel(**params).fit(X, y, seed=trial)
             expect = forest_reference(X, y, trial, **params)
             assert _sha256(model.to_dict()) == _sha256(expect), (trial, params)

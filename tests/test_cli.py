@@ -666,6 +666,21 @@ class TestConfigPrecedence:
         assert result.exit_code == 2, result.output
         assert "error: 'workers': invalid literal for int() with base 10: 'x'" in result.output
 
+    @pytest.mark.parametrize("key,value,reason", [
+        ("cohort", ["fake"], "expected a string, got ['fake']"),
+        ("window_start", 201501, "expected a string, got 201501"),
+        ("out_dir", 5, "expected a string, got 5"),
+        ("folds", None, "int() argument must be a string, a bytes-like object or a real "
+                        "number, not 'NoneType'"),
+    ])
+    def test_value_of_another_type_exits_2_naming_the_key(self, tmp_path, key, value, reason):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({key: value}))
+        out = [] if key == "out_dir" else ["--out", str(tmp_path / "o")]
+        result = invoke(["--config", str(config_file), *out, "report"])
+        assert result.exit_code == 2, result.output
+        assert f"error: {key!r}: {reason}" in result.output
+
 
 @pytest.fixture(scope="module")
 def pipeline_out(corpus, tmp_path_factory):

@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -20,6 +22,8 @@ from newsforensics.traffic import (
     load_profiles,
     parse_quantity,
 )
+
+from oracles import load_profiles_reference
 
 
 def profile_row(**overrides):
@@ -83,7 +87,9 @@ class TestParseQuantity:
         with pytest.raises(ValueError, match="quantity"):
             parse_quantity("lots")
 
-    @pytest.mark.parametrize("raw", ["inf", "Infinity", "-inf", "nan", "1e400", "1e400K"])
+    # 1e1000000 overflows the decimal context itself
+    @pytest.mark.parametrize("raw", ["inf", "Infinity", "-inf", "nan", "1e400", "1e400K",
+                                     "1e1000000"])
     def test_non_finite_rejected(self, raw):
         with pytest.raises(ValueError):
             parse_quantity(raw)
@@ -203,6 +209,7 @@ class TestLoadProfiles:
             ("total_visits", "inf"),
             ("backlinks", "Infinity"),
             ("total_visits", "1e400"),
+            ("backlinks", "1e1000000"),
             ("pages_per_visit", "nan"),
             ("visit_duration_s", "inf"),
             ("pages_per_visit", "-0.5"),
@@ -248,6 +255,38 @@ class TestLoadProfiles:
         assert [e.line for e in errors] == list(range(2, 2 + len(bad)))
         for e, (field, _) in zip(errors, bad):
             assert field in e.reason, e
+
+    def test_csv_lines_are_physical_lines(self, tmp_path):
+        # a blank line and a quoted newline each add a line the row count misses
+        path = tmp_path / "traffic.csv"
+        write_csv(path, [profile_row(domain="a.com"), profile_row(domain="b.com"),
+                         profile_row(domain="c.com", label="dubious")])
+        header, a, b, c = path.read_text().splitlines()
+        path.write_text("\n".join([header, a, "", b, c]) + "\n")
+        _, errors = load_profiles(path)
+        assert [(e.line, e.site) for e in errors] == [(5, "c.com")]
+
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            out = csv.writer(fh)
+            out.writerow(REQUIRED_COLUMNS)
+            rows = [profile_row(category="News\nand more"), profile_row(label="dubious")]
+            out.writerows([[row[c] for c in REQUIRED_COLUMNS] for row in rows])
+        profiles, errors = load_profiles(path)
+        assert profiles[0].category == "News\nand more"
+        assert [e.line for e in errors] == [4]
+
+    @pytest.mark.parametrize("overrides,reason", [
+        # counts beyond int64 compare exactly, not as rounded floats
+        ({"backlinks": str(2**64), "edu_backlinks": str(2**64 + 1)},
+         f"edu_backlinks ({2**64 + 1}) exceeds backlinks ({2**64})"),
+        # sum() starts from 0, and 0 + -0.0 is 0.0
+        ({f: "-0" for f in SHARE_FIELDS}, "traffic source shares sum to 0.00, not ~100"),
+    ])
+    def test_invariants_match_the_row_reference_at_their_edges(self, tmp_path, overrides, reason):
+        path = tmp_path / "traffic.csv"
+        write_csv(path, [profile_row(**overrides)])
+        assert load_profiles(path) == load_profiles_reference(path)
+        assert [e.reason for e in load_profiles(path)[1]] == [reason]
 
     def test_json_lines_missing_key(self, tmp_path):
         path = tmp_path / "traffic.jsonl"
@@ -401,3 +440,93 @@ class TestCohortReport:
     def test_to_dict_serializable(self):
         report = cohort_report([make_profile("a.com", "fake", 50, 10)])
         json.dumps(report.to_dict())
+
+
+# Cells for the differential test: quantities, signs, non-finite and
+# non-numeric text, and values that break one row invariant each.
+_ANY_CELL = ["", " ", "0", "-0", "-1", "007", "1e3", "1.5", "4.7K", "1,234", "sNaN", "inf",
+             "nan", "lots", "1" + "0" * 400, "99999999999999999999999", "1e1000000", "\u0663"]
+_CELL_CHOICES = {
+    "domain": ["a.com", "www.b.com", "https://c.com/x", "not a domain", "", " "],
+    "label": ["fake", "real", "Real ", "", " ", "dubious"],
+    "country": ["US", " GB ", "", " "],
+    "bounce_rate": ["0", "100", "100.5", "-0.0"],
+    "src_direct": ["38.9", "41.1", "39", "41", "-0"],  # share sums 98.9, 101.1, 99, 101
+    "edu_backlinks": ["5000", "4700", "4701"],  # backlinks are 4.7K
+    "edu_ref_domains": ["307", "308"],
+    "global_rank": ["1", "0"],
+}
+_JSON_VALUES = [None, 0, -1, 7, 2.5, 1e3, True, [1], {"a": 1}, 10**30, float("inf")]
+
+
+def _random_row(rng, i):
+    row = profile_row(domain=f"s{i}.com", label=rng.choice(["fake", "real"]))
+    for column in rng.sample(REQUIRED_COLUMNS, rng.choice([0, 0, 1, 1, 2, 3])):
+        row[column] = rng.choice(_CELL_CHOICES.get(column, []) + _ANY_CELL)
+    return row
+
+
+def _write_random_csv(path, rng, n):
+    header = list(REQUIRED_COLUMNS)
+    if rng.random() < 0.2:
+        header.remove("label")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        for i in range(n):
+            row = _random_row(rng, i)
+            if rng.random() < 0.1:
+                row["category"] = "News\nmore"  # a quoted newline
+            cells = [row[c] for c in header]
+            if rng.random() < 0.05:
+                cells = cells[: rng.randrange(len(cells))]  # a short row
+            elif rng.random() < 0.05:
+                cells.append("extra")
+            out.writerow(cells)
+            if rng.random() < 0.1:
+                fh.write("\r\n")  # a blank line
+
+
+def _write_random_json_lines(path, rng, n):
+    lines = []
+    for i in range(n):
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(rng.choice(["{broken", "5", "null", '["a.com"]', ""]))
+            continue
+        row = _random_row(rng, i)
+        if roll < 0.3:
+            row[rng.choice(REQUIRED_COLUMNS)] = rng.choice(_JSON_VALUES)
+        if roll > 0.97:
+            del row["label"]
+        lines.append(json.dumps(row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _load_or_error(load, path, allow_unlabeled):
+    try:
+        return load(path, allow_unlabeled=allow_unlabeled)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_column_loader_matches_row_reference(tmp_path, suffix):
+    rng = random.Random(f"loader:{suffix}")
+    write = _write_random_csv if suffix == ".csv" else _write_random_json_lines
+    accepted, reasons = 0, []
+    for trial in range(40):
+        path = tmp_path / f"t{trial}{suffix}"
+        write(path, rng, rng.randrange(0, 40))
+        for allow_unlabeled in (False, True):
+            got = _load_or_error(load_profiles, path, allow_unlabeled)
+            expect = _load_or_error(load_profiles_reference, path, allow_unlabeled)
+            assert got == expect, (trial, allow_unlabeled)
+            if not isinstance(got, str):
+                accepted += len(got[0])
+                reasons += [e.reason for e in got[1]]
+    assert accepted > 300 and len(reasons) > 300
+    for check in ["not a valid site", "label must", ": not a quantity", ": not a finite count",
+                  "could not convert", "finite and non-negative", "must be positive",
+                  "out of [0, 100]", "shares sum", "exceeds"]:
+        assert any(check in reason for reason in reasons), check
