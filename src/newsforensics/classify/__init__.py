@@ -1,4 +1,4 @@
-from .encoder import FeatureEncoder, complete_profiles  # noqa: F401
+from .encoder import FeatureEncoder, complete  # noqa: F401
 from .evaluate import (  # noqa: F401
     NewsClassifier,
     SplitSpec,

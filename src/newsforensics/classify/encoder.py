@@ -8,12 +8,11 @@ order, and all statistics come from the data the encoder was fitted on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ..traffic import TrafficProfile
+from ..traffic import ProfileTable, TrafficProfile
 
 NUMERIC_FEATURES = (
     "global_rank",
@@ -40,20 +39,9 @@ LABEL_CODES = {"real": 0, "fake": 1}
 VARIANCE_THRESHOLD = 1e-12
 
 
-def missing_features(profile: TrafficProfile) -> list[str]:
-    return [f for f in REQUIRED_FEATURES if getattr(profile, f) is None]
-
-
-def complete_profiles(profiles) -> list[TrafficProfile]:
-    """Profiles carrying every classification feature."""
-    return [p for p in profiles if not missing_features(p)]
-
-
-def _feature_table(profiles: list[TrafficProfile]) -> np.ndarray:
-    """Object array of raw feature values, one column per REQUIRED_FEATURES."""
-    get = attrgetter(*REQUIRED_FEATURES)
-    rows = [get(p) for p in profiles]
-    return np.array(rows, dtype=object).reshape(len(rows), len(REQUIRED_FEATURES))
+def complete(profiles: ProfileTable) -> np.ndarray:
+    """Mask of the rows carrying every classification feature."""
+    return np.all([np.not_equal(profiles[name], None) for name in REQUIRED_FEATURES], axis=0)
 
 
 @dataclass
@@ -65,16 +53,15 @@ class FeatureEncoder:
     dropped: list[str]
 
     @classmethod
-    def fit(cls, profiles) -> "FeatureEncoder":
-        rows = complete_profiles(profiles)
-        if not rows:
+    def fit(cls, profiles: ProfileTable) -> "FeatureEncoder":
+        rows = profiles.take(complete(profiles))
+        if not len(rows):
             raise ValueError("no profiles with a complete feature set")
 
-        table = _feature_table(rows)
         means, stds, dropped = {}, {}, []
         columns = []
         for name in NUMERIC_FEATURES:
-            values = table[:, REQUIRED_FEATURES.index(name)].astype(float)
+            values = rows[name].astype(float)
             if values.var() < VARIANCE_THRESHOLD:
                 dropped.append(name)
                 continue
@@ -84,7 +71,7 @@ class FeatureEncoder:
 
         vocab = {}
         for name in CATEGORICAL_FEATURES:
-            seen = sorted(set(table[:, REQUIRED_FEATURES.index(name)]))
+            seen = sorted(set(rows[name]))
             if len(seen) < 2:
                 # a single observed value is a constant column
                 dropped.append(name)
@@ -99,48 +86,34 @@ class FeatureEncoder:
         return len(self.columns)
 
     def transform_one(self, profile: TrafficProfile) -> np.ndarray:
-        return self.transform([profile])[0]
+        return self.transform(ProfileTable.of([profile]))[0]
 
-    def transform(self, profiles) -> np.ndarray:
+    def transform(self, profiles: ProfileTable) -> np.ndarray:
         """One encoded row per profile; raises on the first incomplete one."""
-        profiles = list(profiles)
-        table = _feature_table(profiles)
-        incomplete = np.flatnonzero(np.equal(table, None).any(axis=1))
+        incomplete = np.flatnonzero(~complete(profiles))
         if incomplete.size:
-            p = profiles[incomplete[0]]
-            raise ValueError(f"profile {p.site} missing features: {missing_features(p)}")
+            i = incomplete[0]
+            missing = [f for f in REQUIRED_FEATURES if profiles[f][i] is None]
+            raise ValueError(f"profile {profiles['site'][i]} missing features: {missing}")
         X = np.empty((len(profiles), len(self.columns)))
         for j, column in enumerate(self.columns):
             name, one_hot, value = column.partition("=")
-            values = table[:, REQUIRED_FEATURES.index(name)]
             if one_hot:
-                X[:, j] = values.astype(str) == value
+                X[:, j] = profiles[name].astype(str) == value
             else:
-                X[:, j] = (values.astype(float) - self.means[name]) / self.stds[name]
+                X[:, j] = (profiles[name].astype(float) - self.means[name]) / self.stds[name]
         return X
 
     @staticmethod
-    def labels(profiles) -> np.ndarray:
-        bad = sorted({p.label for p in profiles} - set(LABEL_CODES))
+    def labels(profiles: ProfileTable) -> np.ndarray:
+        bad = sorted(set(profiles["label"]) - set(LABEL_CODES))
         if bad:
             raise ValueError(f"profiles must be labeled fake/real, found {bad}")
-        return np.array([LABEL_CODES[p.label] for p in profiles], dtype=int)
+        return np.array([LABEL_CODES[label] for label in profiles["label"]], dtype=int)
 
     def to_dict(self) -> dict:
-        return {
-            "columns": self.columns,
-            "means": self.means,
-            "stds": self.stds,
-            "vocab": self.vocab,
-            "dropped": self.dropped,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureEncoder":
-        return cls(
-            columns=list(data["columns"]),
-            means=dict(data["means"]),
-            stds=dict(data["stds"]),
-            vocab={k: list(v) for k, v in data["vocab"].items()},
-            dropped=list(data["dropped"]),
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls)})

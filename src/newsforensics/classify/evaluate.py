@@ -14,12 +14,11 @@ import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..traffic import TrafficProfile
-from .encoder import FeatureEncoder, complete_profiles
+from ..traffic import ProfileTable
+from .encoder import FeatureEncoder, complete
 from .metrics import DECISION_THRESHOLD, MetricsReport, compute_metrics
 from .models import make_model
 
@@ -33,7 +32,7 @@ class NewsClassifier:
     encoder: FeatureEncoder
     model: object
 
-    def score(self, profiles: Sequence[TrafficProfile]) -> np.ndarray:
+    def score(self, profiles: ProfileTable) -> np.ndarray:
         """P(fake) per profile; raises on the first incomplete profile."""
         return self.model.score(self.encoder.transform(profiles))
 
@@ -73,7 +72,7 @@ def _check_trainable(labels: np.ndarray) -> None:
 
 
 def _fit_classifier(
-    kind: str, rows: list[TrafficProfile], labels: np.ndarray, seed: int, model_params: dict
+    kind: str, rows: ProfileTable, labels: np.ndarray, seed: int, model_params: dict
 ) -> NewsClassifier:
     """Fit an encoder on rows, then a model on the encoded rows and labels."""
     encoder = FeatureEncoder.fit(rows)
@@ -83,12 +82,12 @@ def _fit_classifier(
 
 def train_classifier(
     kind: str,
-    profiles: Iterable[TrafficProfile],
+    profiles: ProfileTable,
     seed: int = 0,
     **model_params,
 ) -> NewsClassifier:
     """Fit the encoder and one model on all complete profiles."""
-    rows = complete_profiles(profiles)
+    rows = profiles.take(complete(profiles))
     labels = FeatureEncoder.labels(rows)
     _check_trainable(labels)
     return _fit_classifier(kind, rows, labels, seed, model_params)
@@ -129,7 +128,7 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
 
 def cross_validate(
     kind: str,
-    profiles: Iterable[TrafficProfile],
+    profiles: ProfileTable,
     k: int = 10,
     seed: int = 0,
     **model_params,
@@ -139,7 +138,7 @@ def cross_validate(
     Test scores are pooled across folds for the aggregate report;
     per-fold reports ride along in ``folds``.
     """
-    rows = complete_profiles(profiles)
+    rows = profiles.take(complete(profiles))
     labels = FeatureEncoder.labels(rows)
     _check_trainable(labels)
     folds = stratified_folds(labels, k, seed)
@@ -149,9 +148,9 @@ def cross_validate(
     fold_reports = []
     for fold_id, test_idx in enumerate(folds):
         train_idx = np.delete(np.arange(len(rows)), test_idx)
-        classifier = _fit_classifier(kind, [rows[i] for i in train_idx], labels[train_idx],
+        classifier = _fit_classifier(kind, rows.take(train_idx), labels[train_idx],
                                      fold_seeds[fold_id], model_params)
-        scores = classifier.score([rows[i] for i in test_idx])
+        scores = classifier.score(rows.take(test_idx))
         pooled_scores[test_idx] = scores
         fold_reports.append(compute_metrics(scores, labels[test_idx]))
 
@@ -170,10 +169,11 @@ class RankPredicate:
     op: str
     value: int
 
-    def __call__(self, profile: TrafficProfile) -> bool:
-        if profile.global_rank is None:
-            return False
-        return _OPS[self.op](profile.global_rank, self.value)
+    def __call__(self, profiles: ProfileTable) -> np.ndarray:
+        """Mask of the rows whose global rank, if any, satisfies the predicate."""
+        op = _OPS[self.op]
+        return np.array([rank is not None and op(rank, self.value)
+                         for rank in profiles["global_rank"]], dtype=bool)
 
     def __str__(self) -> str:
         return f"rank{self.op}{self.value}"
@@ -203,22 +203,22 @@ class SplitSpec:
 
 
 def rank_split_experiment(
-    profiles: Iterable[TrafficProfile],
+    profiles: ProfileTable,
     spec: SplitSpec,
     kind: str = "random_forest",
     seed: int = 0,
     **model_params,
 ) -> MetricsReport:
     """Train on one rank band and test on the other (no cross-validation)."""
-    rows = complete_profiles(profiles)
-    train_rows = [p for p in rows if spec.train(p)]
-    test_rows = [p for p in rows if spec.test(p)]
-    overlap = {p.site for p in train_rows} & {p.site for p in test_rows}
+    rows = profiles.take(complete(profiles))
+    train_rows = rows.take(spec.train(rows))
+    test_rows = rows.take(spec.test(rows))
+    overlap = set(train_rows["site"]) & set(test_rows["site"])
     if overlap:
         raise ValueError(f"split predicates overlap on: {sorted(overlap)[:5]}")
-    if not train_rows:
+    if not len(train_rows):
         raise ValueError(f"no profiles satisfy train predicate {spec.train}")
-    if not test_rows:
+    if not len(test_rows):
         raise ValueError(f"no profiles satisfy test predicate {spec.test}")
 
     y_train = FeatureEncoder.labels(train_rows)
@@ -231,11 +231,11 @@ def rank_split_experiment(
 
 
 def predict_profiles(
-    classifier: NewsClassifier, profiles: Sequence[TrafficProfile]
+    classifier: NewsClassifier, profiles: ProfileTable
 ) -> list[tuple[str, str, float]]:
     """Per-profile (site, label, score); raises on incomplete profiles."""
     scores = classifier.score(profiles).tolist()
     return [
-        (p.site, "fake" if score >= DECISION_THRESHOLD else "real", score)
-        for p, score in zip(profiles, scores)
+        (site, "fake" if score >= DECISION_THRESHOLD else "real", score)
+        for site, score in zip(profiles["site"], scores)
     ]

@@ -12,9 +12,10 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -150,24 +151,48 @@ class RunConfig:
             if env_key in env:
                 values[f.name] = env[env_key]
         values.update({k: v for k, v in overrides.items() if v is not None})
-        # coerce env/JSON values to the declared types, and require text fields to be
-        # text (``f.type`` is the annotation's text)
-        numbers = {"int": int, "float": float}
-        strings = {"str": str, "str | None": (str, type(None))}
         for f in fields(cls):
-            if f.name not in values:
-                continue
-            value = values[f.name]
-            try:
-                if f.type in numbers:
-                    values[f.name] = numbers[f.type](value)
-                elif f.type == "bool" and isinstance(value, str):
-                    values[f.name] = value.strip().lower() in ("1", "true", "yes")
-                elif not isinstance(value, strings.get(f.type, object)):
-                    raise TypeError(f"expected a string, got {value!r}")
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{f.name!r}: {exc}") from None
+            if f.name in values:
+                try:
+                    values[f.name] = _CONVERTERS[f.type](values[f.name])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(f"{f.name!r}: {exc}") from None
         return cls(**values)
+
+
+_BOOL_TEXT = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _to_bool(value) -> bool:
+    if isinstance(value, str):
+        value = _BOOL_TEXT.get(value.strip().lower(), value)
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _to_int(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _to_float(value) -> float:
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _to_str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+# RunConfig field annotation, as text -> exact conversion of a config file,
+# environment or flag value
+_CONVERTERS = {"bool": _to_bool, "int": _to_int, "float": _to_float, "str": _to_str,
+               "str | None": lambda value: value if value is None else _to_str(value)}
 
 
 def write_json(path: Path, payload) -> None:
@@ -641,9 +666,7 @@ def traffic_stats(config: RunConfig) -> dict:
     report_obj = traf.cohort_report(profiles, sample_std=config.sample_std)
     report = report_obj.to_dict()
     report["rows_loaded"] = len(profiles)
-    report["rows_rejected"] = [
-        {"line": e.line, "site": e.site, "reason": e.reason} for e in errors
-    ]
+    report["rows_rejected"] = [asdict(e) for e in errors]
     write_json(config.out / "traffic_report.json", report)
     write_run_manifest(
         config, "stats", [config.traffic_data], [config.out / "traffic_report.json"]

@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, Overflow
-from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
@@ -65,6 +64,32 @@ EDU_GOV_RATIOS = {
     "edu_ref_domain_ratio": ("edu_ref_domains", "referring_domains"),
     "gov_ref_domain_ratio": ("gov_ref_domains", "referring_domains"),
 }
+
+
+class ProfileTable:
+    """Traffic profiles as one object array per TrafficProfile field; an absent
+    value is None.  Each value stays the Python int, float or str it was parsed
+    as, so counts beyond int64 stay exact."""
+
+    def __init__(self, columns: dict[str, np.ndarray]):
+        self._columns = columns
+
+    @classmethod
+    def of(cls, rows: Iterable[TrafficProfile]) -> "ProfileTable":
+        rows = list(rows)
+        return cls({name: np.array([getattr(p, name) for p in rows], dtype=object)
+                    for name in _SCHEMA})
+
+    def __len__(self) -> int:
+        return len(self._columns["site"])
+
+    def __getitem__(self, field: str) -> np.ndarray:
+        return self._columns[field]
+
+    def take(self, rows) -> "ProfileTable":
+        """The rows a boolean mask or an index array selects, in that order."""
+        return ProfileTable({name: column[rows] for name, column in self._columns.items()})
+
 
 _SUFFIX_MULTIPLIERS = {"K": 1000, "M": 1000000, "B": 1000000000}
 
@@ -217,11 +242,11 @@ def _array(values: list, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 def _parse_columns(
     lines: list[int], cols: dict[str, Sequence], allow_unlabeled: bool
-) -> tuple[list[TrafficProfile], list[RowError]]:
+) -> tuple[ProfileTable, list[RowError]]:
     """Profiles of the rows that pass every check, and a RowError for each
-    row that does not, with the first reason in this order: domain, label,
-    each metric's parse and sign in schema order, ranks, percentages, the
-    share sum and the EDU/GOV counts."""
+    row that does not, with the first reason in this order: domain, a domain
+    an earlier row already names, label, each metric's parse and sign in
+    schema order, ranks, percentages, the share sum and the EDU/GOV counts."""
     reasons: list[str | None] = [None] * len(lines)
 
     def reject(rows, reason) -> None:  # a row keeps its first reason
@@ -231,6 +256,10 @@ def _parse_columns(
 
     sites, errors = _map(normalize_site, [str(d) for d in cols["domain"]])
     reject(errors, errors.get)
+    first_line: dict[str, int] = {}
+    for i, site in enumerate(sites):
+        if site is not None and first_line.setdefault(site, lines[i]) != lines[i]:
+            reasons[i] = f"duplicate domain {site}, first on line {first_line[site]}"
     labels = []
     for i, raw in enumerate(cols["label"]):
         label = str(raw or "").strip().lower()
@@ -277,33 +306,28 @@ def _parse_columns(
         reject((part_ok & whole_ok & (part_arr > whole_arr)).nonzero()[0],
                lambda i: f"{part} ({values[part][i]}) exceeds {whole} ({values[whole][i]})")
 
-    fields = [sites, labels] + [values[name] for name in REQUIRED_COLUMNS[2:]]
-    accepted = [reason is None for reason in reasons]
-    profiles = []
-    for row in compress(zip(*fields), accepted):
-        # filling the instance dict skips the frozen dataclass's __init__, whose
-        # per-field object.__setattr__ is most of the cost of a profile; every
-        # value here has passed its checks
-        profile = object.__new__(TrafficProfile)
-        profile.__dict__.update(zip(_SCHEMA, row))
-        profiles.append(profile)
+    values.update(site=sites, label=labels)
+    accepted = np.array([reason is None for reason in reasons], dtype=bool)
+    table = ProfileTable({name: np.array(values[name], dtype=object)[accepted]
+                          for name in _SCHEMA})
     domains = cols["domain"]
     rejected = [RowError(lines[i], str(domains[i]), reason)
                 for i, reason in enumerate(reasons) if reason is not None]
-    return profiles, rejected
+    return table, rejected
 
 
 def load_profiles(
     path: str | Path, allow_unlabeled: bool = False
-) -> tuple[list[TrafficProfile], list[RowError]]:
-    """Load traffic profiles from a CSV or JSON-lines export.
+) -> tuple[ProfileTable, list[RowError]]:
+    """Load traffic profiles from a CSV or JSON-lines export into one table.
 
     Files ending in .jsonl, .ndjson or .json are read as JSON lines,
     anything else as CSV.  A missing required column is a hard error;
-    rows violating value invariants, and JSON lines that are not a JSON
-    object, are returned as RowErrors in line order, each with the
-    physical line its row starts on.  With allow_unlabeled, rows may
-    leave the label blank (prediction inputs) and get label "unknown".
+    rows violating value invariants or naming a domain an earlier row names,
+    and JSON lines that are not a JSON object, are returned as RowErrors in
+    line order, each with the physical line its row starts on.  With
+    allow_unlabeled, rows may leave the label blank (prediction inputs) and
+    get label "unknown".
     All rows are read first, then parsed and checked a column at a time.
     """
     path = Path(path)
@@ -364,13 +388,14 @@ def ecdf(values: Sequence[float]) -> list[tuple[float, float]]:
     return points
 
 
-def edu_gov_ratios(p: TrafficProfile) -> dict[str, float]:
-    """EDU/GOV shares of backlinks and referring domains; 0 for empty totals."""
-    out = {}
-    for name, (part, whole) in EDU_GOV_RATIOS.items():
-        n, d = getattr(p, part), getattr(p, whole)
-        out[name] = n / d if d and n is not None else 0.0
-    return out
+def edu_gov_ratios(profiles: ProfileTable) -> dict[str, list[float]]:
+    """EDU/GOV shares of backlinks and referring domains per row; 0 for
+    empty totals."""
+    return {
+        name: [n / d if d and n is not None else 0.0
+               for n, d in zip(profiles[part], profiles[whole])]
+        for name, (part, whole) in EDU_GOV_RATIOS.items()
+    }
 
 
 @dataclass
@@ -383,50 +408,28 @@ class CohortReport:
     warnings: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "stats": {
-                metric: {
-                    label: vars(s) for label, s in sorted(per_label.items())
-                }
-                for metric, per_label in sorted(self.stats.items())
-            },
-            "ecdfs": self.ecdfs,
-            "ratio_ecdfs": self.ratio_ecdfs,
-            "warnings": self.warnings,
-        }
+        stats = {metric: {label: vars(s) for label, s in sorted(per_label.items())}
+                 for metric, per_label in sorted(self.stats.items())}
+        return {**vars(self), "stats": stats}
 
 
-def cohort_report(
-    profiles: Iterable[TrafficProfile], sample_std: bool = False
-) -> CohortReport:
+def cohort_report(profiles: ProfileTable, sample_std: bool = False) -> CohortReport:
     """Summary table over fake and real cohorts; absent values excluded per metric."""
-    profiles = list(profiles)
-    labels = sorted({p.label for p in profiles})
+    labels = sorted(set(profiles["label"]))
     warnings = []
     if len(labels) < 2:
-        warnings.append(
-            f"only {labels or 'no'} label(s) present; table is partial"
-        )
+        warnings.append(f"only {labels or 'no'} label(s) present; table is partial")
 
     stats: dict[str, dict[str, DescriptiveStats]] = {}
     ecdfs: dict[str, dict[str, list]] = {}
-    for metric in METRIC_FIELDS:
-        for label in labels:
-            values = [
-                getattr(p, metric)
-                for p in profiles
-                if p.label == label and getattr(p, metric) is not None
-            ]
-            if not values:
-                continue
-            stats.setdefault(metric, {})[label] = describe(values, sample_std=sample_std)
-            ecdfs.setdefault(metric, {})[label] = ecdf(values)
-
     ratio_ecdfs: dict[str, dict[str, list]] = {}
     for label in labels:
-        ratios = [edu_gov_ratios(p) for p in profiles if p.label == label]
-        if not ratios:
-            continue
-        for name in EDU_GOV_RATIOS:
-            ratio_ecdfs.setdefault(name, {})[label] = ecdf([r[name] for r in ratios])
+        cohort = profiles.take(profiles["label"] == label)
+        for metric in METRIC_FIELDS:
+            values = [v for v in cohort[metric] if v is not None]
+            if values:
+                stats.setdefault(metric, {})[label] = describe(values, sample_std=sample_std)
+                ecdfs.setdefault(metric, {})[label] = ecdf(values)
+        for name, ratios in edu_gov_ratios(cohort).items():
+            ratio_ecdfs.setdefault(name, {})[label] = ecdf(ratios)
     return CohortReport(stats, ecdfs, ratio_ecdfs, warnings)

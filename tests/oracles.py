@@ -11,10 +11,17 @@ import csv
 import json
 import math
 import re
+from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
-from newsforensics.classify.encoder import REQUIRED_FEATURES
+from newsforensics.classify.encoder import (
+    CATEGORICAL_FEATURES,
+    NUMERIC_FEATURES,
+    REQUIRED_FEATURES,
+    VARIANCE_THRESHOLD,
+)
 from newsforensics.sync import _CANDIDATE_SLACK, ContentMatch, QuarterSeries, SyncCluster
 from newsforensics.tfidf import build_tfidf, cosine
 from newsforensics.timeline import (
@@ -34,6 +41,8 @@ from newsforensics.traffic import (
     RowError,
     TrafficProfile,
     _INT_FIELDS,
+    describe,
+    ecdf,
     parse_quantity,
 )
 
@@ -306,6 +315,73 @@ def encode_reference(encoder, profile) -> np.ndarray:
     return row
 
 
+def _feature_table_reference(profiles: list[TrafficProfile]) -> np.ndarray:
+    """Object array of raw feature values, one column per REQUIRED_FEATURES."""
+    get = attrgetter(*REQUIRED_FEATURES)
+    rows = [get(p) for p in profiles]
+    return np.array(rows, dtype=object).reshape(len(rows), len(REQUIRED_FEATURES))
+
+
+def encoder_reference(fit_rows: list[TrafficProfile],
+                      rows: list[TrafficProfile]) -> tuple[dict, np.ndarray]:
+    """The encoder fitted on the complete profiles among fit_rows, as
+    FeatureEncoder.to_dict() gives it, and rows encoded one at a time by
+    encode_reference; raises the library's ValueErrors."""
+    fitted = [p for p in fit_rows if all(getattr(p, f) is not None for f in REQUIRED_FEATURES)]
+    if not fitted:
+        raise ValueError("no profiles with a complete feature set")
+    table = _feature_table_reference(fitted)
+    means, stds, dropped, columns = {}, {}, [], []
+    for name in NUMERIC_FEATURES:
+        values = table[:, REQUIRED_FEATURES.index(name)].astype(float)
+        if values.var() < VARIANCE_THRESHOLD:
+            dropped.append(name)
+            continue
+        means[name] = float(values.mean())
+        stds[name] = float(values.std())
+        columns.append(name)
+    vocab = {}
+    for name in CATEGORICAL_FEATURES:
+        seen = sorted(set(table[:, REQUIRED_FEATURES.index(name)]))
+        if len(seen) < 2:
+            dropped.append(name)
+            continue
+        vocab[name] = seen
+        columns.extend(f"{name}={v}" for v in seen)
+    encoder = SimpleNamespace(columns=sorted(columns), means=means, stds=stds, vocab=vocab,
+                              dropped=sorted(dropped))
+    X = np.array([encode_reference(encoder, p) for p in rows])
+    return vars(encoder), X.reshape(len(rows), len(encoder.columns))
+
+
+def cohort_report_reference(profiles: list[TrafficProfile], sample_std: bool = False) -> dict:
+    """cohort_report(...).to_dict(), scanning every profile once per metric
+    and label."""
+    labels = sorted({p.label for p in profiles})
+    warnings = []
+    if len(labels) < 2:
+        warnings.append(f"only {labels or 'no'} label(s) present; table is partial")
+    stats: dict[str, dict[str, dict]] = {}
+    ecdfs: dict[str, dict[str, list]] = {}
+    for metric in METRIC_FIELDS:
+        for label in labels:
+            values = [getattr(p, metric) for p in profiles
+                      if p.label == label and getattr(p, metric) is not None]
+            if values:
+                stats.setdefault(metric, {})[label] = vars(describe(values, sample_std=sample_std))
+                ecdfs.setdefault(metric, {})[label] = ecdf(values)
+    ratio_ecdfs: dict[str, dict[str, list]] = {}
+    for label in labels:
+        for name, (part, whole) in EDU_GOV_RATIOS.items():
+            ratios = []
+            for p in profiles:
+                if p.label == label:
+                    n, d = getattr(p, part), getattr(p, whole)
+                    ratios.append(n / d if d and n is not None else 0.0)
+            ratio_ecdfs.setdefault(name, {})[label] = ecdf(ratios)
+    return {"stats": stats, "ecdfs": ecdfs, "ratio_ecdfs": ratio_ecdfs, "warnings": warnings}
+
+
 def auc_pairwise_reference(scores, labels) -> float:
     """Share of (positive, negative) pairs the positive outranks, ties half."""
     pos = [s for s, y in zip(scores, labels) if y == 1]
@@ -465,12 +541,18 @@ def _blank(value) -> bool:
     return value is None or (isinstance(value, str) and not value.strip())
 
 
-def _profile_row_reference(row: dict, allow_unlabeled: bool) -> TrafficProfile:
-    """One row's profile, checking each rule in turn; ValueError names the first broken."""
+def _profile_row_reference(row: dict, allow_unlabeled: bool, line: int,
+                           first_line: dict) -> TrafficProfile:
+    """One row's profile, checking each rule in turn; ValueError names the
+    first broken.  first_line maps each site an earlier row named to that
+    row's line."""
     nested = [c for c in REQUIRED_COLUMNS if isinstance(row.get(c), (list, dict))]
     if nested:
         raise ValueError(f"{nested[0]} must be a single value, got {row[nested[0]]!r}")
     site = normalize_site(str(row["domain"]))
+    if site in first_line:
+        raise ValueError(f"duplicate domain {site}, first on line {first_line[site]}")
+    first_line[site] = line
     label = str(row.get("label") or "").strip().lower()
     if label not in ("fake", "real"):
         if allow_unlabeled and not label:
@@ -518,7 +600,8 @@ def _profile_row_reference(row: dict, allow_unlabeled: bool) -> TrafficProfile:
 
 
 def load_profiles_reference(path, allow_unlabeled: bool = False):
-    """(profiles, RowErrors) of a traffic export, one row at a time.
+    """(profiles, RowErrors) of a traffic export, one row at a time; a row
+    naming a domain an earlier row names is a RowError.
 
     CSV rows come from csv.DictReader; each row's line is the first
     non-blank physical line read since the previous row ended.
@@ -562,11 +645,18 @@ def load_profiles_reference(path, allow_unlabeled: bool = False):
                     if col not in rec:
                         raise ValueError(f"{path}:{i}: missing required column: {col}")
                 rows.append((i, rec))
-    profiles = []
+    profiles, first_line = [], {}
     for line, row in rows:
         try:
-            profiles.append(_profile_row_reference(row, allow_unlabeled))
+            profiles.append(_profile_row_reference(row, allow_unlabeled, line, first_line))
         except ValueError as exc:
             errors.append(RowError(line, str(row.get("domain", "?")), str(exc)))
     errors.sort(key=lambda e: e.line)
     return profiles, errors
+
+
+def table_rows(table) -> list[TrafficProfile]:
+    """The rows of a ProfileTable as profiles, for comparing with the row
+    references."""
+    return [TrafficProfile(*values) for values in
+            zip(*(table[name] for name in TrafficProfile.__dataclass_fields__))]

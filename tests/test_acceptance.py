@@ -33,6 +33,7 @@ from newsforensics.timeline import (
     timelines_from_annotations,
 )
 from newsforensics.trackers import extract_third_parties, match_trackers, parse_filter_list, serialize_rule
+from newsforensics.traffic import ProfileTable
 
 from fixture_corpus import build_corpus, serve
 from oracles import dense_cosine, pipeline_reference
@@ -235,13 +236,14 @@ def test_criterion_07_metric_arithmetic():
 
 
 def test_criterion_08_classifier_sanity():
-    dataset = separable_dataset(n=500, seed=20160808)
+    rows = separable_dataset(n=500, seed=20160808)
+    dataset = ProfileTable.of(rows)
     report = cross_validate("random_forest", dataset, k=10, seed=101)
     assert report.f1 >= 0.95, f"weighted F1 {report.f1:.3f}"
 
     null_report = cross_validate(
         "random_forest",
-        permuted_labels(dataset, seed=55),
+        ProfileTable.of(permuted_labels(rows, seed=55)),
         k=10,
         seed=101,
         n_trees=20,
@@ -262,10 +264,10 @@ def test_criterion_08_classifier_sanity():
 
 
 def test_criterion_09_rank_split_harness():
-    rows = rank_banded_dataset(n=400, seed=20160909, boundary=10_000)
+    rows = ProfileTable.of(rank_banded_dataset(n=400, seed=20160909, boundary=10_000))
     spec = SplitSpec.parse("rank>10000|rank<10000")
-    train_sites = {p.site for p in rows if spec.train(p)}
-    test_sites = {p.site for p in rows if spec.test(p)}
+    train_sites = set(rows["site"][spec.train(rows)])
+    test_sites = set(rows["site"][spec.test(rows)])
     assert train_sites and test_sites
     assert not train_sites & test_sites
     report = rank_split_experiment(rows, spec, "random_forest", seed=77)

@@ -10,7 +10,7 @@ from newsforensics.classify import (
     NewsClassifier,
     SplitSpec,
     auc_score,
-    complete_profiles,
+    complete,
     compute_metrics,
     cross_validate,
     make_model,
@@ -21,7 +21,7 @@ from newsforensics.classify import (
 )
 from newsforensics.classify.forest import DecisionTree, RandomForestModel, _split_search
 from newsforensics.classify.metrics import DECISION_THRESHOLD
-from newsforensics.traffic import TrafficProfile
+from newsforensics.traffic import ProfileTable, TrafficProfile
 
 from oracles import (
     auc_pairwise_reference,
@@ -42,8 +42,8 @@ def dataset():
 class TestEncoder:
     def test_incomplete_profiles_dropped(self, dataset):
         broken = TrafficProfile("broken.com", "fake", bounce_rate=50.0)
-        rows = complete_profiles(dataset + [broken])
-        assert broken not in rows and len(rows) == len(dataset)
+        mask = complete(ProfileTable.of(dataset + [broken]))
+        assert mask.tolist() == [True] * len(dataset) + [False]
 
     def test_constant_feature_dropped(self, dataset):
         pinned = []
@@ -51,12 +51,12 @@ class TestEncoder:
             values = vars(p).copy()
             values["src_mail"] = 3.0
             pinned.append(TrafficProfile(**values))
-        enc = FeatureEncoder.fit(pinned)
+        enc = FeatureEncoder.fit(ProfileTable.of(pinned))
         assert "src_mail" in enc.dropped
         assert "src_mail" not in enc.columns
 
     def test_one_hot_vocabulary(self, dataset):
-        enc = FeatureEncoder.fit(dataset)
+        enc = FeatureEncoder.fit(ProfileTable.of(dataset))
         countries = sorted({p.country for p in dataset})
         assert [c for c in enc.columns if c.startswith("country=")] == [
             f"country={c}" for c in countries
@@ -68,27 +68,27 @@ class TestEncoder:
             values = vars(p).copy()
             values["country"] = f"C{i % 32:02d}"
             spread.append(TrafficProfile(**values))
-        enc = FeatureEncoder.fit(spread)
+        enc = FeatureEncoder.fit(ProfileTable.of(spread))
         assert sum(1 for c in enc.columns if c.startswith("country=")) == 32
 
     def test_columns_sorted(self, dataset):
-        enc = FeatureEncoder.fit(dataset)
+        enc = FeatureEncoder.fit(ProfileTable.of(dataset))
         assert enc.columns == sorted(enc.columns)
 
     def test_numeric_standardized(self, dataset):
-        enc = FeatureEncoder.fit(dataset)
-        X = enc.transform(dataset)
+        enc = FeatureEncoder.fit(ProfileTable.of(dataset))
+        X = enc.transform(ProfileTable.of(dataset))
         j = enc.columns.index("bounce_rate")
         assert X[:, j].mean() == pytest.approx(0.0, abs=1e-9)
         assert X[:, j].std() == pytest.approx(1.0, abs=1e-9)
 
     def test_transform_one_missing_feature_errors(self, dataset):
-        enc = FeatureEncoder.fit(dataset)
+        enc = FeatureEncoder.fit(ProfileTable.of(dataset))
         with pytest.raises(ValueError, match="country"):
             enc.transform_one(TrafficProfile("x.com", "fake", bounce_rate=50.0))
 
     def test_unknown_category_encodes_all_zeros(self, dataset):
-        enc = FeatureEncoder.fit(dataset)
+        enc = FeatureEncoder.fit(ProfileTable.of(dataset))
         values = vars(dataset[0]).copy()
         values["country"] = "ZZ"
         row = enc.transform_one(TrafficProfile(**values))
@@ -96,9 +96,10 @@ class TestEncoder:
         assert all(row[i] == 0.0 for i in cols)
 
     def test_roundtrip(self, dataset):
-        enc = FeatureEncoder.fit(dataset)
+        enc = FeatureEncoder.fit(ProfileTable.of(dataset))
         back = FeatureEncoder.from_dict(json.loads(json.dumps(enc.to_dict())))
-        assert np.array_equal(back.transform(dataset[:5]), enc.transform(dataset[:5]))
+        rows = ProfileTable.of(dataset[:5])
+        assert np.array_equal(back.transform(rows), enc.transform(rows))
 
     def test_transform_matches_row_reference(self, dataset):
         rng = np.random.default_rng(31)
@@ -112,7 +113,7 @@ class TestEncoder:
                 if trial % 3 == 0:
                     values["category"] = "News"  # constant category: dropped
                 fitted.append(TrafficProfile(**values))
-            enc = FeatureEncoder.fit(fitted)
+            enc = FeatureEncoder.fit(ProfileTable.of(fitted))
             assert ("src_mail" in enc.dropped) == bool(trial % 2)
             assert ("category" in enc.dropped) == (trial % 3 == 0)
             scored = [dataset[i] for i in rng.choice(len(dataset), size=15)]
@@ -120,27 +121,27 @@ class TestEncoder:
             values["country"] = "ZZ"  # unseen category value: all zeros
             scored.append(TrafficProfile(**values))
             expected = np.array([encode_reference(enc, p) for p in scored])
-            assert np.array_equal(enc.transform(scored), expected)
+            assert np.array_equal(enc.transform(ProfileTable.of(scored)), expected)
             assert np.array_equal(enc.transform_one(scored[-1]), expected[-1])
 
     def test_transform_rejects_first_incomplete_profile(self, dataset):
-        enc = FeatureEncoder.fit(dataset)
+        enc = FeatureEncoder.fit(ProfileTable.of(dataset))
         first = TrafficProfile("first.com", "fake", bounce_rate=50.0)
         second = TrafficProfile("second.com", "fake", country="US")
         with pytest.raises(ValueError) as expected:
             encode_reference(enc, first)
         with pytest.raises(ValueError) as err:
-            enc.transform(dataset[:3] + [first] + dataset[3:5] + [second])
+            enc.transform(ProfileTable.of(dataset[:3] + [first] + dataset[3:5] + [second]))
         assert str(err.value) == str(expected.value)
 
     def test_transform_of_no_profiles_is_empty(self, dataset):
-        enc = FeatureEncoder.fit(dataset)
-        assert enc.transform([]).shape == (0, enc.dimension)
+        enc = FeatureEncoder.fit(ProfileTable.of(dataset))
+        assert enc.transform(ProfileTable.of([])).shape == (0, enc.dimension)
 
     def test_all_dropped_errors(self):
         with pytest.raises(ValueError):
             FeatureEncoder.fit(
-                [TrafficProfile("a.com", "fake", bounce_rate=1.0)] * 3
+                ProfileTable.of([TrafficProfile("a.com", "fake", bounce_rate=1.0)] * 3)
             )
 
 
@@ -527,26 +528,27 @@ class TestStratifiedFolds:
 
 class TestCrossValidate:
     def test_separable_dataset_high_f1(self, dataset):
-        report = cross_validate("random_forest", dataset, k=10, seed=42, n_trees=50)
+        report = cross_validate("random_forest", ProfileTable.of(dataset), k=10, seed=42,
+                                n_trees=50)
         assert report.f1 >= 0.95
         assert len(report.folds) == 10
 
     def test_deterministic_reports(self, dataset):
-        a = cross_validate("random_forest", dataset, k=5, seed=8, n_trees=20)
-        b = cross_validate("random_forest", dataset, k=5, seed=8, n_trees=20)
+        a = cross_validate("random_forest", ProfileTable.of(dataset), k=5, seed=8, n_trees=20)
+        b = cross_validate("random_forest", ProfileTable.of(dataset), k=5, seed=8, n_trees=20)
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(
             b.to_dict(), sort_keys=True
         )
 
     def test_permutation_null_auc_near_half(self, dataset):
-        shuffled = permuted_labels(dataset, seed=21)
+        shuffled = ProfileTable.of(permuted_labels(dataset, seed=21))
         report = cross_validate(
             "random_forest", shuffled, k=5, seed=5, n_trees=20, min_samples_leaf=5
         )
         assert 0.4 <= report.auc <= 0.6
 
     def test_single_class_rejected(self):
-        rows = [p for p in separable_dataset(40, seed=2) if p.label == "fake"]
+        rows = ProfileTable.of([p for p in separable_dataset(40, seed=2) if p.label == "fake"])
         with pytest.raises(ValueError, match="per class"):
             cross_validate("random_forest", rows, k=2, seed=0)
 
@@ -565,24 +567,27 @@ class TestSplitSpec:
 
     def test_predicate_requires_rank(self):
         spec = SplitSpec.parse("rank>10|rank<=10")
-        assert spec.train(TrafficProfile("a.com", "fake", global_rank=None)) is False
+        rows = ProfileTable.of([TrafficProfile("a.com", "fake", global_rank=None),
+                                TrafficProfile("b.com", "fake", global_rank=11)])
+        assert spec.train(rows).tolist() == [False, True]
+        assert spec.test(rows).tolist() == [False, False]
 
 
 class TestRankSplit:
     def test_disjoint_and_generalizes(self):
-        rows = rank_banded_dataset(n=400, seed=6)
+        rows = ProfileTable.of(rank_banded_dataset(n=400, seed=6))
         spec = SplitSpec.parse("rank>10000|rank<10000")
         report = rank_split_experiment(rows, spec, "random_forest", seed=3, n_trees=50)
         assert report.f1 >= 0.9
 
     def test_overlapping_predicates_rejected(self):
-        rows = rank_banded_dataset(n=100, seed=6)
+        rows = ProfileTable.of(rank_banded_dataset(n=100, seed=6))
         spec = SplitSpec.parse("rank>5|rank>10")
         with pytest.raises(ValueError, match="overlap"):
             rank_split_experiment(rows, spec, "random_forest", seed=0, n_trees=5)
 
     def test_empty_side_names_predicate(self):
-        rows = rank_banded_dataset(n=100, seed=6)
+        rows = ProfileTable.of(rank_banded_dataset(n=100, seed=6))
         spec = SplitSpec.parse("rank>2000000|rank<10000")
         with pytest.raises(ValueError, match="rank>2000000"):
             rank_split_experiment(rows, spec, "random_forest", seed=0, n_trees=5)
@@ -590,44 +595,46 @@ class TestRankSplit:
 
 class TestTrainPredict:
     def test_memorizes_training_example(self, dataset):
-        clf = train_classifier("random_forest", dataset, seed=1, n_trees=30)
-        fake_example = next(p for p in dataset if p.label == "fake")
-        [(site, label, score)] = predict_profiles(clf, [fake_example])
-        assert site == fake_example.site
+        clf = train_classifier("random_forest", ProfileTable.of(dataset), seed=1, n_trees=30)
+        fake_example = ProfileTable.of([next(p for p in dataset if p.label == "fake")])
+        [(site, label, score)] = predict_profiles(clf, fake_example)
+        assert site == fake_example["site"][0]
         assert label == "fake" and score > 0.5
-        assert score == clf.score([fake_example])[0]
+        assert score == clf.score(fake_example)[0]
 
     def test_no_complete_profile_rejected(self):
         with pytest.raises(ValueError, match="per class"):
-            train_classifier("random_forest", [TrafficProfile("x.com", "fake", bounce_rate=1.0)])
+            train_classifier("random_forest",
+                             ProfileTable.of([TrafficProfile("x.com", "fake", bounce_rate=1.0)]))
 
     def test_predict_missing_feature_lists_fields(self, dataset):
-        clf = train_classifier("random_forest", dataset, seed=1, n_trees=5)
+        clf = train_classifier("random_forest", ProfileTable.of(dataset), seed=1, n_trees=5)
         incomplete = TrafficProfile("x.com", "fake", bounce_rate=80.0)
         with pytest.raises(ValueError) as err:
-            predict_profiles(clf, [incomplete])
+            predict_profiles(clf, ProfileTable.of([incomplete]))
         assert "global_rank" in str(err.value) and "country" in str(err.value)
 
     def test_batch_predict_order_equivariant(self, dataset):
-        clf = train_classifier("random_forest", dataset, seed=1, n_trees=10)
+        clf = train_classifier("random_forest", ProfileTable.of(dataset), seed=1, n_trees=10)
         sample = dataset[:10]
-        forward = predict_profiles(clf, sample)
-        backward = predict_profiles(clf, list(reversed(sample)))
+        forward = predict_profiles(clf, ProfileTable.of(sample))
+        backward = predict_profiles(clf, ProfileTable.of(reversed(sample)))
         assert forward == list(reversed(backward))
-        assert predict_profiles(clf, []) == []
+        assert predict_profiles(clf, ProfileTable.of([])) == []
 
     def test_save_load_identical_predictions(self, dataset, tmp_path):
-        clf = train_classifier("mlp", dataset, seed=5)
+        clf = train_classifier("mlp", ProfileTable.of(dataset), seed=5)
         path = tmp_path / "model.json"
         clf.save(path)
         back = NewsClassifier.load(path)
-        assert np.array_equal(back.score(dataset[:5]), clf.score(dataset[:5]))
-        assert predict_profiles(back, dataset[:5]) == predict_profiles(clf, dataset[:5])
+        rows = ProfileTable.of(dataset[:5])
+        assert np.array_equal(back.score(rows), clf.score(rows))
+        assert predict_profiles(back, rows) == predict_profiles(clf, rows)
 
     @pytest.mark.parametrize("kind", list(MODEL_KINDS))
     def test_saved_kind_is_the_model_kind(self, kind, tmp_path):
         params = {"n_trees": 3} if kind == "random_forest" else {}
-        rows = separable_dataset(30, seed=9)
+        rows = ProfileTable.of(separable_dataset(30, seed=9))
         clf = train_classifier(kind, rows, seed=0, **params)
         path = tmp_path / "model.json"
         clf.save(path)
@@ -637,7 +644,8 @@ class TestTrainPredict:
         assert np.array_equal(back.score(rows), clf.score(rows))
 
     def test_unknown_kind_in_model_file_rejected(self):
-        doc = train_classifier("naive_bayes", separable_dataset(30, seed=9), seed=0).to_dict()
+        rows = ProfileTable.of(separable_dataset(30, seed=9))
+        doc = train_classifier("naive_bayes", rows, seed=0).to_dict()
         doc["kind"] = "svm"
         with pytest.raises(ValueError, match="unknown model kind 'svm'"):
             NewsClassifier.from_dict(doc)
@@ -647,14 +655,14 @@ class TestTrainPredict:
             def score(self, profiles):
                 return np.array([DECISION_THRESHOLD, np.nextafter(DECISION_THRESHOLD, 0.0)])
 
-        predicted = predict_profiles(FixedScores(), dataset[:2])
+        predicted = predict_profiles(FixedScores(), ProfileTable.of(dataset[:2]))
         assert [label for _, label, _ in predicted] == ["fake", "real"]
         report = compute_metrics([DECISION_THRESHOLD, np.nextafter(DECISION_THRESHOLD, 0.0)],
                                  [1, 0])
         assert report.confusion == {"tp": 1, "fp": 0, "tn": 1, "fn": 0}
 
     def test_version_checked(self, tmp_path):
-        clf = train_classifier("naive_bayes", separable_dataset(30, seed=9), seed=0)
+        clf = train_classifier("naive_bayes", ProfileTable.of(separable_dataset(30, seed=9)), seed=0)
         doc = clf.to_dict()
         doc["format_version"] = 99
         with pytest.raises(ValueError, match="version"):

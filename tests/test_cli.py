@@ -682,6 +682,60 @@ class TestConfigPrecedence:
         assert f"error: {key!r}: {reason}" in result.output
 
 
+    @pytest.mark.parametrize("source,key,value", [
+        ("file", "sample_std", 5), ("file", "sample_std", [1]), ("env", "sample_std", "maybe"),
+        ("file", "folds", 2.7), ("file", "workers", True), ("file", "seed", float("inf")),
+        ("file", "rate_limit", float("nan")), ("env", "rate_limit", "nan"),
+        ("file", "backoff_base", float("inf")), ("file", "rate_limit", False),
+        ("file", "cosine_threshold", 10**400),  # an integer beyond any float
+    ])
+    def test_inexact_value_exits_2_naming_the_key(self, tmp_path, source, key, value):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({key: value} if source == "file" else {}))
+        result = invoke(
+            ["--config", str(config_file), "--out", str(tmp_path / "o"), "report"],
+            env={f"NEWSFORENSICS_{key.upper()}": value} if source == "env" else {},
+        )
+        assert result.exit_code == 2, result.output
+        assert f"error: {key!r}: " in result.output
+
+
+class TestProbeCounters:
+    """The benchmark's probe counters read the return values of load_profiles
+    and predict_profiles; they must count what the reports count."""
+
+    def test_counters_match_the_reports(self, corpus, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from tracing import Tracer
+
+        traffic = tmp_path / "traffic.csv"
+        lines = corpus.traffic_csv.read_text().splitlines()
+        bad_label = lines[1].replace(",fake,", ",dubious,").replace(",real,", ",dubious,")
+        traffic.write_text("\n".join(lines + [lines[1], "other" + bad_label]) + "\n")
+        out = tmp_path / "o"
+        tracer = Tracer()
+        with tracer.installed():
+            assert invoke(["--out", str(out), "stats", "--traffic", str(traffic)]).exit_code == 0
+            tracer.run = 1
+            result = invoke(["--out", str(out), "classify", "--traffic", str(traffic), "--k", "3",
+                             "--predict", str(corpus.predict_csv)])
+            assert result.exit_code == 0, result.output
+
+        stats = json.loads((out / "traffic_report.json").read_text())
+        metrics = tracer.run_metrics(0)
+        assert len(stats["rows_rejected"]) == 2
+        assert metrics["traffic.rows"] == stats["rows_loaded"] + len(stats["rows_rejected"])
+        assert metrics["traffic.rows_rejected"] == len(stats["rows_rejected"])
+
+        report = json.loads((out / "classifier_report.json").read_text())
+        predicted = len((out / "predictions.csv").read_text().splitlines()) - 1
+        metrics = tracer.run_metrics(1)
+        assert predicted == 6 and metrics["classify.predict_rows"] == predicted
+        # the training export, then the prediction input, whose rows all load
+        assert metrics["traffic.rows"] == report["rows_loaded"] + report["rows_rejected"] + predicted
+        assert metrics["traffic.rows_rejected"] == report["rows_rejected"] == 2
+
+
 @pytest.fixture(scope="module")
 def pipeline_out(corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("run") / "out"

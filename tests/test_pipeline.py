@@ -39,6 +39,16 @@ class TestRunConfig:
         config = RunConfig.from_sources(None, {"NEWSFORENSICS_SAMPLE_STD": "true"}, {})
         assert config.sample_std is True
 
+    def test_exact_values_converted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"folds": 4.0, "rate_limit": 2, "sample_std": True}))
+        config = RunConfig.from_sources(str(cfg), {"NEWSFORENSICS_WORKERS": " 3 "}, {})
+        assert (config.folds, config.rate_limit, config.workers) == (4, 2.0, 3)
+        assert config.sample_std is True
+        for text, expected in [("No", False), (" YES ", True), ("0", False), ("1", True)]:
+            env = {"NEWSFORENSICS_SAMPLE_STD": text}
+            assert RunConfig.from_sources(None, env, {}).sample_std is expected
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="cosine_threshold"):
             RunConfig(cosine_threshold=0.0)

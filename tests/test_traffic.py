@@ -5,15 +5,18 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsforensics.classify import FeatureEncoder
 from newsforensics.traffic import (
     _FLOAT_FIELDS,
     _INT_FIELDS,
     REQUIRED_COLUMNS,
     SHARE_FIELDS,
+    ProfileTable,
     TrafficProfile,
     cohort_report,
     describe,
@@ -23,7 +26,7 @@ from newsforensics.traffic import (
     parse_quantity,
 )
 
-from oracles import load_profiles_reference
+from oracles import cohort_report_reference, encoder_reference, load_profiles_reference, table_rows
 
 
 def profile_row(**overrides):
@@ -131,14 +134,14 @@ class TestLoadProfiles:
         )
         profiles, errors = load_profiles(path)
         assert len(profiles) == 3 and errors == []
-        assert profiles[0].total_visits == 3300000
-        assert profiles[0].backlinks == 4700
+        assert profiles["total_visits"][0] == 3300000
+        assert profiles["backlinks"][0] == 4700
 
     def test_bounce_rate_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "traffic.csv"
         write_csv(path, [profile_row(bounce_rate="120")])
         profiles, errors = load_profiles(path)
-        assert profiles == []
+        assert len(profiles) == 0
         assert len(errors) == 1 and "bounce_rate" in errors[0].reason
 
     def test_share_sum_tolerance(self, tmp_path):
@@ -151,7 +154,7 @@ class TestLoadProfiles:
         path = tmp_path / "traffic.csv"
         write_csv(path, [profile_row(src_direct="80")])  # sums to 140
         profiles, errors = load_profiles(path)
-        assert profiles == [] and "shares sum" in errors[0].reason
+        assert len(profiles) == 0 and "shares sum" in errors[0].reason
 
     def test_missing_column_is_hard_error(self, tmp_path):
         path = tmp_path / "traffic.csv"
@@ -169,20 +172,20 @@ class TestLoadProfiles:
         write_csv(path, [profile_row(global_rank="", total_visits="")])
         profiles, errors = load_profiles(path)
         assert errors == []
-        assert profiles[0].global_rank is None
-        assert profiles[0].total_visits is None
+        assert profiles["global_rank"][0] is None
+        assert profiles["total_visits"][0] is None
 
     def test_edu_exceeding_total_rejected(self, tmp_path):
         path = tmp_path / "traffic.csv"
         write_csv(path, [profile_row(edu_backlinks="99999")])
         profiles, errors = load_profiles(path)
-        assert profiles == [] and "exceeds" in errors[0].reason
+        assert len(profiles) == 0 and "exceeds" in errors[0].reason
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "traffic.csv"
         write_csv(path, [profile_row(label="dubious")])
         profiles, errors = load_profiles(path)
-        assert profiles == [] and "label" in errors[0].reason
+        assert len(profiles) == 0 and "label" in errors[0].reason
 
     def test_json_lines(self, tmp_path):
         path = tmp_path / "traffic.jsonl"
@@ -195,7 +198,8 @@ class TestLoadProfiles:
         # malformed lines are rejected one by one; the good rows still load
         nested = dict(rec, domain="nested.com", global_rank=[1])
         bad = ["{not json", "5", "null", json.dumps(REQUIRED_COLUMNS), json.dumps(nested)]
-        path.write_text("\n".join([json.dumps(rec)] + bad + [json.dumps(rec)]) + "\n")
+        last = json.dumps(dict(rec, domain="other.com"))
+        path.write_text("\n".join([json.dumps(rec)] + bad + [last]) + "\n")
         profiles, errors = load_profiles(path)
         assert len(profiles) == 2
         assert [e.line for e in errors] == [2, 3, 4, 5, 6]
@@ -223,7 +227,7 @@ class TestLoadProfiles:
         rows.append(profile_row(domain="z.com"))
         write_csv(path, rows)
         profiles, errors = load_profiles(path)
-        assert [p.site for p in profiles] == ["a.com", "z.com"]
+        assert list(profiles["site"]) == ["a.com", "z.com"]
         assert [(e.line, e.site) for e in errors] == [
             (i + 3, f"bad{i}.com") for i in range(len(bad))
         ]
@@ -246,10 +250,11 @@ class TestLoadProfiles:
             ("visit_duration_s", "-3.5"),
         ]
         lines = [good]
-        for field, token in bad:
+        for i, (field, token) in enumerate(bad):
             # raw tokens: json.dumps would quote them
-            lines.append(good.replace(f'"{field}": "{rec[field]}"', f'"{field}": {token}'))
-        path.write_text("\n".join(lines + [good]) + "\n")
+            line = json.dumps(dict(rec, domain=f"bad{i}.com"))
+            lines.append(line.replace(f'"{field}": "{rec[field]}"', f'"{field}": {token}'))
+        path.write_text("\n".join(lines + [json.dumps(dict(rec, domain="z.com"))]) + "\n")
         profiles, errors = load_profiles(path)
         assert len(profiles) == 2
         assert [e.line for e in errors] == list(range(2, 2 + len(bad)))
@@ -272,7 +277,7 @@ class TestLoadProfiles:
             rows = [profile_row(category="News\nand more"), profile_row(label="dubious")]
             out.writerows([[row[c] for c in REQUIRED_COLUMNS] for row in rows])
         profiles, errors = load_profiles(path)
-        assert profiles[0].category == "News\nand more"
+        assert profiles["category"][0] == "News\nand more"
         assert [e.line for e in errors] == [4]
 
     @pytest.mark.parametrize("overrides,reason", [
@@ -285,8 +290,29 @@ class TestLoadProfiles:
     def test_invariants_match_the_row_reference_at_their_edges(self, tmp_path, overrides, reason):
         path = tmp_path / "traffic.csv"
         write_csv(path, [profile_row(**overrides)])
-        assert load_profiles(path) == load_profiles_reference(path)
-        assert [e.reason for e in load_profiles(path)[1]] == [reason]
+        profiles, errors = load_profiles(path)
+        assert (table_rows(profiles), errors) == load_profiles_reference(path)
+        assert [e.reason for e in errors] == [reason]
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_repeated_domain_rejected_after_its_first_row(self, tmp_path, suffix):
+        # a row rejected for another reason still claims its domain
+        rows = [profile_row(domain="a.com"), profile_row(domain="c.com", label="dubious"),
+                profile_row(domain="www.a.com", label="real"), profile_row(domain="C.com")]
+        path = tmp_path / f"traffic{suffix}"
+        if suffix == ".csv":
+            write_csv(path, rows)
+        else:
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        profiles, errors = load_profiles(path)
+        assert list(profiles["site"]) == ["a.com"]
+        first = 2 if suffix == ".csv" else 1  # the CSV header is line 1
+        assert [(e.line - first, e.site, e.reason) for e in errors] == [
+            (1, "c.com", "label must be fake or real, got 'dubious'"),
+            (2, "www.a.com", f"duplicate domain a.com, first on line {first}"),
+            (3, "C.com", f"duplicate domain c.com, first on line {first + 1}"),
+        ]
+        assert (table_rows(profiles), errors) == load_profiles_reference(path)
 
     def test_json_lines_missing_key(self, tmp_path):
         path = tmp_path / "traffic.jsonl"
@@ -369,15 +395,15 @@ class TestEcdf:
 class TestEduGovRatios:
     def test_basic_ratio(self):
         p = TrafficProfile("a.com", "fake", backlinks=50, edu_backlinks=5)
-        assert edu_gov_ratios(p)["edu_backlink_ratio"] == pytest.approx(0.10)
+        assert edu_gov_ratios(ProfileTable.of([p]))["edu_backlink_ratio"] == [0.10]
 
     def test_zero_denominator(self):
         p = TrafficProfile("a.com", "fake", backlinks=0, edu_backlinks=0)
-        assert edu_gov_ratios(p)["edu_backlink_ratio"] == 0.0
+        assert edu_gov_ratios(ProfileTable.of([p]))["edu_backlink_ratio"] == [0.0]
 
     def test_zero_numerator(self):
         p = TrafficProfile("a.com", "fake", referring_domains=300, gov_ref_domains=0)
-        assert edu_gov_ratios(p)["gov_ref_domain_ratio"] == 0.0
+        assert edu_gov_ratios(ProfileTable.of([p]))["gov_ref_domain_ratio"] == [0.0]
 
 
 def make_profile(site, label, bounce, visits):
@@ -403,7 +429,7 @@ class TestCohortReport:
             make_profile("c.com", "real", 50.0, 1000),
             make_profile("d.com", "real", 50.0, 3000),
         ]
-        report = cohort_report(profiles)
+        report = cohort_report(ProfileTable.of(profiles))
         fake_bounce = report.stats["bounce_rate"]["fake"]
         assert fake_bounce.mean == 70.0
         assert fake_bounce.std == pytest.approx(10.0)
@@ -413,12 +439,12 @@ class TestCohortReport:
     def test_identical_cohorts_identical_rows(self):
         fake = [make_profile(f"f{i}.com", "fake", 50 + i, 100 * (i + 1)) for i in range(4)]
         real = [make_profile(f"r{i}.com", "real", 50 + i, 100 * (i + 1)) for i in range(4)]
-        report = cohort_report(fake + real)
+        report = cohort_report(ProfileTable.of(fake + real))
         for metric, per_label in report.stats.items():
             assert per_label["fake"] == per_label["real"], metric
 
     def test_single_label_warns(self):
-        report = cohort_report([make_profile("a.com", "real", 10, 5)])
+        report = cohort_report(ProfileTable.of([make_profile("a.com", "real", 10, 5)]))
         assert report.warnings
         assert "bounce_rate" in report.stats
         assert list(report.stats["bounce_rate"]) == ["real"]
@@ -429,16 +455,16 @@ class TestCohortReport:
             make_profile("b.com", "fake", 72.5, 20),
             make_profile("c.com", "real", 55.0, 30),
         ]
-        report = cohort_report(profiles)
+        report = cohort_report(ProfileTable.of(profiles))
         assert report.stats["bounce_rate"]["fake"] == describe([61.5, 72.5])
         assert report.stats["bounce_rate"]["real"] == describe([55.0])
 
     def test_ratio_ecdfs_present(self):
-        report = cohort_report([make_profile("a.com", "fake", 50, 10)])
+        report = cohort_report(ProfileTable.of([make_profile("a.com", "fake", 50, 10)]))
         assert report.ratio_ecdfs["edu_backlink_ratio"]["fake"] == [(0.1, 1.0)]
 
     def test_to_dict_serializable(self):
-        report = cohort_report([make_profile("a.com", "fake", 50, 10)])
+        report = cohort_report(ProfileTable.of([make_profile("a.com", "fake", 50, 10)]))
         json.dumps(report.to_dict())
 
 
@@ -461,6 +487,8 @@ _JSON_VALUES = [None, 0, -1, 7, 2.5, 1e3, True, [1], {"a": 1}, 10**30, float("in
 
 def _random_row(rng, i):
     row = profile_row(domain=f"s{i}.com", label=rng.choice(["fake", "real"]))
+    if i and rng.random() < 0.05:
+        row["domain"] = f"www.s{rng.randrange(i)}.com"  # a site an earlier row names
     for column in rng.sample(REQUIRED_COLUMNS, rng.choice([0, 0, 1, 1, 2, 3])):
         row[column] = rng.choice(_CELL_CHOICES.get(column, []) + _ANY_CELL)
     return row
@@ -505,9 +533,10 @@ def _write_random_json_lines(path, rng, n):
 
 def _load_or_error(load, path, allow_unlabeled):
     try:
-        return load(path, allow_unlabeled=allow_unlabeled)
+        profiles, errors = load(path, allow_unlabeled=allow_unlabeled)
     except ValueError as exc:
         return str(exc)
+    return (profiles if isinstance(profiles, list) else table_rows(profiles)), errors
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
@@ -526,7 +555,52 @@ def test_column_loader_matches_row_reference(tmp_path, suffix):
                 accepted += len(got[0])
                 reasons += [e.reason for e in got[1]]
     assert accepted > 300 and len(reasons) > 300
-    for check in ["not a valid site", "label must", ": not a quantity", ": not a finite count",
+    for check in ["not a valid site", "duplicate domain", "label must", ": not a quantity", ": not a finite count",
                   "could not convert", "finite and non-negative", "must be positive",
                   "out of [0, 100]", "shares sum", "exceeds"]:
         assert any(check in reason for reason in reasons), check
+
+
+@st.composite
+def _profile_rows(draw, prefix, countries):
+    """Profiles with a few absent values each in some draws, counts beyond
+    int64, and labels from one drawn set, so some draws have a single label."""
+    labels = draw(st.sampled_from([("fake",), ("real",), ("fake", "real")]))
+    absent = st.sets(st.sampled_from(_INT_FIELDS + _FLOAT_FIELDS + ("country", "category")),
+                     max_size=2 if draw(st.booleans()) else 0)
+    counts = st.one_of(st.integers(1, 10**6), st.integers(2**63, 2**70))
+    rows = []
+    for i in range(draw(st.integers(0, 8))):
+        values = {name: draw(counts) for name in _INT_FIELDS}
+        values.update({name: draw(st.floats(0.0, 100.0)) for name in _FLOAT_FIELDS})
+        values.update(country=draw(st.sampled_from(countries)),
+                      category=draw(st.sampled_from(["News", "Politics"])))
+        values.update(dict.fromkeys(draw(absent)))
+        rows.append(TrafficProfile(f"{prefix}{i}.com", draw(st.sampled_from(labels)), **values))
+    return rows
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _encode(fit_rows, rows):
+    encoder = FeatureEncoder.fit(ProfileTable.of(fit_rows))
+    return encoder.to_dict(), encoder.transform(ProfileTable.of(rows))
+
+
+# "ZZ" is drawn only for scored rows: a category unseen at fit
+@given(_profile_rows("f", ["US", "GB"]), _profile_rows("s", ["ZZ", "US", "GB"]))
+@settings(max_examples=100, deadline=None)
+def test_table_paths_match_row_references(fit_rows, rows):
+    got, expect = _outcome(_encode, fit_rows, rows), _outcome(encoder_reference, fit_rows, rows)
+    if isinstance(expect, str):
+        assert got == expect
+    else:
+        assert got[0] == expect[0] and np.array_equal(got[1], expect[1])
+    for profiles in (fit_rows, rows):
+        assert (cohort_report(ProfileTable.of(profiles)).to_dict()
+                == cohort_report_reference(profiles))
