@@ -8,9 +8,7 @@ from html.parser import HTMLParser
 from importlib import resources
 from pathlib import Path
 
-_NON_CONTENT_TAGS = {"script", "style", "noscript", "template"}
-_URL_ATTRS = {"src", "href", "data-src"}
-_CSS_URL_RE = re.compile(r"url\(\s*['\"]?([^'\")\s]+)['\"]?\s*\)", re.IGNORECASE)
+from .htmlscan import _CSS_URL_RE, _NON_CONTENT_TAGS, _URL_ATTRS, scan
 
 
 class _PageParser(HTMLParser):
@@ -54,27 +52,51 @@ class _PageParser(HTMLParser):
         if self._style:
             self.urls.extend(_CSS_URL_RE.findall(data))
 
+    def parse_marked_section(self, i, report=1):
+        # _markupbase raises on a "<![" keyword it does not know; read
+        # that section as a bogus comment up to the next ">", as the
+        # WHATWG tokenizer does, instead of stopping the walk there
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            return self.parse_bogus_comment(i, report)
+
 
 def parse_page(html: bytes | str) -> tuple[str, list[str]]:
     """Visible text and embedded URL strings of an HTML document.
 
     Byte input is decoded as UTF-8 with replacement, so this never fails
-    on malformed documents.  The text has markup dropped, non-content
-    elements removed, character references decoded and whitespace
-    collapsed to single spaces.  URLs are the raw src/href/data-src
-    attribute values and CSS ``url(...)`` targets, in document order.
+    on malformed documents.  The result is that of one html.parser walk
+    with character references converted:
+
+    - The text has markup dropped and whitespace collapsed to single
+      spaces; every tag and comment separates words.  Text inside
+      script, style, noscript and template is hidden.
+    - The URLs are the src, href and data-src attribute values and the
+      CSS ``url(...)`` targets of style attributes and ``<style>``
+      bodies, in document order.  Attribute values have character
+      references decoded (``href="&amp;q"`` gives ``&q``); URLs inside
+      noscript and template are kept.
+    - Script and style bodies are raw text, so markup and character
+      references in them stay as written, and a script or style left
+      open at EOF drops the rest of the page.
+
+    Pages made only of constructs that html.parser and the WHATWG
+    tokenizer (scripting disabled) read alike are read by ``htmlscan.scan``,
+    which matches their markup with one compiled regex; any other page
+    is walked by html.parser itself, after the scan up to the first
+    construct outside that subset.
     """
     if isinstance(html, bytes):
         html = html.decode("utf-8", errors="replace")
-    parser = _PageParser()
-    try:
+    scanned = scan(html)
+    if scanned is None:
+        parser = _PageParser()
         parser.feed(html)
         parser.close()
-    except Exception:
-        # html.parser is tolerant; anything it still chokes on yields
-        # whatever was gathered before the failure
-        pass
-    return " ".join(" ".join(parser.chunks).split()), parser.urls
+        scanned = parser.chunks, parser.urls
+    chunks, urls = scanned
+    return " ".join(" ".join(chunks).split()), urls
 
 
 def extract_text(html: bytes | str) -> str:

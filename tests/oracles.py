@@ -23,6 +23,7 @@ from newsforensics.classify.encoder import (
     VARIANCE_THRESHOLD,
 )
 from newsforensics.sync import _CANDIDATE_SLACK, ContentMatch, QuarterSeries, SyncCluster
+from newsforensics.textproc import _PageParser
 from newsforensics.tfidf import build_tfidf, cosine
 from newsforensics.timeline import (
     CohortHistogram,
@@ -495,6 +496,16 @@ def public_suffix_reference(rule_lines, host):
         return ".".join(labels[len(labels) - max(matched_exceptions) + 1 :])
     best = max([len(rule) for rule in rules if matches(rule)] + [1])
     return ".".join(labels[len(labels) - best :])
+
+
+def parse_page_reference(html):
+    """``parse_page`` by the stdlib html.parser walk alone, on every page."""
+    if isinstance(html, bytes):
+        html = html.decode("utf-8", errors="replace")
+    parser = _PageParser()
+    parser.feed(html)
+    parser.close()
+    return " ".join(" ".join(parser.chunks).split()), parser.urls
 
 
 def tokens_reference(pre, text):
