@@ -12,7 +12,6 @@ import gzip
 import http.client
 import json
 import logging
-import os
 import random
 import re
 import ssl
@@ -28,6 +27,7 @@ from typing import Callable, Iterable, Iterator
 from urllib.parse import quote, urlencode, urljoin, urlparse, urlsplit
 
 from . import __version__
+from .files import read_json, replacing, write_json
 from .timeline import (
     Annotations,
     MonthStamp,
@@ -126,11 +126,8 @@ class SnapshotCache:
             return None
 
     def put(self, site: str, timestamp: str, html: bytes) -> None:
-        path = self.path(site, timestamp)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_bytes(html)
-        os.replace(tmp, path)  # readers never observe partial writes
+        with replacing(self.path(site, timestamp), binary=True) as fh:
+            fh.write(html)  # readers never observe partial writes
 
 
 FETCHED = "fetched"
@@ -215,7 +212,7 @@ class CrawlManifest:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "CrawlManifest":
@@ -246,10 +243,8 @@ class CrawlManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "CrawlManifest":
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        with read_json(path) as data:
+            return cls.from_dict(data)
 
 
 @dataclass

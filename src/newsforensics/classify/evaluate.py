@@ -8,7 +8,6 @@ master seed.
 
 from __future__ import annotations
 
-import json
 import logging
 import operator
 import re
@@ -17,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..files import read_json, write_json
 from ..traffic import ProfileTable
 from .encoder import FeatureEncoder, complete
 from .metrics import DECISION_THRESHOLD, MetricsReport, compute_metrics
@@ -45,9 +45,7 @@ class NewsClassifier:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-        )
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "NewsClassifier":
@@ -60,7 +58,8 @@ class NewsClassifier:
 
     @classmethod
     def load(cls, path: str | Path) -> "NewsClassifier":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        with read_json(path, {}) as data:
+            return cls.from_dict(data)
 
 
 def _check_trainable(labels: np.ndarray) -> None:

@@ -12,9 +12,10 @@ and exception rules may hold none, as in the published list.
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable
+
+from .files import read_bundled, read_text
 
 
 class PublicSuffixList:
@@ -41,18 +42,11 @@ class PublicSuffixList:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PublicSuffixList":
-        try:
-            text = Path(path).read_text("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        return cls(text.splitlines(), source=path)
+        return cls(read_text(path).splitlines(), source=path)
 
     @classmethod
     def bundled(cls) -> "PublicSuffixList":
-        text = (
-            resources.files("newsforensics.data") / "public_suffix_list.dat"
-        ).read_text("utf-8")
-        return cls(text.splitlines())
+        return cls(read_bundled("public_suffix_list.dat").splitlines())
 
     def public_suffix(self, host: str) -> str | None:
         """Longest public suffix of a hostname, or None for invalid input.

@@ -7,17 +7,13 @@ the inputs, configuration and seed, so reruns are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import logging
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import IO, Iterator
+from typing import Iterator
 
 from . import archive as arch
 from . import sync as syncmod
@@ -31,6 +27,8 @@ from .classify import (
     train_classifier,
 )
 from .domains import PublicSuffixList, bundled_psl
+from .files import (check, read_json, read_json_lines, read_text, write_csv, write_json,
+                    write_json_lines)
 # extract_text stays importable from here: perfbench/tracing.py wraps pipeline.extract_text
 from .textproc import (  # noqa: F401
     Preprocessor,
@@ -141,7 +139,7 @@ class RunConfig:
     def from_sources(cls, config_file: str | None, env: dict, overrides: dict) -> "RunConfig":
         values: dict = {}
         if config_file:
-            with _read_json(Path(config_file)) as loaded:
+            with read_json(config_file, {}) as loaded:
                 unknown = set(loaded) - {f.name for f in fields(cls)}
                 if unknown:
                     raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -193,50 +191,6 @@ def _to_str(value) -> str:
 # environment or flag value
 _CONVERTERS = {"bool": _to_bool, "int": _to_int, "float": _to_float, "str": _to_str,
                "str | None": lambda value: value if value is None else _to_str(value)}
-
-
-def write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    path.write_text(buf.getvalue())
-
-
-def _check(obj, shape: dict) -> None:
-    """Raises TypeError or KeyError unless ``obj`` is a JSON object holding
-    each key of ``shape`` with that key's type; ``[str]`` means a list of
-    strings."""
-    if not isinstance(obj, dict):
-        raise TypeError(f"not an object: {type(obj).__name__}")
-    for key, kind in shape.items():
-        strings = kind == [str]
-        value = obj[key]
-        if not isinstance(value, list if strings else kind):
-            raise TypeError(f"{key!r} is not a {'list' if strings else kind.__name__}")
-        if strings and not all(isinstance(item, str) for item in value):
-            raise TypeError(f"{key!r} is not a list of strings")
-
-
-@contextmanager
-def _read_json(path: Path, **shape) -> Iterator[dict]:
-    """The JSON object in ``path``, checked against ``shape`` (see ``_check``).
-    Bad JSON, a wrong shape, or a missing key or wrong type met while the
-    caller reads nested values raise ValueError naming the file."""
-    try:
-        obj = json.loads(path.read_text())
-        _check(obj, shape)
-        yield obj
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _sha256(path: Path) -> str:
@@ -309,7 +263,7 @@ class SiteLists:
 def read_site_list(path: Path) -> tuple[list[str], list[str]]:
     """One domain per line; returns (normalized unique sites, warnings)."""
     sites, warnings, seen = [], [], set()
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -345,8 +299,8 @@ def ingest_lists(config: RunConfig) -> SiteLists:
 
 
 def load_site_lists(config: RunConfig) -> SiteLists:
-    with _read_json(_require(config.out / "sites.json", "ingest-lists"),
-                    fake=[str], real=[str]) as data:
+    with read_json(_require(config.out / "sites.json", "ingest-lists"),
+                   {"fake": [str], "real": [str]}) as data:
         return SiteLists(data["fake"], data["real"])
 
 
@@ -453,20 +407,6 @@ PAGE_URLS = "page_urls.jsonl"
 _PAGE_URL_FIELDS = {"sha256": str, "site": str, "timestamp": str, "urls": [str]}
 
 
-@contextmanager
-def _replacing(path: Path) -> Iterator[IO[str]]:
-    """A text file written under a temporary name and moved onto ``path``
-    once complete, so a reader never sees a partial file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def texts_by_month(config: RunConfig, sites: set[str]) -> dict:
     """Extracted text per month per site from the snapshot cache (first capture wins).
 
@@ -475,14 +415,16 @@ def texts_by_month(config: RunConfig, sites: set[str]) -> dict:
     order, keyed by the body's sha256) for ``audit_trackers`` to reuse.
     """
     texts: dict[MonthStamp, dict[str, str]] = {}
-    with _replacing(config.out / PAGE_URLS) as rows:
+
+    def rows():
         for doc in _cached_pages(config, sites):
             per_month = texts.setdefault(doc.ref.month, {})
             if doc.ref.site not in per_month:  # collapse to first capture per month
                 per_month[doc.ref.site], urls = parse_page(doc.html)
-                row = {"sha256": hashlib.sha256(doc.html).hexdigest(), "site": doc.ref.site,
+                yield {"sha256": hashlib.sha256(doc.html).hexdigest(), "site": doc.ref.site,
                        "timestamp": doc.ref.timestamp, "urls": urls}
-                rows.write(json.dumps(row, sort_keys=True) + "\n")
+
+    write_json_lines(config.out / PAGE_URLS, rows())
     return texts
 
 
@@ -491,25 +433,22 @@ def _read_page_urls(path: Path) -> Iterator[tuple[tuple[str, str], str, list[str
     nothing if the file does not exist.  Bad JSON, a wrong shape or type,
     or rows not in strictly increasing (site, timestamp) order raise
     ValueError naming the file and the line."""
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
+    if not path.exists():
         return
-    with fh:
-        previous = None
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict) or row.keys() != _PAGE_URL_FIELDS.keys():
-                    raise ValueError(f"expected an object with keys {sorted(_PAGE_URL_FIELDS)}")
-                _check(row, _PAGE_URL_FIELDS)
-                page = (row["site"], row["timestamp"])
-                if previous is not None and page <= previous:
-                    raise ValueError(f"row {page} does not follow row {previous}")
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            previous = page
-            yield page, row["sha256"], row["urls"]
+    previous = None
+
+    def parse(row):
+        nonlocal previous
+        if not isinstance(row, dict) or row.keys() != _PAGE_URL_FIELDS.keys():
+            raise ValueError(f"expected an object with keys {sorted(_PAGE_URL_FIELDS)}")
+        check(row, _PAGE_URL_FIELDS)
+        page = (row["site"], row["timestamp"])
+        if previous is not None and page <= previous:
+            raise ValueError(f"row {page} does not follow row {previous}")
+        previous = page
+        return page, row["sha256"], row["urls"]
+
+    yield from read_json_lines(path, parse)
 
 
 def _pages_with_urls(config: RunConfig, sites: set[str]):
@@ -594,21 +533,17 @@ def detect_sync(config: RunConfig, distances_csv: str | None = None) -> dict:
 
 def export_distance_matrix(series: list[syncmod.QuarterSeries], path: Path) -> None:
     """The ``distance_rows`` of ``series`` as a square CSV, in series order."""
-    rows = [
+    rows = (
         [a.site] + [f"{d:.6f}" for d in row.tolist()]
         for a, row in zip(series, syncmod.distance_rows(series))
-    ]
+    )
     write_csv(path, ["site"] + [s.site for s in series], rows)
 
 
 def audit_trackers(config: RunConfig) -> dict:
     if not config.filter_list:
         raise ValueError("a filter_list path is required for the tracker audit")
-    try:
-        filter_text = Path(config.filter_list).read_text("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{config.filter_list}: {exc}") from None
-    parsed = trk.parse_filter_list(filter_text)
+    parsed = trk.parse_filter_list(read_text(config.filter_list))
     psl = config.psl()
     lists = load_site_lists(config)
     fake = set(lists.fake)
@@ -833,7 +768,7 @@ def consolidated_report(config: RunConfig) -> dict:
 
     for name, section, shape, summarize in _STAGE_REPORTS:
         if (out / name).exists():
-            with _read_json(out / name, **shape) as report:
+            with read_json(out / name, shape) as report:
                 sections[section], plots = summarize(report)
                 for filename, header, rows in plots:
                     write_csv(out / "plots" / filename, header, rows)

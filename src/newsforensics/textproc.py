@@ -5,9 +5,9 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from html.parser import HTMLParser
-from importlib import resources
 from pathlib import Path
 
+from .files import read_bundled, read_text
 from .htmlscan import _CSS_URL_RE, _NON_CONTENT_TAGS, _URL_ATTRS, scan
 
 
@@ -110,15 +110,7 @@ _COMMENT_RE = re.compile(r"^\s*#")
 
 def _load_lines(path: str | Path | None, default_resource: str) -> list[tuple[int, str]]:
     """Numbered lines of a data file, blank and comment lines dropped."""
-    if path is None:
-        text = (resources.files("newsforensics.data") / default_resource).read_text(
-            "utf-8"
-        )
-    else:
-        try:
-            text = Path(path).read_text("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    text = read_bundled(default_resource) if path is None else read_text(path)
     return [
         (lineno, line)
         for lineno, line in enumerate(text.splitlines(), 1)

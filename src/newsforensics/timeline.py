@@ -9,7 +9,6 @@ are computed from the repaired sequences.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import re
 import statistics
@@ -17,6 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from .files import open_text, read_json_lines, write_json_lines
 
 log = logging.getLogger(__name__)
 
@@ -338,10 +339,7 @@ def timeline_from_record(rec: object) -> MonthlyTimeline:
 
 def write_timelines(timelines: Iterable[MonthlyTimeline], path: str | Path) -> None:
     """One JSON record per line, sorted by site for reproducible output."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in sorted(timelines, key=lambda t: t.site):
-            fh.write(json.dumps(timeline_to_record(t), sort_keys=True) + "\n")
+    write_json_lines(path, map(timeline_to_record, sorted(timelines, key=lambda t: t.site)))
 
 
 def read_timelines(path: str | Path) -> list[MonthlyTimeline]:
@@ -350,19 +348,16 @@ def read_timelines(path: str | Path) -> list[MonthlyTimeline]:
     Rows may start in different months: readers align them through
     ``MonthlyTimeline.window``.  A site may appear only once.
     """
-    out: dict[str, MonthlyTimeline] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                t = timeline_from_record(json.loads(line))
-                if t.site in out:
-                    raise ValueError(f"duplicate site {t.site!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            out[t.site] = t
-    return list(out.values())
+    seen: set[str] = set()
+
+    def parse(rec) -> MonthlyTimeline:
+        t = timeline_from_record(rec)
+        if t.site in seen:
+            raise ValueError(f"duplicate site {t.site!r}")
+        seen.add(t.site)
+        return t
+
+    return list(read_json_lines(path, parse))
 
 
 _ANNOTATION_STATES = {
@@ -377,30 +372,27 @@ Annotations = dict[str, dict[MonthStamp, list[SiteState]]]
 def read_annotations(path: str | Path) -> Annotations:
     """Load a ``domain,year,month,state`` CSV of human/imported month labels."""
     out: Annotations = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            required = {"domain", "year", "month", "state"}
-            missing = required - set(reader.fieldnames or [])
-            if missing:
-                raise ValueError(f"{path}: annotation CSV missing columns: {sorted(missing)}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    short = sorted(c for c in required if row[c] is None)
-                    if short:
-                        raise ValueError(f"row too short, no {', '.join(short)}")
-                    state = row["state"].strip().lower()
-                    if state not in _ANNOTATION_STATES:
-                        raise ValueError(f"unknown state {row['state']!r}")
-                    site = normalize_site(row["domain"])
-                    month = MonthStamp(int(row["year"]), int(row["month"]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                out.setdefault(site, {}).setdefault(month, []).append(
-                    _ANNOTATION_STATES[state]
-                )
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with open_text(path) as fh:
+        reader = csv.DictReader(fh)
+        required = {"domain", "year", "month", "state"}
+        missing = required - set(reader.fieldnames or [])
+        if missing:
+            raise ValueError(f"{path}: annotation CSV missing columns: {sorted(missing)}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                short = sorted(c for c in required if row[c] is None)
+                if short:
+                    raise ValueError(f"row too short, no {', '.join(short)}")
+                state = row["state"].strip().lower()
+                if state not in _ANNOTATION_STATES:
+                    raise ValueError(f"unknown state {row['state']!r}")
+                site = normalize_site(row["domain"])
+                month = MonthStamp(int(row["year"]), int(row["month"]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            out.setdefault(site, {}).setdefault(month, []).append(
+                _ANNOTATION_STATES[state]
+            )
     return out
 
 

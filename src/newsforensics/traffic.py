@@ -18,6 +18,7 @@ from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
+from .files import open_text
 from .timeline import normalize_site
 
 
@@ -126,7 +127,7 @@ def _read_csv(path: Path, required: list[str]) -> tuple[list[int], dict[str, Seq
     each row starts on.  Like csv.DictReader, blank lines are skipped, a
     repeated column name keeps its last column and a short row's missing
     cells are None."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         for col in required:
@@ -153,7 +154,7 @@ def _read_json_lines(
     """Like _read_csv, for one JSON object per line; lines that are not a
     JSON object of single values are RowErrors."""
     lines, records, errors = [], [], []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -335,13 +336,10 @@ def load_profiles(
         c for c in REQUIRED_COLUMNS if not (allow_unlabeled and c == "label")
     ]
     errors: list[RowError] = []
-    try:
-        if path.suffix in (".jsonl", ".ndjson", ".json"):
-            lines, cols, errors = _read_json_lines(path, required)
-        else:
-            lines, cols = _read_csv(path, required)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    if path.suffix in (".jsonl", ".ndjson", ".json"):
+        lines, cols, errors = _read_json_lines(path, required)
+    else:
+        lines, cols = _read_csv(path, required)
     profiles, rejected = _parse_columns(lines, cols, allow_unlabeled)
     errors = sorted(errors + rejected, key=lambda e: e.line)
     return profiles, errors

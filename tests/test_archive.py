@@ -1,6 +1,7 @@
 import gzip
 import http.client
 import json
+import os
 import random
 import re
 import ssl
@@ -416,6 +417,23 @@ class TestCrawlSites:
         back = CrawlManifest.load(path)
         assert back.to_dict() == manifest.to_dict()
         assert back.window == WINDOW
+
+    def test_failed_save_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        path = tmp_path / "crawl_manifest.json"
+        CrawlManifest(window=WINDOW, cdx_failures=["a.com"]).save(path)
+        before = path.read_bytes()
+        written = []
+
+        def failing_replace(src, dst):
+            written.append(Path(src).read_bytes())
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            CrawlManifest(window=WINDOW, cdx_failures=["b.com"]).save(path)
+        assert b'"b.com"' in written[0]
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["crawl_manifest.json"]
 
 
 class TestLoadDocuments:

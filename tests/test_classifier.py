@@ -661,6 +661,23 @@ class TestTrainPredict:
                                  [1, 0])
         assert report.confusion == {"tp": 1, "fp": 0, "tn": 1, "fn": 0}
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"\xff", "'utf-8' codec can't decode byte 0xff"),
+            (b"not json", "Expecting value: line 1 column 1"),
+            (b"[]", "not an object: list"),
+            (b'{"format_version": 1, "kind": "naive_bayes"}', "missing key 'model'"),
+        ],
+        ids=["not-utf8", "not-json", "not-object", "no-model"],
+    )
+    def test_load_names_the_file(self, tmp_path, content, reason):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as err:
+            NewsClassifier.load(path)
+        assert str(err.value).startswith(f"{path}: {reason}")
+
     def test_version_checked(self, tmp_path):
         clf = train_classifier("naive_bayes", ProfileTable.of(separable_dataset(30, seed=9)), seed=0)
         doc = clf.to_dict()

@@ -351,16 +351,19 @@ class TestUndecodableInputs:
              ["trackers", "--filter-list", "{filters}", "--public-suffix-list", "{bad}"]),
             ("rules.txt", b"x\xe9 y\n",
              ["sync", "--quarters", "2015-Q1", "2015-Q4", "--suffix-rules", "{bad}"]),
+            ("fake.txt", b"a.com\ntr\xe9.com\n",
+             ["ingest-lists", "--fake", "{bad}", "--real", "{real}"]),
         ],
         ids=["filter-list", "traffic-csv", "traffic-jsonl", "annotations", "suffix-list",
-             "suffix-rules"],
+             "suffix-rules", "site-list"],
     )
     def test_names_the_file(self, corpus, tmp_path, name, content, args):
         out = tmp_path / "out"
         write_sync_inputs(out, ['{"site": "a.com", "start": "2015-01", "states": "AAA"}'])
         bad = tmp_path / name
         bad.write_bytes(content)
-        args = [a.format(bad=bad, filters=corpus.filter_list) for a in args]
+        args = [a.format(bad=bad, filters=corpus.filter_list, real=corpus.real_list)
+                for a in args]
         result = invoke(["--out", str(out)] + args)
         assert result.exit_code == 2, result.output
         assert f"error: {bad}: 'utf-8' codec can't decode byte 0xe9" in result.output
@@ -373,7 +376,7 @@ def write_sync_inputs(out: Path, rows: list[str]) -> Path:
         out / "crawl_manifest.json"
     )
     path = out / "timelines_interpolated.jsonl"
-    path.write_text("".join(row + "\n" for row in rows))
+    path.write_bytes("".join(row + "\n" for row in rows).encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -397,9 +400,12 @@ class TestTimelineFileDiagnostics:
             ('{"site": "b.com", "start": "2015-01", "states": ""}',
              "timeline of b.com must cover at least one month"),
             ('{"site": "a.com", "start": "2015-04", "states": "A"}', "duplicate site 'a.com'"),
+            ('{"site": "b\udce9.com", "start": "2015-01", "states": "A"}',
+             "'utf-8' codec can't decode byte 0xe9"),
         ],
         ids=["json", "not-object", "no-site", "no-start", "no-states", "list-states",
-             "start-range", "start-format", "unknown-code", "empty-states", "duplicate"],
+             "start-range", "start-format", "unknown-code", "empty-states", "duplicate",
+             "not-utf8"],
     )
     def test_sync_names_file_and_line(self, tmp_path, row, reason):
         out = tmp_path / "out"

@@ -408,6 +408,25 @@ class TestPersistence:
         back = read_timelines(path)
         assert back == sorted(ts, key=lambda t: t.site)
 
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "timelines.jsonl"
+        write_timelines([tl([A], site="old.com")], path)
+        before = path.read_bytes()
+        calls = []
+
+        def failing_record(t):
+            calls.append(t.site)
+            if len(calls) == 3:
+                raise RuntimeError("serializer failed")
+            return timeline_to_record(t)
+
+        monkeypatch.setattr("newsforensics.timeline.timeline_to_record", failing_record)
+        with pytest.raises(RuntimeError, match="serializer failed"):
+            write_timelines([tl([A], site=f"s{i}.com") for i in range(5)], path)
+        assert len(calls) == 3
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["timelines.jsonl"]
+
     def test_bad_state_code_rejected(self):
         with pytest.raises(ValueError, match="unknown state"):
             timeline_from_record({"site": "x.com", "start": "2016-01", "states": "AXB"})
