@@ -142,36 +142,41 @@ class ManifestEntry:
     auto_state: str | None = None  # "dead" when the capture is auto-classified
 
 
-_MANIFEST_ROW_KEYS = ("timestamp", "original_url", "status_code", "fetch_status")
+_REQUIRED = object()
+
+# A ledger row's keys, named as the fields of SnapshotRef and ManifestEntry
+# they hold: the check of each value, and the value an older row that omits
+# the key stands for (_REQUIRED if every row must hold it).
+_LEDGER_ROW = {
+    "timestamp": (lambda v: isinstance(v, str), _REQUIRED),
+    "original_url": (lambda v: isinstance(v, str), _REQUIRED),
+    "status_code": (lambda v: v is None or type(v) is int, _REQUIRED),
+    "mime_type": (lambda v: isinstance(v, str), ""),
+    "fetch_status": (lambda v: v in (FETCHED, FAILED), _REQUIRED),
+    "retries": (lambda v: type(v) is int and v >= 0, 0),
+    "auto_state": (lambda v: v in (None, "dead"), None),
+}
+
+
+def _ledger_row(entry: ManifestEntry) -> dict:
+    fields = vars(entry.ref) | vars(entry)
+    return {key: fields[key] for key in _LEDGER_ROW}
 
 
 def _manifest_entry(site: str, row) -> ManifestEntry:
     """One ledger row of ``site``; ValueError names the site and the row."""
     if not isinstance(row, dict):
         raise ValueError(f"manifest row of {site} is not an object: {row!r}")
-    missing = [key for key in _MANIFEST_ROW_KEYS if key not in row]
+    values = {key: row.get(key, default) for key, (_, default) in _LEDGER_ROW.items()}
+    missing = [key for key, value in values.items() if value is _REQUIRED]
     if missing:
         raise ValueError(f"manifest row of {site} lacks {', '.join(missing)}: {row!r}")
-    wrong = [key for key, ok in (
-        ("timestamp", isinstance(row["timestamp"], str)),
-        ("original_url", isinstance(row["original_url"], str)),
-        ("status_code", row["status_code"] is None or type(row["status_code"]) is int),
-        ("fetch_status", row["fetch_status"] in (FETCHED, FAILED)),
-    ) if not ok]
+    wrong = [key for key, (ok, _) in _LEDGER_ROW.items() if not ok(values[key])]
     if wrong:
         raise ValueError(f"manifest row of {site} has a bad {', '.join(wrong)}: {row!r}")
-    return ManifestEntry(
-        ref=SnapshotRef(
-            site=site,
-            timestamp=row["timestamp"],
-            original_url=row["original_url"],
-            status_code=row["status_code"],
-            mime_type=row.get("mime_type", ""),
-        ),
-        fetch_status=row["fetch_status"],
-        retries=row.get("retries", 0),
-        auto_state=row.get("auto_state"),
-    )
+    ref = SnapshotRef(site, values["timestamp"], values["original_url"],
+                      values["status_code"], values["mime_type"])
+    return ManifestEntry(ref, values["fetch_status"], values["retries"], values["auto_state"])
 
 
 @dataclass
@@ -194,21 +199,8 @@ class CrawlManifest:
         return {
             "window": [str(self.window[0]), str(self.window[1])] if self.window else None,
             "cdx_failures": sorted(self.cdx_failures),
-            "sites": {
-                site: [
-                    {
-                        "timestamp": e.ref.timestamp,
-                        "original_url": e.ref.original_url,
-                        "status_code": e.ref.status_code,
-                        "mime_type": e.ref.mime_type,
-                        "fetch_status": e.fetch_status,
-                        "retries": e.retries,
-                        "auto_state": e.auto_state,
-                    }
-                    for e in per_site
-                ]
-                for site, per_site in self.entries.items()
-            },
+            "sites": {site: [_ledger_row(e) for e in per_site]
+                      for site, per_site in self.entries.items()},
         }
 
     def save(self, path: str | Path) -> None:

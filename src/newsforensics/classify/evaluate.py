@@ -103,25 +103,21 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     n = len(labels)
     if n < k:
         raise ValueError(f"dataset of {n} rows cannot form {k} folds")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    folds: list[list[int]] = [[] for _ in range(k)]
-    class_counts = [int((labels == c).sum()) for c in (0, 1)]
-    if min(class_counts) < k:
+    groups = [np.nonzero(labels == c)[0] for c in (0, 1)]
+    smallest = min(len(members) for members in groups)
+    if smallest < k:
         log.warning(
             "class with %d examples cannot be stratified into %d folds; "
             "falling back to unstratified folds",
-            min(class_counts),
+            smallest,
             k,
         )
-        order = rng.permutation(n)
-        for i, idx in enumerate(order):
+        groups = [np.arange(n)]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for members in groups:  # each dealt round-robin from fold 0 in a seeded order
+        for i, idx in enumerate(members[rng.permutation(len(members))]):
             folds[i % k].append(int(idx))
-    else:
-        for c in (0, 1):
-            members = np.nonzero(labels == c)[0]
-            order = rng.permutation(len(members))
-            for i, j in enumerate(order):
-                folds[i % k].append(int(members[j]))
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 

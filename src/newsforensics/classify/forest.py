@@ -174,6 +174,7 @@ class RandomForestModel:
     """Bootstrap ensemble of probability trees; score is the tree average."""
 
     kind = "random_forest"
+    PARAMS = ("n_trees", "max_features", "min_samples_leaf", "max_depth")
 
     def __init__(self, n_trees: int = 100, max_features: str | int = "sqrt",
                  min_samples_leaf: int = 1, max_depth: int | None = None):
@@ -219,21 +220,12 @@ class RandomForestModel:
         return total / len(self.trees)
 
     def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_features": self.max_features,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_depth": self.max_depth,
-            "trees": [t.to_dict() for t in self.trees],
-        }
+        out = {name: getattr(self, name) for name in self.PARAMS}
+        out["trees"] = [t.to_dict() for t in self.trees]
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RandomForestModel":
-        model = cls(
-            n_trees=data["n_trees"],
-            max_features=data["max_features"],
-            min_samples_leaf=data["min_samples_leaf"],
-            max_depth=data["max_depth"],
-        )
+        model = cls(**{name: data[name] for name in cls.PARAMS})  # checks the parameters
         model.trees = [DecisionTree.from_dict(t) for t in data["trees"]]
         return model

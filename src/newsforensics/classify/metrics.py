@@ -43,20 +43,10 @@ class MetricsReport:
     folds: list["MetricsReport"] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out = {
-            "tp_rate": self.tp_rate,
-            "fp_rate": self.fp_rate,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc": self.auc,
-            "weighted_auc": self.weighted_auc,
-            "per_class": {k: vars(v) for k, v in sorted(self.per_class.items())},
-            "confusion": dict(sorted(self.confusion.items())),
-            "n": self.n,
-        }
-        if self.folds:
-            out["folds"] = [f.to_dict() for f in self.folds]
+        out = {**vars(self), "per_class": {k: vars(v) for k, v in self.per_class.items()},
+               "folds": [f.to_dict() for f in self.folds]}
+        if not self.folds:
+            del out["folds"]
         return out
 
 
@@ -64,8 +54,13 @@ def _safe_div(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-def _f1(precision: float, recall: float) -> float:
-    return _safe_div(2 * precision * recall, precision + recall)
+def _class_metrics(tp: int, fp: int, fn: int, tn: int) -> ClassMetrics:
+    """Metrics of the class whose members are the tp + fn rows."""
+    recall = _safe_div(tp, tp + fn)
+    precision = _safe_div(tp, tp + fp)
+    return ClassMetrics(tp_rate=recall, fp_rate=_safe_div(fp, fp + tn), precision=precision,
+                        recall=recall, f1=_safe_div(2 * precision * recall, precision + recall),
+                        support=tp + fn)
 
 
 def auc_score(scores, labels) -> float:
@@ -108,31 +103,8 @@ def compute_metrics(scores, labels) -> MetricsReport:
     tn = int(((predicted == 0) & (labels == 0)).sum())
     fn = int(((predicted == 0) & (labels == 1)).sum())
 
-    recall_fake = _safe_div(tp, tp + fn)
-    precision_fake = _safe_div(tp, tp + fp)
-    fpr_fake = _safe_div(fp, fp + tn)
-    recall_real = _safe_div(tn, tn + fp)
-    precision_real = _safe_div(tn, tn + fn)
-    fpr_real = _safe_div(fn, fn + tp)
-
-    per_class = {
-        "fake": ClassMetrics(
-            tp_rate=recall_fake,
-            fp_rate=fpr_fake,
-            precision=precision_fake,
-            recall=recall_fake,
-            f1=_f1(precision_fake, recall_fake),
-            support=tp + fn,
-        ),
-        "real": ClassMetrics(
-            tp_rate=recall_real,
-            fp_rate=fpr_real,
-            precision=precision_real,
-            recall=recall_real,
-            f1=_f1(precision_real, recall_real),
-            support=tn + fp,
-        ),
-    }
+    # for the real class, real rows predicted real are its true positives
+    per_class = {"fake": _class_metrics(tp, fp, fn, tn), "real": _class_metrics(tn, fn, fp, tp)}
 
     n = len(labels)
     weights = {name: m.support / n for name, m in per_class.items()}

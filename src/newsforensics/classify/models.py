@@ -2,7 +2,9 @@
 
 All models expose fit(X, y, seed) / score(X) -> P(positive) and
 serialize to JSON-compatible dicts; training is deterministic under a
-fixed seed.
+fixed seed.  A model kind lists its constructor hyperparameters in
+``PARAMS`` and its fitted arrays in ``FITTED``, and is saved as those
+names' values.
 """
 
 from __future__ import annotations
@@ -28,6 +30,20 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _to_dict(model) -> dict:
+    """Hyperparameters as given, fitted arrays as nested lists."""
+    out = {name: getattr(model, name) for name in model.PARAMS}
+    out.update((name, getattr(model, name).tolist()) for name in model.FITTED)
+    return out
+
+
+def _from_dict(cls, data: dict):
+    model = cls(**{name: data[name] for name in cls.PARAMS})
+    for name in cls.FITTED:
+        setattr(model, name, np.array(data[name]))
+    return model
+
+
 class LogisticRegressionModel:
     """L2-penalized logistic regression fitted by Newton steps.
 
@@ -36,6 +52,10 @@ class LogisticRegressionModel:
     """
 
     kind = "logistic_regression"
+    PARAMS = ("penalty", "tol", "max_iter")
+    FITTED = ("weights",)
+    to_dict = _to_dict
+    from_dict = classmethod(_from_dict)
 
     def __init__(self, penalty: float = 1.0, tol: float = 1e-6, max_iter: int = 100):
         self.penalty = penalty
@@ -67,25 +87,15 @@ class LogisticRegressionModel:
         Xb = np.hstack([X, np.ones((len(X), 1))])
         return _sigmoid(Xb @ self.weights)
 
-    def to_dict(self) -> dict:
-        return {
-            "penalty": self.penalty,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "weights": self.weights.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogisticRegressionModel":
-        model = cls(data["penalty"], data["tol"], data["max_iter"])
-        model.weights = np.array(data["weights"])
-        return model
-
 
 class NaiveBayesModel:
     """Gaussian naive Bayes with per-feature normal likelihoods per class."""
 
     kind = "naive_bayes"
+    PARAMS = ("var_smoothing",)
+    FITTED = ("class_log_prior", "means", "variances")
+    to_dict = _to_dict
+    from_dict = classmethod(_from_dict)
 
     def __init__(self, var_smoothing: float = 1e-9):
         self.var_smoothing = var_smoothing
@@ -124,22 +134,6 @@ class NaiveBayesModel:
             raise ValueError("model is not fitted")
         return _softmax(self._joint_log_likelihood(X))[:, 1]
 
-    def to_dict(self) -> dict:
-        return {
-            "var_smoothing": self.var_smoothing,
-            "class_log_prior": self.class_log_prior.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NaiveBayesModel":
-        model = cls(data["var_smoothing"])
-        model.class_log_prior = np.array(data["class_log_prior"])
-        model.means = np.array(data["means"])
-        model.variances = np.array(data["variances"])
-        return model
-
 
 class MlpModel:
     """One sigmoid hidden layer (45 units) with a softmax pair output.
@@ -150,6 +144,10 @@ class MlpModel:
     """
 
     kind = "mlp"
+    PARAMS = ("hidden_units", "epochs", "learning_rate")
+    FITTED = ("w1", "b1", "w2", "b2")
+    to_dict = _to_dict
+    from_dict = classmethod(_from_dict)
 
     def __init__(self, hidden_units: int = 45, epochs: int = 500, learning_rate: float = 0.5):
         self.hidden_units = hidden_units
@@ -194,26 +192,6 @@ class MlpModel:
         if self.w1 is None:
             raise ValueError("model is not fitted")
         return self._forward(X)[1][:, 1]
-
-    def to_dict(self) -> dict:
-        return {
-            "hidden_units": self.hidden_units,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "w1": self.w1.tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(),
-            "b2": self.b2.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MlpModel":
-        model = cls(data["hidden_units"], data["epochs"], data["learning_rate"])
-        model.w1 = np.array(data["w1"])
-        model.b1 = np.array(data["b1"])
-        model.w2 = np.array(data["w2"])
-        model.b2 = np.array(data["b2"])
-        return model
 
 
 MODEL_KINDS = {

@@ -31,6 +31,16 @@ def read_text(path: str | Path) -> str:
         return fh.read()
 
 
+def csv_rows(reader) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank row of a ``csv.reader`` and the physical line it starts
+    on, counting blank lines and the extra lines of a quoted newline."""
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            yield start, row
+        start = reader.line_num + 1
+
+
 def read_bundled(name: str) -> str:
     """A data file shipped in ``newsforensics/data``."""
     return (resources.files("newsforensics.data") / name).read_text("utf-8")

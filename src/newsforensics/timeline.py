@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .files import open_text, read_json_lines, write_json_lines
+from .files import csv_rows, open_text, read_json_lines, write_json_lines
 
 log = logging.getLogger(__name__)
 
@@ -370,15 +370,19 @@ Annotations = dict[str, dict[MonthStamp, list[SiteState]]]
 
 
 def read_annotations(path: str | Path) -> Annotations:
-    """Load a ``domain,year,month,state`` CSV of human/imported month labels."""
+    """Load a ``domain,year,month,state`` CSV of human/imported month labels.
+
+    A bad row's error names the physical line the row starts on."""
     out: Annotations = {}
     with open_text(path) as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, [])
         required = {"domain", "year", "month", "state"}
-        missing = required - set(reader.fieldnames or [])
+        missing = required - set(header)
         if missing:
             raise ValueError(f"{path}: annotation CSV missing columns: {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, cells in csv_rows(reader):
+            row = dict(zip(header, cells + [None] * len(header)))  # short rows padded with None
             try:
                 short = sorted(c for c in required if row[c] is None)
                 if short:

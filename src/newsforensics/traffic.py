@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
-from .files import open_text
+from .files import csv_rows, open_text
 from .timeline import normalize_site
 
 
@@ -134,12 +134,9 @@ def _read_csv(path: Path, required: list[str]) -> tuple[list[int], dict[str, Seq
             if col not in header:
                 raise ValueError(f"{path}: missing required column: {col}")
         lines, rows = [], []
-        start = reader.line_num + 1
-        for row in reader:
-            if row:
-                lines.append(start)
-                rows.append(row)
-            start = reader.line_num + 1
+        for line, row in csv_rows(reader):
+            lines.append(line)
+            rows.append(row)
     width = len(header)
     rows = [r if len(r) == width else (r + [None] * width)[:width] for r in rows]
     cells = list(zip(*rows)) if rows else [()] * width

@@ -22,6 +22,7 @@ from newsforensics.classify.encoder import (
     REQUIRED_FEATURES,
     VARIANCE_THRESHOLD,
 )
+from newsforensics.classify.metrics import ClassMetrics
 from newsforensics.sync import _CANDIDATE_SLACK, ContentMatch, QuarterSeries, SyncCluster
 from newsforensics.textproc import _PageParser
 from newsforensics.tfidf import build_tfidf, cosine
@@ -390,6 +391,51 @@ def auc_pairwise_reference(scores, labels) -> float:
     wins = sum(1 for p in pos for n in neg if p > n)
     ties = sum(1 for p in pos for n in neg if p == n)
     return (wins + ties / 2) / (len(pos) * len(neg))
+
+
+def class_metrics_reference(tp: int, fp: int, fn: int, tn: int) -> dict:
+    """Per-class metrics with each class's formulas written out on their own."""
+    def div(num, den):
+        return num / den if den else 0.0
+
+    recall_fake = div(tp, tp + fn)
+    precision_fake = div(tp, tp + fp)
+    recall_real = div(tn, tn + fp)
+    precision_real = div(tn, tn + fn)
+    return {
+        "fake": ClassMetrics(
+            tp_rate=recall_fake,
+            fp_rate=div(fp, fp + tn),
+            precision=precision_fake,
+            recall=recall_fake,
+            f1=div(2 * precision_fake * recall_fake, precision_fake + recall_fake),
+            support=tp + fn,
+        ),
+        "real": ClassMetrics(
+            tp_rate=recall_real,
+            fp_rate=div(fn, fn + tp),
+            precision=precision_real,
+            recall=recall_real,
+            f1=div(2 * precision_real * recall_real, precision_real + recall_real),
+            support=tn + fp,
+        ),
+    }
+
+
+def stratified_folds_reference(labels, k: int, seed: int) -> list[np.ndarray]:
+    """Round-robin dealing in two branches: each class on its own when every
+    class has k members, else all rows in one shuffled order."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    folds: list[list[int]] = [[] for _ in range(k)]
+    if min(int((labels == c).sum()) for c in (0, 1)) < k:
+        for i, idx in enumerate(rng.permutation(len(labels))):
+            folds[i % k].append(int(idx))
+    else:
+        for c in (0, 1):
+            members = np.nonzero(labels == c)[0]
+            for i, j in enumerate(rng.permutation(len(members))):
+                folds[i % k].append(int(members[j]))
+    return [np.array(sorted(f), dtype=int) for f in folds]
 
 
 def euclidean_reference(a, b) -> float:

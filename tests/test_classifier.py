@@ -26,9 +26,11 @@ from newsforensics.traffic import ProfileTable, TrafficProfile
 from oracles import (
     auc_pairwise_reference,
     best_split_reference,
+    class_metrics_reference,
     encode_reference,
     forest_reference,
     split_search_reference,
+    stratified_folds_reference,
     tree_walk_reference,
 )
 from synth import permuted_labels, rank_banded_dataset, separable_dataset
@@ -395,6 +397,21 @@ class TestModels:
         with pytest.raises(ValueError, match="not fitted"):
             make_model("random_forest").score(np.zeros((1, 2)))
 
+    # sha256 of the sorted-key JSON each kind saves after one seeded fit; the
+    # forest's saved bytes are pinned by the golden record instead
+    SAVED_JSON_SHA256 = {
+        "logistic_regression": "214d1ebe62c4a699fec549d00fe7ea9c7be0320d48efb901000eec4a354fe85c",
+        "naive_bayes": "edc3dd82c34e6709a64ef6207fe70d5e4f347ec4d27e3d252077643fb83c6052",
+        "mlp": "d2629e7c8d56d3f88a87b748559603bee99e56e37b588cf355c2416ee428cc43",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SAVED_JSON_SHA256))
+    def test_saved_json_is_pinned(self, kind):
+        X, y = xor_free_blob(n=60, seed=17)
+        model = make_model(kind).fit(X, y, seed=13)
+        text = json.dumps(model.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SAVED_JSON_SHA256[kind]
+
 
 class TestComputeMetrics:
     def scores_for(self, tp, fp, fn, tn):
@@ -493,6 +510,31 @@ class TestComputeMetrics:
         with pytest.raises(ValueError):
             compute_metrics(np.array([0.5]), np.array([1, 0]))
 
+    def test_per_class_metrics_match_reference(self):
+        rng = np.random.default_rng(47)
+        for trial in range(300):
+            # counts of 0 leave some denominators empty
+            tp, fp, fn, tn = (int(c) for c in rng.integers(0, 4 if trial % 2 else 60, size=4))
+            if tp + fp + fn + tn == 0:
+                continue
+            scores, labels = self.scores_for(tp, fp, fn, tn)
+            per_class = compute_metrics(scores, labels).per_class
+            assert per_class == class_metrics_reference(tp, fp, fn, tn), (tp, fp, fn, tn)
+
+    def test_report_json_is_pinned(self):
+        # tied scores, a fold of one class (no AUC) and a fold with no fake
+        # predictions, so zero denominators and None values are written too
+        rng = np.random.default_rng(43)
+        scores = rng.integers(0, 20, size=60) / 20
+        labels = rng.integers(0, 2, size=60)
+        report = compute_metrics(scores, labels)
+        report.folds = [compute_metrics(scores[i::3], labels[i::3]) for i in range(3)]
+        report.folds.append(compute_metrics(scores[:5], np.ones(5, dtype=int)))
+        report.folds.append(compute_metrics(np.full(4, 0.25), np.array([0, 1, 0, 1])))
+        text = json.dumps(report.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8c85089d1b3b10286df445c5ab895727cf7392f3db7f21684a4f9bf7c33ebfd4")
+
 
 class TestStratifiedFolds:
     def test_partition(self):
@@ -524,6 +566,19 @@ class TestStratifiedFolds:
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
             stratified_folds(np.array([0, 1, 0]), k=4, seed=0)
+
+    def test_matches_two_branch_reference(self):
+        rng = np.random.default_rng(53)
+        paths = set()
+        for seed in range(400):
+            k = int(rng.integers(2, 8))
+            n = int(rng.integers(k, 60))
+            labels = (rng.random(n) < rng.uniform(0.02, 0.98)).astype(int)
+            paths.add(min(int((labels == c).sum()) for c in (0, 1)) < k)
+            got = stratified_folds(labels, k, seed)
+            expect = stratified_folds_reference(labels, k, seed)
+            assert [f.tolist() for f in got] == [f.tolist() for f in expect], (seed, k)
+        assert paths == {False, True}
 
 
 class TestCrossValidate:

@@ -439,9 +439,15 @@ class TestMalformedReadBackArtifacts:
             (ROW | {"status_code": "200"}, "manifest row of a.com has a bad status_code: {"),
             (ROW | {"fetch_status": "bogus"},
              "manifest row of a.com has a bad fetch_status: {"),
+            (ROW | {"auto_state": "DEAD"}, "manifest row of a.com has a bad auto_state: {"),
+            (ROW | {"retries": "many"}, "manifest row of a.com has a bad retries: {"),
+            (ROW | {"retries": -1}, "manifest row of a.com has a bad retries: {"),
+            (ROW | {"retries": True}, "manifest row of a.com has a bad retries: {"),
+            (ROW | {"mime_type": 7}, "manifest row of a.com has a bad mime_type: {"),
         ],
         ids=["no-fetch-status", "string-row", "number-timestamp", "string-status-code",
-             "unknown-fetch-status"],
+             "unknown-fetch-status", "upper-case-auto-state", "string-retries",
+             "negative-retries", "bool-retries", "number-mime-type"],
     )
     def test_timeline_names_manifest_and_row(self, tmp_path, row, reason):
         out = tmp_path / "out"

@@ -496,3 +496,16 @@ class TestAnnotations:
         path.write_text(f"domain,year,month,state\nexample.com,2016,2,alive\n{row}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*{reason}"):
             read_annotations(path)
+
+    @pytest.mark.parametrize(
+        "before, line",
+        [("\n", 4), ('example.com,2016,1,"alive\n"\n', 5)],
+        ids=["blank-line", "quoted-newline"],
+    )
+    def test_diagnostic_names_the_physical_line(self, tmp_path, before, line):
+        path = tmp_path / "ann.csv"
+        path.write_text("domain,year,month,state\nexample.com,2016,2,alive\n"
+                        f"{before}example.com,2016,13,alive\n")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}:{line}: month out of range: 13$"):
+            read_annotations(path)
