@@ -52,9 +52,12 @@ class NewsClassifier:
         version = data.get("format_version")
         if version != PERSIST_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version: {version}")
-        # make_model rejects an unknown kind; its class restores the fitted state
+        # make_model rejects an unknown kind; its class restores the fitted
+        # state, which must fit the encoder's dimension
         model = make_model(data.get("kind")).from_dict(data["model"])
-        return cls(FeatureEncoder.from_dict(data["encoder"]), model)
+        encoder = FeatureEncoder.from_dict(data["encoder"])
+        model.check(encoder.dimension)
+        return cls(encoder, model)
 
     @classmethod
     def load(cls, path: str | Path) -> "NewsClassifier":

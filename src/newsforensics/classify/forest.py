@@ -156,9 +156,40 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTree":
+        table = np.array(data["nodes"], dtype=float)
+        if table.ndim != 2 or table.shape[1] != 5 or not len(table):
+            raise ValueError(f"tree nodes must be an (n, 5) table with n >= 1, "
+                             f"got shape {table.shape}")
+        ids = table[:, [0, 2, 3]]
+        if not np.isfinite(table).all() or (ids != np.round(ids)).any():
+            raise ValueError("tree nodes must be finite, with whole feature and child ids")
         tree = cls()
-        tree._set_nodes(data["nodes"])
+        tree._set_nodes(table)
         return tree
+
+    def check(self, d: int) -> None:
+        """Raise ValueError unless every walk over d features ends at a
+        leaf: a split has a feature in [0, d) and both children numbered
+        after itself (as ``_grow`` numbers them), a leaf has feature -1 and
+        a probability in [0, 1]."""
+        n = len(self.feature)
+        ids = np.arange(n)
+        leaf = self.feature == -1
+        bad_leaf = leaf & ~((self.prob >= 0.0) & (self.prob <= 1.0))
+        bad_split = ~leaf & ~(
+            (self.feature >= 0) & (self.feature < d)
+            & (self.left > ids) & (self.left < n) & (self.right > ids) & (self.right < n)
+        )
+        bad = (bad_leaf | bad_split).nonzero()[0]
+        if not bad.size:
+            return
+        i = int(bad[0])
+        if bad_leaf[i]:
+            raise ValueError(f"node {i}: a leaf needs a probability in [0, 1], "
+                             f"got {self.prob[i]}")
+        raise ValueError(f"node {i}: a split needs a feature in [0, {d}) and children "
+                         f"in ({i}, {n}), got feature {self.feature[i]}, children "
+                         f"{self.left[i]} and {self.right[i]}")
 
 
 def _at_least(value, low: int) -> bool:
@@ -229,3 +260,11 @@ class RandomForestModel:
         model = cls(**{name: data[name] for name in cls.PARAMS})  # checks the parameters
         model.trees = [DecisionTree.from_dict(t) for t in data["trees"]]
         return model
+
+    def check(self, d: int) -> None:
+        """Raise ValueError unless every tree is a tree over d features."""
+        for t, tree in enumerate(self.trees):
+            try:
+                tree.check(d)
+            except ValueError as exc:
+                raise ValueError(f"random_forest tree {t} {exc}") from None

@@ -4,7 +4,9 @@ All models expose fit(X, y, seed) / score(X) -> P(positive) and
 serialize to JSON-compatible dicts; training is deterministic under a
 fixed seed.  A model kind lists its constructor hyperparameters in
 ``PARAMS`` and its fitted arrays in ``FITTED``, and is saved as those
-names' values.
+names' values.  ``FITTED`` maps each array to its shape, whose entries
+are sizes, ``"d"`` for the encoded dimension, ``"d+1"`` for one more, or
+the name of a hyperparameter that sizes it.
 """
 
 from __future__ import annotations
@@ -40,8 +42,20 @@ def _to_dict(model) -> dict:
 def _from_dict(cls, data: dict):
     model = cls(**{name: data[name] for name in cls.PARAMS})
     for name in cls.FITTED:
-        setattr(model, name, np.array(data[name]))
+        setattr(model, name, np.array(data[name], dtype=float))
     return model
+
+
+def _check(model, d: int) -> None:
+    """Raise ValueError unless each fitted array has its FITTED shape for a
+    d-dimensional encoding."""
+    sizes = {"d": d, "d+1": d + 1} | {name: getattr(model, name) for name in model.PARAMS}
+    for name, dims in model.FITTED.items():
+        shape = tuple(sizes.get(dim, dim) for dim in dims)
+        got = np.shape(getattr(model, name))
+        if got != shape:
+            raise ValueError(f"{model.kind} {name} must have shape {shape} for {d} "
+                             f"encoded features, got {got}")
 
 
 class LogisticRegressionModel:
@@ -53,9 +67,10 @@ class LogisticRegressionModel:
 
     kind = "logistic_regression"
     PARAMS = ("penalty", "tol", "max_iter")
-    FITTED = ("weights",)
+    FITTED = {"weights": ("d+1",)}
     to_dict = _to_dict
     from_dict = classmethod(_from_dict)
+    check = _check
 
     def __init__(self, penalty: float = 1.0, tol: float = 1e-6, max_iter: int = 100):
         self.penalty = penalty
@@ -93,9 +108,10 @@ class NaiveBayesModel:
 
     kind = "naive_bayes"
     PARAMS = ("var_smoothing",)
-    FITTED = ("class_log_prior", "means", "variances")
+    FITTED = {"class_log_prior": (2,), "means": (2, "d"), "variances": (2, "d")}
     to_dict = _to_dict
     from_dict = classmethod(_from_dict)
+    check = _check
 
     def __init__(self, var_smoothing: float = 1e-9):
         self.var_smoothing = var_smoothing
@@ -145,9 +161,11 @@ class MlpModel:
 
     kind = "mlp"
     PARAMS = ("hidden_units", "epochs", "learning_rate")
-    FITTED = ("w1", "b1", "w2", "b2")
+    FITTED = {"w1": ("d", "hidden_units"), "b1": ("hidden_units",),
+              "w2": ("hidden_units", 2), "b2": (2,)}
     to_dict = _to_dict
     from_dict = classmethod(_from_dict)
+    check = _check
 
     def __init__(self, hidden_units: int = 45, epochs: int = 500, learning_rate: float = 0.5):
         self.hidden_units = hidden_units

@@ -13,6 +13,7 @@ import functools
 import logging
 import os
 import sys
+from dataclasses import fields
 
 import click
 
@@ -21,38 +22,50 @@ from .archive import FETCHED, ArchiveError
 from .classify import MODEL_KINDS
 from .pipeline import PrerequisiteError, RunConfig
 
-log = logging.getLogger(__name__)
-
 EXIT_VALIDATION = 2
 EXIT_PREREQUISITE = 3
 EXIT_NETWORK = 4
 
+# a flag that sets two RunConfig fields at once -> those fields, in order
+PAIRED_FIELDS = {
+    "window": ("window_start", "window_end"),
+    "quarters": ("quarter_start", "quarter_end"),
+}
+_SETTINGS = {f.name for f in fields(RunConfig)}.union(PAIRED_FIELDS)
 
-def _build_config(ctx: click.Context, **overrides) -> RunConfig:
-    base = dict(ctx.obj or {})
-    config_file = base.pop("config", None)
-    base.update(overrides)
-    return RunConfig.from_sources(config_file, dict(os.environ), base)
 
+def pipeline_command(name: str | None = None):
+    """Register a pipeline stage on ``main``.
 
-def pipeline_command(func):
-    """Map pipeline exceptions onto the documented exit codes."""
+    Each flag whose destination is a RunConfig field, or a PAIRED_FIELDS
+    key, becomes a setting; with the group's --config/--seed/--out they
+    build the stage's RunConfig, which the stage receives with its other
+    flags.  Pipeline exceptions map onto the documented exit codes.
+    """
 
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except PrerequisiteError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_PREREQUISITE)
-        except ArchiveError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_NETWORK)
-        except (ValueError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
+    def register(func):
+        @functools.wraps(func)
+        def run(**flags):
+            settings = dict(click.get_current_context().obj or {})
+            config_file = settings.pop("config", None)
+            for key in _SETTINGS & flags.keys():
+                value = flags.pop(key)
+                if key in PAIRED_FIELDS:
+                    settings.update(zip(PAIRED_FIELDS[key], value or (None, None)))
+                else:
+                    settings[key] = value
+            try:
+                config = RunConfig.from_sources(config_file, dict(os.environ), settings)
+                return func(config, **flags)
+            except (PrerequisiteError, ArchiveError, ValueError, OSError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_PREREQUISITE if isinstance(exc, PrerequisiteError)
+                         else EXIT_NETWORK if isinstance(exc, ArchiveError)
+                         else EXIT_VALIDATION)
 
-    return wrapper
+        return main.command(name)(run)
+
+    return register
 
 
 @click.group()
@@ -72,23 +85,20 @@ def main(ctx, config, seed, out_dir, verbose):
     ctx.obj = {"config": config, "seed": seed, "out_dir": out_dir}
 
 
-@main.command("ingest-lists")
+@pipeline_command("ingest-lists")
 @click.option("--fake", "fake_list", type=click.Path(exists=True, dir_okay=False),
               required=False, help="Text file of fake news domains, one per line.")
 @click.option("--real", "real_list", type=click.Path(exists=True, dir_okay=False),
               required=False, help="Text file of real news domains, one per line.")
-@click.pass_context
-@pipeline_command
-def ingest_lists(ctx, fake_list, real_list):
+def ingest_lists(config):
     """Normalize and validate the fake/real site lists."""
-    config = _build_config(ctx, fake_list=fake_list, real_list=real_list)
     lists = pipeline.ingest_lists(config)
     for warning in lists.warnings:
         click.echo(f"warning: {warning}", err=True)
     click.echo(f"ingested {len(lists.fake)} fake and {len(lists.real)} real sites")
 
 
-@main.command()
+@pipeline_command()
 @click.option("--window", nargs=2, metavar="FROM TO", default=None,
               help="Crawl window as two YYYY-MM months.")
 @click.option("--rate-limit", type=float, default=None, help="Requests per second.")
@@ -97,20 +107,8 @@ def ingest_lists(ctx, fake_list, real_list):
               help="Captures to keep per site-month (0 keeps all).")
 @click.option("--cdx-base", default=None, help="CDX endpoint base URL.")
 @click.option("--web-base", default=None, help="Snapshot endpoint base URL.")
-@click.pass_context
-@pipeline_command
-def crawl(ctx, window, rate_limit, workers, per_month, cdx_base, web_base):
+def crawl(config):
     """Fetch the capture index and landing-page snapshots into the cache."""
-    overrides = {
-        "rate_limit": rate_limit,
-        "workers": workers,
-        "per_month": per_month,
-        "cdx_base": cdx_base,
-        "web_base": web_base,
-    }
-    if window:
-        overrides["window_start"], overrides["window_end"] = window
-    config = _build_config(ctx, **overrides)
     manifest = pipeline.crawl(config)
     fetched = sum(
         1 for entries in manifest.entries.values() for e in entries
@@ -119,19 +117,13 @@ def crawl(ctx, window, rate_limit, workers, per_month, cdx_base, web_base):
     click.echo(f"crawled {len(manifest.entries)} sites, {fetched} snapshots fetched")
 
 
-@main.command()
+@pipeline_command()
 @click.option("--annotations", type=click.Path(exists=True, dir_okay=False), default=None,
               help="CSV of month-state annotations (domain,year,month,state).")
 @click.option("--cohort", type=click.Choice(["fake", "real", "all"]), default=None)
 @click.option("--window", nargs=2, metavar="FROM TO", default=None)
-@click.pass_context
-@pipeline_command
-def timeline(ctx, annotations, cohort, window):
+def timeline(config):
     """Aggregate states per month, interpolate gaps, compute lifetimes."""
-    overrides = {"annotations": annotations, "cohort": cohort}
-    if window:
-        overrides["window_start"], overrides["window_end"] = window
-    config = _build_config(ctx, **overrides)
     report = pipeline.build_timeline_artifacts(config)
     medians = {
         metric: stats["median_months"]
@@ -140,7 +132,7 @@ def timeline(ctx, annotations, cohort, window):
     click.echo(f"built {report['sites']} timelines; medians (months): {medians}")
 
 
-@main.command()
+@pipeline_command()
 @click.option("--quarters", nargs=2, metavar="FROM TO", default=None,
               help="Quarter window as two YYYY-Qn values.")
 @click.option("--cosine-threshold", type=float, default=None)
@@ -149,20 +141,8 @@ def timeline(ctx, annotations, cohort, window):
               help="Also export the full pairwise distance matrix to this CSV.")
 @click.option("--stopwords", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--suffix-rules", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.pass_context
-@pipeline_command
-def sync(ctx, quarters, cosine_threshold, uptime_max_distance, distances_csv,
-         stopwords, suffix_rules):
+def sync(config, distances_csv):
     """Detect uptime- and content-synchronized site pairs and clusters."""
-    overrides = {
-        "cosine_threshold": cosine_threshold,
-        "uptime_max_distance": uptime_max_distance,
-        "stopwords": stopwords,
-        "suffix_rules": suffix_rules,
-    }
-    if quarters:
-        overrides["quarter_start"], overrides["quarter_end"] = quarters
-    config = _build_config(ctx, **overrides)
     report = pipeline.detect_sync(config, distances_csv=distances_csv)
     click.echo(
         f"{len(report['uptime_pairs'])} uptime pairs, "
@@ -170,22 +150,14 @@ def sync(ctx, quarters, cosine_threshold, uptime_max_distance, distances_csv,
     )
 
 
-@main.command()
+@pipeline_command()
 @click.option("--filter-list", type=click.Path(exists=True, dir_okay=False), default=None,
               help="AdblockPlus-style filter list (supported subset).")
 @click.option("--public-suffix-list", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Replacement public-suffix snapshot.")
 @click.option("--top-k", "top_k_trackers", type=int, default=None)
-@click.pass_context
-@pipeline_command
-def trackers(ctx, filter_list, public_suffix_list, top_k_trackers):
+def trackers(config):
     """Audit embedded third-party trackers across the snapshot cache."""
-    config = _build_config(
-        ctx,
-        filter_list=filter_list,
-        public_suffix_list=public_suffix_list,
-        top_k_trackers=top_k_trackers,
-    )
     report = pipeline.audit_trackers(config)
     click.echo(
         f"matched {len(report['distinct_trackers_fake'])} tracker domains "
@@ -193,16 +165,13 @@ def trackers(ctx, filter_list, public_suffix_list, top_k_trackers):
     )
 
 
-@main.command()
+@pipeline_command()
 @click.option("--traffic", "traffic_data", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Traffic profiles (CSV or JSON lines).")
 @click.option("--sample-std", is_flag=True, default=None,
               help="Use the N-1 divisor for standard deviations.")
-@click.pass_context
-@pipeline_command
-def stats(ctx, traffic_data, sample_std):
+def stats(config):
     """Descriptive engagement statistics for the fake and real cohorts."""
-    config = _build_config(ctx, traffic_data=traffic_data, sample_std=sample_std)
     report = pipeline.traffic_stats(config)
     click.echo(
         f"summarized {report['rows_loaded']} profiles "
@@ -210,7 +179,7 @@ def stats(ctx, traffic_data, sample_std):
     )
 
 
-@main.command()
+@pipeline_command()
 @click.option("--traffic", "traffic_data", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Labeled traffic profiles (CSV or JSON lines).")
 @click.option("--model", type=click.Choice(list(MODEL_KINDS)), default=None)
@@ -220,11 +189,8 @@ def stats(ctx, traffic_data, sample_std):
 @click.option("--save-model", type=click.Path(dir_okay=False), default=None)
 @click.option("--predict", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Unlabeled profiles to score with the trained model.")
-@click.pass_context
-@pipeline_command
-def classify(ctx, traffic_data, model, folds, split, save_model, predict):
+def classify(config, split, save_model, predict):
     """Cross-validate fake/real classifiers on traffic features."""
-    config = _build_config(ctx, traffic_data=traffic_data, model=model, folds=folds)
     report = pipeline.classify(config, split=split, save_model=save_model, predict=predict)
     cv = report["cross_validation"]
     click.echo(
@@ -234,12 +200,9 @@ def classify(ctx, traffic_data, model, folds, split, save_model, predict):
     )
 
 
-@main.command()
-@click.pass_context
-@pipeline_command
-def report(ctx):
+@pipeline_command()
+def report(config):
     """Merge module reports into summary.json plus plot-data CSVs."""
-    config = _build_config(ctx)
     summary = pipeline.consolidated_report(config)
     click.echo(
         f"summary written with {len(summary['sections'])} sections: "

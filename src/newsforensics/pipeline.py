@@ -100,8 +100,12 @@ class RunConfig:
             raise ValueError("rate_limit must be >= 0")
         if self.backoff_base < 0:
             raise ValueError("backoff_base must be >= 0")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.per_month < 0:
             raise ValueError("per_month must be >= 0")
+        if self.top_k_trackers < 1:
+            raise ValueError("top_k_trackers must be >= 1")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         self.seed = int(self.seed) & (2**64 - 1)

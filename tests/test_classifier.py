@@ -739,3 +739,62 @@ class TestTrainPredict:
         doc["format_version"] = 99
         with pytest.raises(ValueError, match="version"):
             NewsClassifier.from_dict(doc)
+
+    def set_node(tree: int, node: int, column: int, value):
+        def edit(model, d):
+            model["trees"][tree]["nodes"][node][column] = d if value == "d" else value
+        return edit
+
+    # (kind, edit of the saved model dict given the encoded dimension d,
+    # start of the reason)
+    DAMAGE = {
+        "nb-means-of-one-feature": (
+            "naive_bayes", lambda m, d: m.update(means=[[1.0], [2.0]]),
+            "naive_bayes means must have shape (2, {d}) for {d} encoded features, got (2, 1)"),
+        "nb-means-of-text": (
+            "naive_bayes", lambda m, d: m.update(means="abc"),
+            "could not convert string to float: 'abc'"),
+        "lr-without-intercept": (
+            "logistic_regression", lambda m, d: m.update(weights=m["weights"][:-1]),
+            "logistic_regression weights must have shape ({d1},) for {d} encoded features, "
+            "got ({d},)"),
+        "mlp-short-w1": (
+            "mlp", lambda m, d: m.update(w1=m["w1"][:-1]),
+            "mlp w1 must have shape ({d}, 45) for {d} encoded features, got ({d_1}, 45)"),
+        "mlp-scalar-b2": (
+            "mlp", lambda m, d: m.update(b2=0.0),
+            "mlp b2 must have shape (2,) for {d} encoded features, got ()"),
+        "forest-root-is-its-own-child": (
+            "random_forest", set_node(0, 0, 2, 0),
+            "random_forest tree 0 node 0: a split needs a feature in [0, {d}) and children in (0, "),
+        "forest-feature-out-of-range": (
+            "random_forest", set_node(1, 0, 0, "d"),
+            "random_forest tree 1 node 0: a split needs a feature in [0, {d})"),
+        "forest-leaf-probability": (
+            "random_forest", set_node(0, -1, 4, 1.5),  # the last node is always a leaf
+            "random_forest tree 0 node "),
+        "forest-fractional-child": (
+            "random_forest", set_node(0, 0, 3, 1.5),
+            "tree nodes must be finite, with whole feature and child ids"),
+        "forest-infinite-threshold": (
+            "random_forest", set_node(0, 0, 1, float("inf")),
+            "tree nodes must be finite, with whole feature and child ids"),
+        "forest-flat-nodes": (
+            "random_forest", lambda m, d: m["trees"][0].update(nodes=[0.0] * 10),
+            "tree nodes must be an (n, 5) table with n >= 1, got shape (10,)"),
+    }
+
+    @pytest.mark.parametrize("kind,edit,reason", DAMAGE.values(), ids=DAMAGE.keys())
+    def test_damaged_model_rejected_on_load(self, kind, edit, reason, tmp_path):
+        params = {"n_trees": 3} if kind == "random_forest" else {}
+        doc = train_classifier(kind, ProfileTable.of(separable_dataset(30, seed=9)), seed=0,
+                               **params).to_dict()
+        d = len(doc["encoder"]["columns"])
+        if kind == "random_forest":
+            assert all(tree["nodes"][0][0] >= 0 for tree in doc["model"]["trees"])  # roots split
+        edit(doc["model"], d)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            NewsClassifier.load(path)
+        assert str(err.value).startswith(f"{path}: " + reason.format(d=d, d1=d + 1, d_1=d - 1))

@@ -1,21 +1,27 @@
+import inspect
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import newsforensics
+from newsforensics import pipeline
 from newsforensics.archive import CrawlManifest
 from newsforensics.classify import MODEL_KINDS
-from newsforensics.cli import classify, main
+from newsforensics.cli import PAIRED_FIELDS, classify, main
+from newsforensics.pipeline import RunConfig
 from newsforensics.timeline import MonthStamp
 
 from fixture_corpus import DEAD_SITE, FAKE_SITES, REAL_SITES, build_corpus, serve
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +177,111 @@ class TestPredictRejectedRows:
 def test_model_choices_are_the_registered_kinds():
     [option] = [p for p in classify.params if p.name == "model"]
     assert list(option.type.choices) == list(MODEL_KINDS)
+
+
+def help_pages() -> str:
+    """The --help of newsforensics and of each command, at 80 columns, each
+    under the command line that prints it."""
+    pages = []
+    for args in [[], *([name] for name in sorted(main.commands))]:
+        args.append("--help")
+        result = CliRunner().invoke(main, args, prog_name="newsforensics", terminal_width=80)
+        assert result.exit_code == 0, result.output
+        pages.append(f"$ newsforensics {' '.join(args)}\n{result.output}")
+    return "".join(pages)
+
+
+def test_help_text_is_pinned():
+    # every flag, metavar, choice and help line, as recorded in cli_help.txt
+    assert help_pages() == (DATA / "cli_help.txt").read_text(encoding="utf-8")
+
+
+# command -> the pipeline function it hands its RunConfig to
+STAGES = {
+    "ingest-lists": "ingest_lists", "crawl": "crawl", "timeline": "build_timeline_artifacts",
+    "sync": "detect_sync", "trackers": "audit_trackers", "stats": "traffic_stats",
+    "classify": "classify", "report": "consolidated_report",
+}
+
+# (arguments, {field: (environment value, value the flag sets)}); "flag-file"
+# is an existing file in the working directory
+FLAG_ROUTES = [
+    (["--seed", "5", "report"], {"seed": ("9", 5)}),
+    (["--out", "flag-out", "report"], {"out_dir": ("env-out", "flag-out")}),
+    (["ingest-lists", "--fake", "flag-file"], {"fake_list": ("env-file", "flag-file")}),
+    (["ingest-lists", "--real", "flag-file"], {"real_list": ("env-file", "flag-file")}),
+    (["crawl", "--window", "2016-02", "2018-03"],
+     {"window_start": ("2001-01", "2016-02"), "window_end": ("2002-01", "2018-03")}),
+    (["crawl", "--rate-limit", "0.25"], {"rate_limit": ("2", 0.25)}),
+    (["crawl", "--workers", "3"], {"workers": ("7", 3)}),
+    (["crawl", "--per-month", "0"], {"per_month": ("2", 0)}),
+    (["crawl", "--cdx-base", "http://flag.invalid"],
+     {"cdx_base": ("http://env.invalid", "http://flag.invalid")}),
+    (["crawl", "--web-base", "http://flag.invalid"],
+     {"web_base": ("http://env.invalid", "http://flag.invalid")}),
+    (["timeline", "--annotations", "flag-file"], {"annotations": ("env-file", "flag-file")}),
+    (["timeline", "--cohort", "real"], {"cohort": ("all", "real")}),
+    (["timeline", "--window", "2016-02", "2018-03"],
+     {"window_start": ("2001-01", "2016-02"), "window_end": ("2002-01", "2018-03")}),
+    (["sync", "--quarters", "2016-Q2", "2018-Q3"],
+     {"quarter_start": ("2001-Q1", "2016-Q2"), "quarter_end": ("2002-Q1", "2018-Q3")}),
+    (["sync", "--cosine-threshold", "0.75"], {"cosine_threshold": ("0.9", 0.75)}),
+    (["sync", "--uptime-max-distance", "1.5"], {"uptime_max_distance": ("0.5", 1.5)}),
+    (["sync", "--stopwords", "flag-file"], {"stopwords": ("env-file", "flag-file")}),
+    (["sync", "--suffix-rules", "flag-file"], {"suffix_rules": ("env-file", "flag-file")}),
+    (["trackers", "--filter-list", "flag-file"], {"filter_list": ("env-file", "flag-file")}),
+    (["trackers", "--public-suffix-list", "flag-file"],
+     {"public_suffix_list": ("env-file", "flag-file")}),
+    (["trackers", "--top-k", "3"], {"top_k_trackers": ("5", 3)}),
+    (["stats", "--traffic", "flag-file"], {"traffic_data": ("env-file", "flag-file")}),
+    (["stats", "--sample-std"], {"sample_std": ("false", True)}),
+    (["classify", "--traffic", "flag-file"], {"traffic_data": ("env-file", "flag-file")}),
+    (["classify", "--model", "mlp"], {"model": ("naive_bayes", "mlp")}),
+    (["classify", "--k", "3"], {"folds": ("5", 3)}),
+]
+
+
+class Captured(Exception):
+    def __init__(self, config: RunConfig):
+        self.config = config
+
+
+@pytest.mark.parametrize("args,routes", FLAG_ROUTES, ids=[" ".join(a) for a, _ in FLAG_ROUTES])
+def test_flag_overrides_environment(args, routes, tmp_path, monkeypatch):
+    def capture(config, **_):
+        raise Captured(config)
+
+    [command] = [arg for arg in args if arg in STAGES]
+    monkeypatch.setattr(pipeline, STAGES[command], capture)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "flag-file").touch()
+    env = {f"NEWSFORENSICS_{field.upper()}": text for field, (text, _) in routes.items()}
+
+    def settings(argv):
+        with pytest.raises(Captured) as caught:
+            invoke(argv, env=env)
+        return {field: getattr(caught.value.config, field) for field in routes}
+
+    assert settings(args) == {field: value for field, (_, value) in routes.items()}
+    # without the flag, the environment's value stands
+    from_env = RunConfig.from_sources(None, env, {})
+    assert settings([command]) == {field: getattr(from_env, field) for field in routes}
+
+
+def test_every_flag_names_its_destination():
+    """Each option of a command is a RunConfig field, a PAIRED_FIELDS key or
+    a parameter of the command's function, and each that is a setting has a
+    row in FLAG_ROUTES."""
+    settings = {f.name for f in fields(RunConfig)}
+    routed = set()
+    for name, command in main.commands.items():
+        own = inspect.signature(command.callback).parameters
+        for param in command.params:
+            if param.name in settings or param.name in PAIRED_FIELDS:
+                routed.add((name, param.opts[0]))
+            else:
+                assert param.name in own, (name, param.name)
+    assert routed == {(args[0], args[1]) for args, _ in FLAG_ROUTES if args[0] in STAGES}
 
 
 class TestTimelineWithoutCrawl:
@@ -640,6 +751,19 @@ class TestConfigPrecedence:
         result = invoke(["--out", str(tmp_path / "o"), "crawl", "--per-month", "-1"])
         assert result.exit_code == 2
         assert "error: per_month must be >= 0" in result.output
+
+    def test_zero_workers_exits_2(self, tmp_path):
+        result = invoke(["--out", str(tmp_path / "o"), "crawl", "--workers", "0"])
+        assert result.exit_code == 2, result.output
+        assert "error: workers must be >= 1" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_top_k_trackers_exits_2_before_reading_the_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "audit_trackers", lambda config: pytest.fail("ran"))
+        result = invoke(["--out", str(tmp_path / "o"), "trackers"],
+                        env={"NEWSFORENSICS_TOP_K_TRACKERS": "0"})
+        assert result.exit_code == 2, result.output
+        assert "error: top_k_trackers must be >= 1" in result.output
 
     def test_negative_backoff_base_exits_2(self, tmp_path):
         config_file = tmp_path / "config.json"
