@@ -8,10 +8,12 @@ order, and all statistics come from the data the encoder was fitted on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ..files import check
 from ..traffic import ProfileTable, TrafficProfile
 
 NUMERIC_FEATURES = (
@@ -116,4 +118,25 @@ class FeatureEncoder:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureEncoder":
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
+        """Raises ValueError, TypeError or KeyError unless each column can
+        be encoded: a numeric feature with a finite mean and a finite std
+        above 0, or a categorical feature's value from ``vocab``."""
+        check(data, {"columns": [str], "dropped": [str], "means": dict, "stds": dict,
+                     "vocab": dict})
+        encoder = cls(**{f.name: data[f.name] for f in fields(cls)})
+        for column in encoder.columns:
+            name, one_hot, value = column.partition("=")
+            if one_hot:
+                if name not in CATEGORICAL_FEATURES or value not in encoder.vocab.get(name, []):
+                    raise ValueError(f"encoder column {column!r} is not in its vocab")
+            elif name not in NUMERIC_FEATURES:
+                raise ValueError(f"encoder column {column!r} is not a feature")
+            elif not _finite(encoder.means.get(name)):
+                raise ValueError(f"encoder column {column!r} has no finite mean")
+            elif not (_finite(encoder.stds.get(name)) and encoder.stds[name] > 0):
+                raise ValueError(f"encoder column {column!r} has no finite std above 0")
+        return encoder
+
+
+def _finite(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)

@@ -20,6 +20,7 @@ import click
 from . import pipeline
 from .archive import FETCHED, ArchiveError
 from .classify import MODEL_KINDS
+from .files import recording
 from .pipeline import PrerequisiteError, RunConfig
 
 EXIT_VALIDATION = 2
@@ -40,13 +41,15 @@ def pipeline_command(name: str | None = None):
     Each flag whose destination is a RunConfig field, or a PAIRED_FIELDS
     key, becomes a setting; with the group's --config/--seed/--out they
     build the stage's RunConfig, which the stage receives with its other
-    flags.  Pipeline exceptions map onto the documented exit codes.
+    flags.  The text files the stage reads and writes make its run manifest.
+    Pipeline exceptions map onto the documented exit codes.
     """
 
     def register(func):
         @functools.wraps(func)
         def run(**flags):
-            settings = dict(click.get_current_context().obj or {})
+            ctx = click.get_current_context()
+            settings = dict(ctx.obj or {})
             config_file = settings.pop("config", None)
             for key in _SETTINGS & flags.keys():
                 value = flags.pop(key)
@@ -56,7 +59,9 @@ def pipeline_command(name: str | None = None):
                     settings[key] = value
             try:
                 config = RunConfig.from_sources(config_file, dict(os.environ), settings)
-                return func(config, **flags)
+                with recording() as (inputs, outputs):
+                    func(config, **flags)
+                pipeline.write_run_manifest(config, ctx.command.name, inputs, outputs)
             except (PrerequisiteError, ArchiveError, ValueError, OSError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(EXIT_PREREQUISITE if isinstance(exc, PrerequisiteError)
@@ -168,8 +173,8 @@ def trackers(config):
 @pipeline_command()
 @click.option("--traffic", "traffic_data", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Traffic profiles (CSV or JSON lines).")
-@click.option("--sample-std", is_flag=True, default=None,
-              help="Use the N-1 divisor for standard deviations.")
+@click.option("--sample-std/--no-sample-std", default=None,
+              help="Divide standard deviations by N-1, or by N.")
 def stats(config):
     """Descriptive engagement statistics for the fake and real cohorts."""
     report = pipeline.traffic_stats(config)

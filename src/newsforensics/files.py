@@ -2,7 +2,8 @@
 UTF-8 and their errors name the file (and the line, in JSON lines).  Each
 artifact is written under a temporary name and moved onto its path, so a
 killed stage leaves the previous file; nothing is fsynced against power loss.
-Writers stream their pieces, so no artifact is held whole in memory."""
+Writers stream their pieces, so no artifact is held whole in memory.
+``recording`` notes the text files read and written, for a run manifest."""
 
 from __future__ import annotations
 
@@ -11,14 +12,36 @@ import json
 import os
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from importlib import resources
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
 
+# (inputs, outputs) of the innermost ``recording`` block of this context
+_record: ContextVar[tuple[set[str], set[str]] | None] = ContextVar("record", default=None)
+
+
+@contextmanager
+def recording() -> Iterator[tuple[set[str], set[str]]]:
+    """The paths of the text files read and written in the block (bundled
+    data and binary files left out), filled in as it runs."""
+    token = _record.set(record := (set(), set()))
+    try:
+        yield record
+    finally:
+        _record.reset(token)
+
+
+def _note(path: str | Path, side: int) -> None:
+    if (record := _record.get()) is not None:
+        record[side].add(str(path))
+
+
 @contextmanager
 def open_text(path: str | Path) -> Iterator[IO[str]]:
     """Line ends are kept (``newline=""``), as csv needs."""
+    _note(path, 0)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             yield fh
@@ -81,6 +104,7 @@ def read_json(path: str | Path, shape: dict | None = None) -> Iterator:
 def read_json_lines(path: str | Path, parse: Callable) -> Iterator:
     """``parse`` of each non-blank line's JSON value; its ValueError or
     TypeError is reported against the line too."""
+    _note(path, 0)
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -96,7 +120,8 @@ def read_json_lines(path: str | Path, parse: Callable) -> Iterator:
 @contextmanager
 def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """A temporary file beside ``path`` (UTF-8 text unless ``binary``),
-    moved onto ``path`` when the block ends and removed if it fails."""
+    moved onto ``path`` when the block ends and removed if it fails.  Only
+    text is recorded: binary files are cache entries."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
@@ -104,6 +129,8 @@ def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
+        if not binary:
+            _note(path, 1)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -1,5 +1,6 @@
 """Batch pipeline steps behind the CLI: each consumes prior artifacts
-from the output directory and writes its own report plus a run manifest.
+from the output directory and writes its own report.  The CLI writes each
+step's run manifest from the files the step read and wrote.
 
 All artifacts are JSON (sorted keys) or headered CSV and depend only on
 the inputs, configuration and seed, so reruns are byte-identical.
@@ -136,9 +137,6 @@ class RunConfig:
             return PublicSuffixList.from_file(self.public_suffix_list)
         return bundled_psl()
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_sources(cls, config_file: str | None, env: dict, overrides: dict) -> "RunConfig":
         values: dict = {}
@@ -209,11 +207,13 @@ def write_run_manifest(config: RunConfig, command: str, inputs: list[Path | str]
                        outputs: list[Path | str]) -> None:
     """Records what a command ran on: config hash, seed and input digests.
 
-    Output locations are excluded from the hash so identical runs into
-    different directories produce identical manifests.
+    The hash leaves out ``out_dir`` and every path field, so the same inputs
+    copied to another directory give the same hash; their contents are
+    hashed under ``inputs``.
     """
     hashed = {
-        k: v for k, v in config.to_dict().items() if k not in ("out_dir", "cache_dir")
+        f.name: getattr(config, f.name) for f in fields(config)
+        if f.name != "out_dir" and f.type != "str | None"
     }
     config_json = json.dumps(hashed, sort_keys=True)
     manifest = {
@@ -223,9 +223,8 @@ def write_run_manifest(config: RunConfig, command: str, inputs: list[Path | str]
         "inputs": {
             _display_path(p, config.out): _sha256(Path(p))
             for p in sorted(map(str, inputs))
-            if Path(p).is_file()
         },
-        "outputs": sorted(_display_path(p, config.out) for p in outputs),
+        "outputs": sorted({_display_path(p, config.out) for p in outputs}),
     }
     write_json(config.out / "manifests" / f"{command}.json", manifest)
 
@@ -295,10 +294,6 @@ def ingest_lists(config: RunConfig) -> SiteLists:
         )
     lists = SiteLists(fake, real, warn_fake + warn_real)
     write_json(config.out / "sites.json", {"fake": fake, "real": real})
-    write_run_manifest(
-        config, "ingest-lists", [config.fake_list, config.real_list],
-        [config.out / "sites.json"],
-    )
     return lists
 
 
@@ -328,9 +323,7 @@ def crawl(config: RunConfig, client: arch.WaybackClient | None = None) -> arch.C
         raise arch.ArchiveError(
             f"every CDX query failed ({len(sites)} sites): archive unreachable"
         )
-    manifest_path = config.out / "crawl_manifest.json"
-    manifest.save(manifest_path)
-    write_run_manifest(config, "crawl", [config.out / "sites.json"], [manifest_path])
+    manifest.save(config.out / "crawl_manifest.json")
     return manifest
 
 
@@ -386,15 +379,6 @@ def build_timeline_artifacts(config: RunConfig) -> dict:
         },
     }
     write_json(config.out / "lifetime_report.json", report)
-    inputs = [p for p in (manifest_path, config.annotations) if p]
-    write_run_manifest(
-        config, "timeline", inputs,
-        [
-            config.out / "timelines.jsonl",
-            config.out / "timelines_interpolated.jsonl",
-            config.out / "lifetime_report.json",
-        ],
-    )
     return report
 
 
@@ -478,10 +462,7 @@ def _pages_with_urls(config: RunConfig, sites: set[str]):
 
 
 def detect_sync(config: RunConfig, distances_csv: str | None = None) -> dict:
-    timelines_path = _require(
-        config.out / "timelines_interpolated.jsonl", "timeline"
-    )
-    timelines = read_timelines(timelines_path)
+    timelines = read_timelines(_require(config.out / "timelines_interpolated.jsonl", "timeline"))
     qwindow = config.quarter_window
     series = sorted(
         (syncmod.quarterize(t, qwindow) for t in timelines), key=lambda s: s.site
@@ -525,11 +506,6 @@ def detect_sync(config: RunConfig, distances_csv: str | None = None) -> dict:
         ],
     }
     write_json(config.out / "sync_report.json", report)
-    write_run_manifest(
-        config, "sync",
-        [timelines_path, config.out / "crawl_manifest.json"],
-        [config.out / "sync_report.json", config.out / PAGE_URLS],
-    )
     if distances_csv:
         export_distance_matrix(series, Path(distances_csv))
     return report
@@ -590,11 +566,6 @@ def audit_trackers(config: RunConfig) -> dict:
         },
     }
     write_json(config.out / "tracker_report.json", report)
-    write_run_manifest(
-        config, "trackers",
-        [config.filter_list, config.out / "crawl_manifest.json"],
-        [config.out / "tracker_report.json"],
-    )
     return report
 
 
@@ -607,9 +578,6 @@ def traffic_stats(config: RunConfig) -> dict:
     report["rows_loaded"] = len(profiles)
     report["rows_rejected"] = [asdict(e) for e in errors]
     write_json(config.out / "traffic_report.json", report)
-    write_run_manifest(
-        config, "stats", [config.traffic_data], [config.out / "traffic_report.json"]
-    )
     return report
 
 
@@ -641,7 +609,6 @@ def classify(
                 profiles, spec, config.model, seed=config.seed
             ).to_dict(),
         }
-    outputs = [config.out / "classifier_report.json"]
     classifier = None
     if save_model or predict:
         classifier = train_classifier(config.model, profiles, seed=config.seed)
@@ -660,11 +627,8 @@ def classify(
             ["domain", "predicted_label", "score"],
             [(site, label, f"{score:.6f}") for site, label, score in rows],
         )
-        outputs.append(predictions_path)
         report["predictions_file"] = _display_path(predictions_path, config.out)
     write_json(config.out / "classifier_report.json", report)
-    inputs = [config.traffic_data] + ([predict] if predict else [])
-    write_run_manifest(config, "classify", inputs, outputs)
     return report
 
 
@@ -754,8 +718,7 @@ def consolidated_report(config: RunConfig) -> dict:
     out = config.out
     sections: dict[str, dict] = {}
 
-    sites_path = out / "sites.json"
-    if sites_path.exists():
+    if (out / "sites.json").exists():
         lists = load_site_lists(config)
         sections["sites"] = {"fake": len(lists.fake), "real": len(lists.real)}
 
@@ -781,9 +744,4 @@ def consolidated_report(config: RunConfig) -> dict:
         raise PrerequisiteError("no module reports found: run a pipeline step first")
     summary = {"sections": sections, "section_names": sorted(sections)}
     write_json(out / "summary.json", summary)
-    write_run_manifest(
-        config, "report",
-        [sites_path, crawl_path] + [out / name for name, *_ in _STAGE_REPORTS],
-        [out / "summary.json"],
-    )
     return summary

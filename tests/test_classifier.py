@@ -798,3 +798,40 @@ class TestTrainPredict:
         with pytest.raises(ValueError) as err:
             NewsClassifier.load(path)
         assert str(err.value).startswith(f"{path}: " + reason.format(d=d, d1=d + 1, d_1=d - 1))
+
+    # (edit of a saved naive-Bayes encoder, start of the reason); the first
+    # numeric column is bounce_rate
+    ENCODER_DAMAGE = {
+        "std-of-zero": (lambda e: e["stds"].update(bounce_rate=0.0),
+                        "encoder column 'bounce_rate' has no finite std above 0"),
+        "std-of-infinity": (lambda e: e["stds"].update(bounce_rate=float("inf")),
+                            "encoder column 'bounce_rate' has no finite std above 0"),
+        "mean-deleted": (lambda e: e["means"].pop("bounce_rate"),
+                         "encoder column 'bounce_rate' has no finite mean"),
+        "mean-of-text": (lambda e: e["means"].update(bounce_rate="1.0"),
+                         "encoder column 'bounce_rate' has no finite mean"),
+        "mean-of-nan": (lambda e: e["means"].update(bounce_rate=float("nan")),
+                        "encoder column 'bounce_rate' has no finite mean"),
+        "unknown-feature": (lambda e: e["columns"].append("visits"),
+                            "encoder column 'visits' is not a feature"),
+        "value-not-in-vocab": (lambda e: e["vocab"]["country"].remove("US"),
+                               "encoder column 'country=US' is not in its vocab"),
+        "columns-not-strings": (lambda e: e.update(columns=[1, 2]),
+                                "'columns' is not a list of strings"),
+        "dropped-not-a-list": (lambda e: e.update(dropped="global_rank"),
+                               "'dropped' is not a list"),
+        "vocab-deleted": (lambda e: e.pop("vocab"), "missing key 'vocab'"),
+    }
+
+    @pytest.mark.parametrize("edit,reason", ENCODER_DAMAGE.values(), ids=ENCODER_DAMAGE.keys())
+    def test_damaged_encoder_rejected_on_load(self, edit, reason, tmp_path):
+        doc = train_classifier("naive_bayes", ProfileTable.of(separable_dataset(30, seed=9)),
+                               seed=0).to_dict()
+        assert doc["encoder"]["columns"][0] == "bounce_rate"
+        assert "country=US" in doc["encoder"]["columns"]
+        edit(doc["encoder"])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            NewsClassifier.load(path)
+        assert str(err.value).startswith(f"{path}: {reason}")

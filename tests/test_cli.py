@@ -747,6 +747,22 @@ class TestConfigPrecedence:
         )
         assert result.exit_code == 0
 
+    def test_no_sample_std_overrides_environment(self, corpus, tmp_path):
+        reports = {}
+        for case, env, flags in (
+            ("population", {}, []),
+            ("sample", {"NEWSFORENSICS_SAMPLE_STD": "true"}, []),
+            ("turned-off", {"NEWSFORENSICS_SAMPLE_STD": "true"}, ["--no-sample-std"]),
+        ):
+            out = tmp_path / case
+            result = invoke(
+                ["--out", str(out), "stats", "--traffic", str(corpus.traffic_csv)] + flags,
+                env=env,
+            )
+            assert result.exit_code == 0, (case, result.output)
+            reports[case] = (out / "traffic_report.json").read_bytes()
+        assert reports["turned-off"] == reports["population"] != reports["sample"]
+
     def test_negative_per_month_exits_2(self, tmp_path):
         result = invoke(["--out", str(tmp_path / "o"), "crawl", "--per-month", "-1"])
         assert result.exit_code == 2
@@ -940,6 +956,22 @@ class TestFullPipeline:
         assert rows[0] == "domain,predicted_label,score"
         assert len(rows) == 1 + 6
 
+    def test_manifests_list_every_artifact_once(self, pipeline_out):
+        manifests = {
+            path.stem: json.loads(path.read_text())
+            for path in (pipeline_out / "manifests").glob("*.json")
+        }
+        assert sorted(manifests) == sorted(STAGES)
+        artifacts = [
+            path.relative_to(pipeline_out).as_posix() for path in pipeline_out.rglob("*")
+            if path.is_file()
+            and path.relative_to(pipeline_out).parts[0] not in ("cache", "manifests")
+        ]
+        written = [name for manifest in manifests.values() for name in manifest["outputs"]]
+        assert sorted(written) == sorted(artifacts)
+        for stage in ("timeline", "trackers"):
+            assert "sites.json" in manifests[stage]["inputs"], stage
+
     def test_partial_rerun_of_report_is_stable(self, pipeline_out, corpus):
         before = (pipeline_out / "summary.json").read_bytes()
         result = invoke(["--seed", "7", "--out", str(pipeline_out), "report"])
@@ -1076,6 +1108,22 @@ class TestEndToEndDeterminism:
         for rel in outs[0]:
             assert outs[0][rel] == outs[1][rel], f"artifact differs: {rel}"
         assert tree_bytes(corpus.root) == inputs_before, "input files were mutated"
+
+    def test_config_hash_leaves_out_input_paths(self, tmp_path):
+        """Copies of the same inputs in two directories give every stage the
+        same config hash: the inputs' contents are hashed apart from it."""
+        copies = [build_corpus(tmp_path / name) for name in ("a", "b")]
+        hashes = []
+        with serve(copies[0]) as (base_url, _):
+            for copy in copies:
+                out = copy.root / "out"
+                run_full_pipeline(copy, base_url, out, seed=11)
+                hashes.append({
+                    path.name: json.loads(path.read_text())["config_sha256"]
+                    for path in (out / "manifests").glob("*.json")
+                })
+        assert len(hashes[0]) == len(STAGES)
+        assert hashes[0] == hashes[1]
 
     def test_warm_cache_rerun_skips_snapshots(self, corpus, tmp_path):
         out = tmp_path / "warm"

@@ -4,8 +4,9 @@ Two runs of the same code agreeing (``TestEndToEndDeterminism``) says
 nothing about drift between commits; this test compares one run against
 a committed record instead.  Every ``out/`` file outside ``manifests/``
 must match its sha256.  Run manifests are compared on their outputs and
-input digests only, because their config hash and absolute input paths
-depend on the temporary directory and the archive server's port.
+input digests only: their input paths outside ``out/`` are absolute, so
+they depend on the temporary directory, and their config hash leaves out
+paths but holds the archive URLs, which carry the server's port.
 
 After an intended, documented output change, rewrite the record with
 
