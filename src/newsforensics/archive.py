@@ -20,6 +20,7 @@ import threading
 import time
 import urllib.request
 import zlib
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -39,6 +40,8 @@ from .timeline import (
 log = logging.getLogger(__name__)
 
 DEFAULT_ARCHIVE_BASE = "https://web.archive.org"
+# snapshot fetches a crawl keeps submitted and not yet taken, per worker
+FETCHES_QUEUED_PER_WORKER = 4
 
 _TIMESTAMP_RE = re.compile(r"\d{14}")
 
@@ -583,6 +586,8 @@ class WaybackClient:
             rows = response.json()
         except ValueError:
             raise ArchiveError(f"CDX returned non-JSON for {site}")
+        if not isinstance(rows, list):
+            raise ArchiveError(f"CDX returned JSON that is not a list for {site}")
         refs = []
         for row in rows[1:]:  # first row is the header
             try:
@@ -643,9 +648,11 @@ def crawl_sites(
     """Index and download one crawl; returns the manifest of outcomes.
 
     Snapshot fetches run on a bounded worker pool behind the client's
-    global rate limiter; their entries are appended in the order of the
-    refs (sites sorted, each site's captures by timestamp), so the
-    manifest does not depend on ``workers``.  Sites whose CDX query fails
+    global rate limiter, with at most ``FETCHES_QUEUED_PER_WORKER`` fetches
+    per worker submitted and not yet taken, so memory does not grow with
+    the number of captures.  Their entries are taken and appended in the
+    order of the refs (sites sorted, each site's captures by timestamp),
+    so the manifest does not depend on ``workers``.  Sites whose CDX query fails
     are recorded with zero entries rather than aborting the crawl.  The
     client's connections are closed when the crawl ends.
     """
@@ -669,9 +676,19 @@ def crawl_sites(
             return ManifestEntry(ref, FETCHED, retries=doc.retries,
                                  auto_state="dead" if dead else None)
 
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            for entry in pool.map(fetch, refs):
-                manifest.entries[entry.ref.site].append(entry)
+        def take(future) -> None:
+            entry = future.result()
+            manifest.entries[entry.ref.site].append(entry)
+
+        workers = max(1, workers)
+        queued: deque = deque()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for ref in refs:
+                if len(queued) == FETCHES_QUEUED_PER_WORKER * workers:
+                    take(queued.popleft())
+                queued.append(pool.submit(fetch, ref))
+            while queued:
+                take(queued.popleft())
         return manifest
     finally:
         client.close()

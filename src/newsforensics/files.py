@@ -3,7 +3,9 @@ UTF-8 and their errors name the file (and the line, in JSON lines).  Each
 artifact is written under a temporary name and moved onto its path, so a
 killed stage leaves the previous file; nothing is fsynced against power loss.
 Writers stream their pieces, so no artifact is held whole in memory.
-``recording`` notes the text files read and written, for a run manifest."""
+``recording`` notes the text files read and written, for a run manifest,
+and moves the text files written in it into place together when it ends
+without an error, so a stage that fails leaves every previous artifact."""
 
 from __future__ import annotations
 
@@ -18,30 +20,38 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
 
-# (inputs, outputs) of the innermost ``recording`` block of this context
-_record: ContextVar[tuple[set[str], set[str]] | None] = ContextVar("record", default=None)
+# (inputs, outputs, {path: finished temporary file}) of the innermost
+# ``recording`` block of this context
+_record: ContextVar[tuple[set[str], set[str], dict[Path, Path]] | None] = ContextVar(
+    "record", default=None)
 
 
 @contextmanager
 def recording() -> Iterator[tuple[set[str], set[str]]]:
     """The paths of the text files read and written in the block (bundled
-    data and binary files left out), filled in as it runs."""
-    token = _record.set(record := (set(), set()))
+    data and binary files left out), filled in as it runs.  The text files
+    written are moved into place, in write order, only when the block ends
+    without an error; otherwise their temporary files are removed."""
+    token = _record.set(record := (set(), set(), {}))
     try:
-        yield record
+        yield record[:2]
+        for path, tmp in record[2].items():
+            os.replace(tmp, path)
     finally:
         _record.reset(token)
+        for tmp in record[2].values():
+            tmp.unlink(missing_ok=True)
 
 
-def _note(path: str | Path, side: int) -> None:
+def _note_input(path: str | Path) -> None:
     if (record := _record.get()) is not None:
-        record[side].add(str(path))
+        record[0].add(str(path))
 
 
 @contextmanager
 def open_text(path: str | Path) -> Iterator[IO[str]]:
     """Line ends are kept (``newline=""``), as csv needs."""
-    _note(path, 0)
+    _note_input(path)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             yield fh
@@ -104,7 +114,7 @@ def read_json(path: str | Path, shape: dict | None = None) -> Iterator:
 def read_json_lines(path: str | Path, parse: Callable) -> Iterator:
     """``parse`` of each non-blank line's JSON value; its ValueError or
     TypeError is reported against the line too."""
-    _note(path, 0)
+    _note_input(path)
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -120,17 +130,21 @@ def read_json_lines(path: str | Path, parse: Callable) -> Iterator:
 @contextmanager
 def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """A temporary file beside ``path`` (UTF-8 text unless ``binary``),
-    moved onto ``path`` when the block ends and removed if it fails.  Only
-    text is recorded: binary files are cache entries."""
+    moved onto ``path`` when the block ends and removed if it fails.  Text
+    written inside ``recording`` is moved when the record ends instead, the
+    last write of a path winning.  Only text is recorded: binary files are
+    cache entries."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        os.replace(tmp, path)
-        if not binary:
-            _note(path, 1)
+        if binary or (record := _record.get()) is None:
+            os.replace(tmp, path)
+        else:
+            record[1].add(str(path))
+            record[2][path] = tmp
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -297,9 +297,11 @@ def ingest_lists(config: RunConfig) -> SiteLists:
     return lists
 
 
+_SITES_SHAPE = {"fake": [str], "real": [str]}
+
+
 def load_site_lists(config: RunConfig) -> SiteLists:
-    with read_json(_require(config.out / "sites.json", "ingest-lists"),
-                   {"fake": [str], "real": [str]}) as data:
+    with read_json(_require(config.out / "sites.json", "ingest-lists"), _SITES_SHAPE) as data:
         return SiteLists(data["fake"], data["real"])
 
 
@@ -440,8 +442,8 @@ def _read_page_urls(path: Path) -> Iterator[tuple[tuple[str, str], str, list[str
 
 
 def _pages_with_urls(config: RunConfig, sites: set[str]):
-    """``_cached_pages`` each with the URLs that ``sync`` recorded for its
-    body in ``page_urls.jsonl``, or None where it recorded none.
+    """``_cached_pages`` each with its embedded URLs: those ``sync`` recorded
+    for the same body in ``page_urls.jsonl``, else those of its own parse.
 
     A merge of the two (site, timestamp)-ordered streams, so memory does
     not grow with the number of rows.  Every row is read and checked.
@@ -452,11 +454,10 @@ def _pages_with_urls(config: RunConfig, sites: set[str]):
         page = (doc.ref.site, doc.ref.timestamp)
         while row is not None and row[0] < page:
             row = next(rows, None)
-        recorded = (
-            row is not None and row[0] == page
-            and row[1] == hashlib.sha256(doc.html).hexdigest()
-        )
-        yield doc, row[2] if recorded else None
+        if row is not None and row[0] == page and row[1] == hashlib.sha256(doc.html).hexdigest():
+            yield doc, row[2]
+        else:
+            yield doc, parse_page(doc.html)[1]
     for _ in rows:
         pass
 
@@ -528,13 +529,10 @@ def audit_trackers(config: RunConfig) -> dict:
     lists = load_site_lists(config)
     fake = set(lists.fake)
     fake_hits, real_hits = [], []
-    hosts: dict[str, str | None] = {}  # host -> registrable domain, for recorded URLs
+    hosts: dict[str, str | None] = {}  # host -> registrable domain, for the stage
     for doc, urls in _pages_with_urls(config, fake | set(lists.real)):
         hits = fake_hits if doc.ref.site in fake else real_hits
-        if urls is None:
-            third_parties = trk.extract_third_parties(doc.html, doc.ref.site, psl=psl)
-        else:
-            third_parties = trk.third_party_domains(urls, doc.ref.site, psl, hosts)
+        third_parties = trk.third_party_domains(urls, doc.ref.site, psl, hosts)
         for domain in sorted(trk.match_trackers(third_parties, parsed.rules)):
             hits.append(trk.ThirdPartyHit(doc.ref.site, doc.ref.month, domain))
     window = config.month_window
@@ -693,9 +691,24 @@ def _traffic_section(report: dict):
     ]
 
 
-# One row per stage report that ``report`` reads back: file name, summary
-# section, top-level shape, and report -> (section, [(plot CSV, header, rows)]).
+def _crawl_section(data):
+    manifest = arch.CrawlManifest.from_dict(data)
+    entries = [e for site in manifest.entries.values() for e in site]
+    return {
+        "sites": len(manifest.entries),
+        "snapshots": len(entries),
+        "fetched": sum(1 for e in entries if e.fetch_status == arch.FETCHED),
+        "failed": sum(1 for e in entries if e.fetch_status == arch.FAILED),
+    }, []
+
+
+# One row per earlier artifact that ``report`` reads back, in the order it
+# reads them: file name, summary section, top-level shape (None: checked by
+# the summarize function), and artifact -> (section, [(plot CSV, header, rows)]).
 _STAGE_REPORTS = (
+    ("sites.json", "sites", _SITES_SHAPE,
+     lambda lists: ({cohort: len(lists[cohort]) for cohort in _SITES_SHAPE}, [])),
+    ("crawl_manifest.json", "crawl", None, _crawl_section),
     ("lifetime_report.json", "timeline", {"sites": int, "lifetime": dict, "histogram": dict},
      _timeline_section),
     ("sync_report.json", "sync",
@@ -714,25 +727,9 @@ _STAGE_REPORTS = (
 
 
 def consolidated_report(config: RunConfig) -> dict:
-    """summary.json plus per-figure plot CSVs from whatever reports exist."""
+    """summary.json plus per-figure plot CSVs from whatever artifacts exist."""
     out = config.out
     sections: dict[str, dict] = {}
-
-    if (out / "sites.json").exists():
-        lists = load_site_lists(config)
-        sections["sites"] = {"fake": len(lists.fake), "real": len(lists.real)}
-
-    crawl_path = out / "crawl_manifest.json"
-    if crawl_path.exists():
-        manifest = arch.CrawlManifest.load(crawl_path)
-        entries = [e for site in manifest.entries.values() for e in site]
-        sections["crawl"] = {
-            "sites": len(manifest.entries),
-            "snapshots": len(entries),
-            "fetched": sum(1 for e in entries if e.fetch_status == arch.FETCHED),
-            "failed": sum(1 for e in entries if e.fetch_status == arch.FAILED),
-        }
-
     for name, section, shape, summarize in _STAGE_REPORTS:
         if (out / name).exists():
             with read_json(out / name, shape) as report:

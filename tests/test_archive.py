@@ -16,6 +16,7 @@ from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 
+from newsforensics import archive
 from newsforensics.archive import (
     FAILED,
     FETCHED,
@@ -158,6 +159,19 @@ class TestFetchCdxIndex:
         with pytest.raises(ValueError, match="per_month must be >= 0"):
             client.fetch_cdx_index("example.com", WINDOW, per_month=-1)
         assert session.requests == []
+
+    @pytest.mark.parametrize("body", [b'{"error": "busy"}', b"null", b"5"],
+                             ids=["object", "null", "number"])
+    def test_json_that_is_not_a_list_is_a_cdx_failure(self, tmp_path, body):
+        client, session, _ = make_client(tmp_path)
+        session.route_cdx_raw("busy.net", Response(200, body))
+        seeded_session(session)
+        with pytest.raises(ArchiveError, match="^CDX returned JSON that is not a list for busy.net$"):
+            client.fetch_cdx_index("busy.net", WINDOW)
+        manifest = crawl_sites(client, ["busy.net", "example.com"], WINDOW)
+        assert manifest.cdx_failures == ["busy.net"]
+        assert manifest.entries["busy.net"] == []
+        assert [e.fetch_status for e in manifest.entries["example.com"]] == [FETCHED, FETCHED]
 
     def test_status_dash_becomes_none(self):
         client, session, _ = make_client()
@@ -342,6 +356,37 @@ class TestCrawlSites:
             }
             outputs.append((manifest_path.read_bytes(), cache_dump))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_fetch_queue_is_bounded_per_worker(self, tmp_path, workers, monkeypatch):
+        client, session, _ = make_client(tmp_path)
+        sites = [f"site{i:02d}.com" for i in range(40)]
+        for site in sites:  # 40 sites x 6 months = 240 captures
+            session.route_cdx(site, [[f"2016{m:02d}05120000", f"http://{site}/", "200",
+                                      "text/html"] for m in range(1, 7)])
+        counts = {"outstanding": 0, "peak": 0}
+
+        class CountingPool(archive.ThreadPoolExecutor):
+            """Counts futures submitted whose result has not been taken."""
+
+            def submit(self, fn, *args, **kwargs):
+                future = super().submit(fn, *args, **kwargs)
+                counts["outstanding"] += 1
+                counts["peak"] = max(counts["peak"], counts["outstanding"])
+                result = future.result
+
+                def take(*args, **kwargs):
+                    counts["outstanding"] -= 1
+                    return result(*args, **kwargs)
+
+                future.result = take
+                return future
+
+        monkeypatch.setattr(archive, "ThreadPoolExecutor", CountingPool)
+        manifest = crawl_sites(client, sites, WINDOW, workers=workers)
+        assert sum(map(len, manifest.entries.values())) == 240
+        assert counts["outstanding"] == 0
+        assert counts["peak"] == archive.FETCHES_QUEUED_PER_WORKER * workers
 
     def test_warm_cache_issues_zero_snapshot_requests(self, tmp_path):
         client, session, _ = make_client(tmp_path)

@@ -174,6 +174,20 @@ class TestPredictRejectedRows:
         )
 
 
+def test_failed_stage_leaves_the_previous_run_in_place(corpus, tmp_path):
+    out = tmp_path / "out"
+    common = ["--out", str(out), "classify", "--traffic", str(corpus.traffic_csv), "--k", "2",
+              "--save-model", str(out / "model.json")]
+    assert invoke(common + ["--model", "naive_bayes"]).exit_code == 0
+    before = tree_bytes(out)
+    bad = tmp_path / "predict.csv"
+    bad.write_bytes(b"domain,bounce_rate\ntr\xe9.com,40\n")
+    result = invoke(common + ["--model", "logistic_regression", "--predict", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {bad}: 'utf-8' codec can't decode byte 0xe9" in result.output
+    assert tree_bytes(out) == before  # no new model.json, and no .tmp file
+
+
 def test_model_choices_are_the_registered_kinds():
     [option] = [p for p in classify.params if p.name == "model"]
     assert list(option.type.choices) == list(MODEL_KINDS)
@@ -636,6 +650,14 @@ class TestMalformedReadBackArtifacts:
         assert result.exit_code == 2, result.output
         assert f"error: {path}: {reason}" in result.output
 
+    def test_report_names_sites_json_before_a_bad_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        self.write_manifest(out, ["x"])
+        sites = out / "sites.json"
+        sites.write_text(json.dumps({"fake": ["a.com"]}))
+        result = invoke(["--out", str(out), "report"])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {sites}: missing key 'real'\n"
 
     @pytest.mark.parametrize(
         "name, content, reason",

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import fixture_corpus as fx
-from newsforensics import trackers as trk
+from newsforensics import pipeline
 from newsforensics.archive import FETCHED, CrawlManifest, ManifestEntry, SnapshotCache, SnapshotRef
+from newsforensics.files import recording, replacing
 from newsforensics.pipeline import (
     PAGE_URLS,
     RunConfig,
@@ -91,6 +93,35 @@ def test_write_json_stable_bytes(tmp_path):
     assert first.endswith(b"\n")
 
 
+class TestRecording:
+    def test_text_moves_into_place_when_the_record_ends(self, tmp_path):
+        (tmp_path / "a.json").write_text("old")
+        with recording() as (_, outputs):
+            write_json(tmp_path / "a.json", 1)
+            write_json(tmp_path / "b.json", 2)
+            write_json(tmp_path / "a.json", 3)  # the last write wins
+            with replacing(tmp_path / "c.html", binary=True) as fh:
+                fh.write(b"cached")
+            assert (tmp_path / "a.json").read_text() == "old"
+            assert not (tmp_path / "b.json").exists()
+            assert (tmp_path / "c.html").read_bytes() == b"cached"  # binary: at once
+        assert outputs == {str(tmp_path / "a.json"), str(tmp_path / "b.json")}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "c.html"]
+        assert json.loads((tmp_path / "a.json").read_text()) == 3
+        write_json(tmp_path / "d.json", 4)  # outside a record: at once
+        assert json.loads((tmp_path / "d.json").read_text()) == 4
+
+    def test_an_error_removes_every_write_of_the_record(self, tmp_path):
+        (tmp_path / "a.json").write_text("old")
+        with pytest.raises(ValueError, match="stage failed"):
+            with recording():
+                write_json(tmp_path / "a.json", 1)
+                write_json(tmp_path / "b.json", 2)
+                raise ValueError("stage failed")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+        assert (tmp_path / "a.json").read_text() == "old"
+
+
 def crawled_out(out: Path, pages: dict[tuple[str, str], bytes], fake: list[str],
                 real: list[str], filter_list: Path) -> RunConfig:
     """An output directory as ``crawl`` leaves it: site lists, a ledger of
@@ -136,8 +167,16 @@ class TestPageUrlsReuse:
     """``sync`` records each parsed page's URLs; ``trackers`` takes them only
     for the same (site, timestamp) and body digest, and parses the rest."""
 
+    @staticmethod
+    def count_parses(monkeypatch) -> list[bytes]:
+        """The bodies the pipeline parses from here on, in order."""
+        parsed, parse = [], pipeline.parse_page
+        monkeypatch.setattr(pipeline, "parse_page", lambda html: parsed.append(html) or parse(html))
+        return parsed
+
     @pytest.mark.parametrize("seed", range(6))
-    def test_reused_urls_give_each_pages_third_parties(self, corpus, tmp_path, seed):
+    def test_reused_urls_give_each_pages_third_parties(self, corpus, tmp_path, seed,
+                                                       monkeypatch):
         rng = random.Random(seed)
         pages = fixture_pages(corpus, rng)
         sites = sorted({site for site, _ in pages})
@@ -162,15 +201,16 @@ class TestPageUrlsReuse:
             (row["site"], row["timestamp"]) for row in kept
             if row["sha256"] == hashlib.sha256(pages[row["site"], row["timestamp"]]).hexdigest()
         }
+        parsed = self.count_parses(monkeypatch)
         seen, hosts = [], {}
         for doc, urls in _pages_with_urls(config, set(sites)):
             page = (doc.ref.site, doc.ref.timestamp)
             seen.append(page)
-            assert (urls is not None) == (page in reusable), page
             expected = extract_third_parties(doc.html, doc.ref.site)
-            if urls is not None:
-                assert third_party_domains(urls, doc.ref.site, None, hosts) == expected, page
+            assert third_party_domains(urls, doc.ref.site, None, hosts) == expected, page
         assert seen == sorted(pages)
+        assert sorted(parsed) == sorted(html for page, html in pages.items()
+                                        if page not in reusable)
 
     def test_audit_parses_only_pages_without_a_matching_row(self, corpus, tmp_path,
                                                             monkeypatch):
@@ -185,8 +225,42 @@ class TestPageUrlsReuse:
         }
         assert rows and all(site in fx.FAKE_SITES for site, _ in rows)
 
-        parsed = []
-        parse = trk.parse_page
-        monkeypatch.setattr(trk, "parse_page", lambda html: parsed.append(html) or parse(html))
+        parsed = self.count_parses(monkeypatch)
         assert audit_trackers(config) == expected
         assert sorted(parsed) == sorted(html for page, html in pages.items() if page not in rows)
+
+    def test_default_cohort_parses_real_pages_and_looks_up_each_host_once(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        """As after ``timeline`` with its default ``--cohort fake`` and
+        ``sync``: one capture per site-month, rows for the fake sites only."""
+        pages = {
+            (site, f"{month.year}{month.month:02d}15120000"): html
+            for site, captures in corpus.captures.items()
+            for month, html in captures.items() if html is not None
+        }
+        config = crawled_out(tmp_path / "out", pages, fx.FAKE_SITES, fx.REAL_SITES,
+                             corpus.filter_list)
+        report_path = config.out / "tracker_report.json"
+        audit_trackers(config)  # no page_urls.jsonl
+        expected = report_path.read_bytes()
+        texts_by_month(config, set(fx.FAKE_SITES))
+
+        psl = RunConfig().psl()
+        lookups = collections.Counter()
+
+        class CountingPsl:
+            def registrable_domain(self, host):
+                lookups[host] += 1
+                return psl.registrable_domain(host)
+
+        monkeypatch.setattr(RunConfig, "psl", lambda self: CountingPsl())
+        parsed = self.count_parses(monkeypatch)
+        audit_trackers(config)
+        assert report_path.read_bytes() == expected
+        real = set(fx.REAL_SITES)
+        assert sorted(parsed) == sorted(html for (site, _), html in pages.items() if site in real)
+        # each page's own site is looked up once per page; every other host once
+        sites = {site for site, _ in pages}
+        url_hosts = {host: n for host, n in lookups.items() if host not in sites}
+        assert url_hosts and all(n == 1 for n in url_hosts.values()), url_hosts
