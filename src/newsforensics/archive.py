@@ -22,7 +22,7 @@ import urllib.request
 import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 from urllib.parse import quote, urlencode, urljoin, urlparse, urlsplit
@@ -557,20 +557,20 @@ class WaybackClient:
         self,
         site: str,
         window: tuple[MonthStamp, MonthStamp],
-        per_month: int | None = 1,
+        per_month: int = 1,
     ) -> list[SnapshotRef]:
         """Captures the CDX endpoint reports for a site within the window.
 
         Results come back ordered by timestamp, optionally collapsed to
-        the first per_month captures of each month (0 or None keeps
-        all; a negative per_month is a ValueError).  Malformed rows, and
+        the first per_month captures of each month (0 keeps all; a
+        negative per_month is a ValueError).  Malformed rows, and
         rows repeating an earlier row's timestamp (an http and an https
         capture of the same second), are skipped and counted on the client.
         """
         start, end = window
         if end < start:
             raise ValueError(f"empty crawl window: {start}..{end}")
-        if per_month is not None and per_month < 0:
+        if per_month < 0:
             raise ValueError(f"per_month must be >= 0, got {per_month}")
         params = {
             "url": site,
@@ -620,9 +620,9 @@ class WaybackClient:
     def fetch_snapshot(self, ref: SnapshotRef) -> SnapshotDocument:
         """Raw archived body for one capture, cached locally.
 
-        A 404 yields an empty-body document (dead-state evidence);
-        transport failures raise ArchiveError after retries.  The
-        document carries the retries its download spent.
+        An answer of 400 or above yields an empty body (dead-state evidence)
+        and the index's ref; transport failures raise ArchiveError after
+        retries.  The document carries the retries its download spent.
         """
         if self.cache is not None:
             cached = self.cache.get(ref.site, ref.timestamp)
@@ -630,9 +630,7 @@ class WaybackClient:
                 return SnapshotDocument(ref, cached)
         url = f"{self.web_base}/web/{ref.timestamp}id_/{ref.original_url}"
         response, retries = self._request(url)
-        html = b"" if response.status_code == 404 else response.content
-        if response.status_code >= 400:
-            ref = replace(ref, status_code=response.status_code)
+        html = b"" if response.status_code >= 400 else response.content
         if self.cache is not None:
             self.cache.put(ref.site, ref.timestamp, html)
         return SnapshotDocument(ref, html, retries)
@@ -642,7 +640,7 @@ def crawl_sites(
     client: WaybackClient,
     sites: Iterable[str],
     window: tuple[MonthStamp, MonthStamp],
-    per_month: int | None = 1,
+    per_month: int = 1,
     workers: int = 4,
 ) -> CrawlManifest:
     """Index and download one crawl; returns the manifest of outcomes.
@@ -697,19 +695,20 @@ def crawl_sites(
 def load_documents(
     cache: SnapshotCache, manifest: CrawlManifest, sites: Iterable[str] | None = None
 ) -> Iterator[SnapshotDocument]:
-    """Cached documents for fetched manifest entries, in (site, ts) order."""
+    """Pages of the crawl in (site, ts) order: fetched, not dead in the
+    ledger, with a non-empty cached body.  No other rule picks pages."""
     wanted = set(sites) if sites is not None else None
     for site in manifest.sites():
         if wanted is not None and site not in wanted:
             continue
         for entry in manifest.entries[site]:
-            if entry.fetch_status != FETCHED:
+            if entry.fetch_status != FETCHED or entry.auto_state == "dead":
                 continue
             html = cache.get(site, entry.ref.timestamp)
             if html is None:
                 log.warning("cache miss for %s %s", site, entry.ref.timestamp)
-                continue
-            yield SnapshotDocument(entry.ref, html)
+            elif html:
+                yield SnapshotDocument(entry.ref, html)
 
 
 def build_timelines(

@@ -125,7 +125,7 @@ def crawl(config):
 @pipeline_command()
 @click.option("--annotations", type=click.Path(exists=True, dir_okay=False), default=None,
               help="CSV of month-state annotations (domain,year,month,state).")
-@click.option("--cohort", type=click.Choice(["fake", "real", "all"]), default=None)
+@click.option("--cohort", type=click.Choice(pipeline.COHORTS), default=None)
 @click.option("--window", nargs=2, metavar="FROM TO", default=None)
 def timeline(config):
     """Aggregate states per month, interpolate gaps, compute lifetimes."""

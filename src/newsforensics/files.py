@@ -111,20 +111,33 @@ def read_json(path: str | Path, shape: dict | None = None) -> Iterator:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each non-blank line and its number, lines ending as in text mode
+    (``\\n``, ``\\r\\n`` or ``\\r``).  Each line is decoded on its own, so a
+    byte that is not UTF-8 is reported against its line."""
+    _note_input(path)
+    lineno = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            for line in chunk.splitlines():
+                lineno += 1
+                try:
+                    text = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if text.strip():
+                    yield lineno, text
+
+
 def read_json_lines(path: str | Path, parse: Callable) -> Iterator:
     """``parse`` of each non-blank line's JSON value; its ValueError or
     TypeError is reported against the line too."""
-    _note_input(path)
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                text = line.decode("utf-8")
-                if not text.strip():
-                    continue
-                value = parse(json.loads(text))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            yield value
+    for lineno, text in numbered_lines(path):
+        try:
+            value = parse(json.loads(text))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        yield value
 
 
 @contextmanager

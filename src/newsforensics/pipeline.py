@@ -21,6 +21,7 @@ from . import sync as syncmod
 from . import trackers as trk
 from . import traffic as traf
 from .classify import (
+    MODEL_KINDS,
     SplitSpec,
     cross_validate,
     predict_profiles,
@@ -56,6 +57,9 @@ log = logging.getLogger(__name__)
 
 class PrerequisiteError(Exception):
     """A pipeline step ran before the artifacts it needs exist."""
+
+
+COHORTS = ("fake", "real", "all")
 
 
 @dataclass
@@ -109,6 +113,10 @@ class RunConfig:
             raise ValueError("top_k_trackers must be >= 1")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if self.cohort not in COHORTS:
+            raise ValueError(f"cohort must be one of {', '.join(COHORTS)}, got {self.cohort!r}")
+        if self.model not in MODEL_KINDS:
+            raise ValueError(f"model must be one of {', '.join(MODEL_KINDS)}, got {self.model!r}")
         self.seed = int(self.seed) & (2**64 - 1)
 
     @property
@@ -385,12 +393,11 @@ def build_timeline_artifacts(config: RunConfig) -> dict:
 
 
 def _cached_pages(config: RunConfig, sites: set[str]):
-    """Non-empty cached pages of the crawled sites among ``sites``, in (site, ts) order."""
+    """``load_documents`` of the crawled sites among ``sites``."""
     manifest = arch.CrawlManifest.load(
         _require(config.out / "crawl_manifest.json", "crawl")
     )
-    docs = arch.load_documents(arch.SnapshotCache(config.cache), manifest, sites=sites)
-    return (doc for doc in docs if doc.html)
+    return arch.load_documents(arch.SnapshotCache(config.cache), manifest, sites=sites)
 
 
 PAGE_URLS = "page_urls.jsonl"

@@ -106,14 +106,16 @@ def third_party_domains(
     Only absolute and protocol-relative URLs count, archive-rewritten
     ones unwrapped.  Hosts are reduced to registrable domains and the
     first party's own domain is dropped.  ``hosts`` maps each host seen
-    so far to its registrable domain; callers auditing many pages pass
-    one dict to all of them.  It belongs to the caller, never to the
-    (possibly process-wide) suffix list.
+    so far, the first party included, to its registrable domain; callers
+    auditing many pages pass one dict to all of them.  It belongs to the
+    caller, never to the (possibly process-wide) suffix list.
     """
     psl = psl or bundled_psl()
     if hosts is None:
         hosts = {}
-    own = psl.registrable_domain(first_party) or first_party.lower()
+    if first_party not in hosts:
+        hosts[first_party] = psl.registrable_domain(first_party)
+    own = hosts[first_party] or first_party.lower()
 
     found: set[str] = set()
     for raw in urls:

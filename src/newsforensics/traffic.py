@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
-from .files import csv_rows, open_text
+from .files import csv_rows, numbered_lines, open_text
 from .timeline import normalize_site
 
 
@@ -151,29 +151,26 @@ def _read_json_lines(
     """Like _read_csv, for one JSON object per line; lines that are not a
     JSON object of single values are RowErrors."""
     lines, records, errors = [], [], []
-    with open_text(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:
-                errors.append(RowError(i, "?", f"not valid JSON: {exc}"))
-                continue
-            if not isinstance(rec, dict):
-                errors.append(RowError(i, "?", f"not a JSON object: {line[:40]}"))
-                continue
-            for col in required:
-                if col not in rec:
-                    raise ValueError(f"{path}:{i}: missing required column: {col}")
-            nested = [c for c in REQUIRED_COLUMNS if isinstance(rec.get(c), (list, dict))]
-            if nested:
-                errors.append(RowError(i, str(rec["domain"]), f"{nested[0]} must be a single "
-                                                              f"value, got {rec[nested[0]]!r}"))
-                continue
-            lines.append(i)
-            records.append(rec)
+    for i, line in numbered_lines(path):
+        line = line.strip()
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            errors.append(RowError(i, "?", f"not valid JSON: {exc}"))
+            continue
+        if not isinstance(rec, dict):
+            errors.append(RowError(i, "?", f"not a JSON object: {line[:40]}"))
+            continue
+        for col in required:
+            if col not in rec:
+                raise ValueError(f"{path}:{i}: missing required column: {col}")
+        nested = [c for c in REQUIRED_COLUMNS if isinstance(rec.get(c), (list, dict))]
+        if nested:
+            errors.append(RowError(i, str(rec["domain"]), f"{nested[0]} must be a single "
+                                                          f"value, got {rec[nested[0]]!r}"))
+            continue
+        lines.append(i)
+        records.append(rec)
     return lines, {c: [rec.get(c) for rec in records] for c in REQUIRED_COLUMNS}, errors
 
 

@@ -84,7 +84,7 @@ class TestFetchCdxIndex:
     def test_fixture_rows_roundtrip(self):
         client, session, _ = make_client()
         session.route_cdx("example.com", CDX_ROWS)
-        refs = client.fetch_cdx_index("example.com", WINDOW, per_month=None)
+        refs = client.fetch_cdx_index("example.com", WINDOW, per_month=0)
         assert len(refs) == 6
         assert [r.timestamp for r in refs] == sorted(row[0] for row in CDX_ROWS)
         assert refs[0].status_code == 200
@@ -134,7 +134,7 @@ class TestFetchCdxIndex:
         assert len(refs) == 1
         assert client.cdx_rows_skipped == 2
 
-    @pytest.mark.parametrize("per_month", [None, 0, 2])
+    @pytest.mark.parametrize("per_month", [0, 2])
     def test_repeated_timestamp_keeps_first_row(self, per_month):
         client, session, _ = make_client()
         session.route_cdx(
@@ -178,7 +178,7 @@ class TestFetchCdxIndex:
         session.route_cdx(
             "example.com", [["20160105120000", "http://example.com/", "-", "warc/revisit"]]
         )
-        refs = client.fetch_cdx_index("example.com", WINDOW, per_month=None)
+        refs = client.fetch_cdx_index("example.com", WINDOW, per_month=0)
         assert refs[0].status_code is None
 
 
@@ -201,7 +201,8 @@ class TestFetchSnapshot:
         )
         doc = client.fetch_snapshot(self.REF)
         assert doc.html == b""
-        assert doc.ref.status_code == 404
+        assert doc.ref == self.REF  # the index's ref; the empty body is the evidence
+        assert client.cache.get("example.com", "20160105120000") == b""
 
     def test_cache_hit_issues_no_request(self, tmp_path):
         client, session, _ = make_client(tmp_path)
@@ -257,7 +258,7 @@ class TestRateLimiter:
         session.route_cdx("example.com", CDX_ROWS)
         for path in {f"/web/{row[0]}id_/http://example.com/" for row in CDX_ROWS}:
             session.route_snapshot(path, Response(200, b"<html>hi</html>"))
-        crawl_sites(client, ["example.com"], WINDOW, per_month=None, workers=3)
+        crawl_sites(client, ["example.com"], WINDOW, per_month=0, workers=3)
         times = sorted(t for t, _ in session.requests)
         for a, b in zip(times, times[1:]):
             assert b - a >= 0.25 - 1e-9
@@ -487,9 +488,9 @@ class TestLoadDocuments:
         seeded_session(session)
         manifest = crawl_sites(client, ["example.com"], WINDOW)
         docs = list(load_documents(client.cache, manifest))
-        assert [d.ref.timestamp for d in docs] == ["20160105120000", "20160203000000"]
+        # the archived 404 is a dead capture, not a page
+        assert [d.ref.timestamp for d in docs] == ["20160105120000"]
         assert docs[0].html == b"<html>news</html>"
-        assert docs[1].html == b""
 
     def test_site_filter(self, tmp_path):
         client, session, _ = make_client(tmp_path)
@@ -497,6 +498,100 @@ class TestLoadDocuments:
         manifest = crawl_sites(client, ["example.com", "empty.org"], WINDOW)
         docs = list(load_documents(client.cache, manifest, sites=["empty.org"]))
         assert docs == []
+
+    def test_older_dead_capture_with_a_cached_body_is_no_page(self, tmp_path):
+        """A ledger from before error answers were cached empty: the body of
+        a 403 is in the cache, and only the ledger's verdict marks it dead."""
+        cache = SnapshotCache(tmp_path / "cache")
+        manifest = CrawlManifest(window=WINDOW)
+        manifest.entries["a.com"] = [
+            ManifestEntry(SnapshotRef("a.com", ts, "http://a.com/", 200), FETCHED,
+                          auto_state=auto)
+            for ts, auto in (("20160105120000", "dead"), ("20160203000000", None))
+        ]
+        cache.put("a.com", "20160105120000", b"<html>403 error page</html>")
+        cache.put("a.com", "20160203000000", b"<html>news</html>")
+        assert [(d.ref.timestamp, d.html) for d in load_documents(cache, manifest)] == [
+            ("20160203000000", b"<html>news</html>")]
+
+
+class FlakySession(FakeSession):
+    """A FakeSession whose first answers to some paths are transient faults
+    (a dropped connection or a 503), fewer than the client's attempts."""
+
+    def __init__(self, clock, faults: dict[str, list]):
+        super().__init__(clock=clock)
+        self.faults = faults
+        self._lock = threading.Lock()
+
+    def get(self, url, params=None):
+        path = urlsplit(url).path
+        if path.endswith("/cdx/search/cdx"):
+            path = (params or {})["url"]
+        with self._lock:
+            fault = self.faults[path].pop() if self.faults.get(path) else None
+        if fault is None:
+            return super().get(url, params)
+        self.requests.append((self._clock(), urlsplit(url).path))
+        if fault == "drop":
+            raise ConnectionError("synthetic transport failure")
+        return Response(503, b"busy")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_warm_recrawl_repeats_every_verdict_and_pages_are_the_live_captures(tmp_path, seed):
+    rng = random.Random(seed)
+    clock = VirtualClock()
+    faults: dict[str, list] = {}
+    session = FlakySession(clock, faults)
+    pages: dict[tuple[str, str], bytes] = {}
+    captures = 0
+    for i in range(rng.randint(2, 6)):
+        site = f"site{i}.com"
+        rows = []
+        for month in rng.sample(range(1, 7), rng.randint(0, 6)):
+            ts = f"2016{month:02d}{rng.randint(1, 28):02d}120000"
+            index_status = rng.choice(["200", "-", "404", "403"])
+            rows.append([ts, f"http://{site}/", index_status, "text/html"])
+            body = f"<html><p>{site} {ts}</p></html>".encode()
+            replay, answer = rng.choice([(200, body), (200, b""), (403, body), (451, body),
+                                         (404, b"")])
+            path = f"/web/{ts}id_/http://{site}/"
+            session.route_snapshot(path, Response(replay, answer))
+            faults[path] = rng.choices(["drop", 503], k=rng.choice([0, 0, 1, 2]))
+            if index_status not in ("403", "404") and replay == 200 and answer:
+                pages[site, ts] = answer
+            captures += 1
+        session.route_cdx(site, rows)
+        faults[site] = rng.choices(["drop", 503], k=rng.choice([0, 1, 2]))
+    client = WaybackClient(cdx_base="https://archive.test", web_base="https://archive.test",
+                           session=session, cache=SnapshotCache(tmp_path / "cache"),
+                           rate_limit=0, clock=clock, sleep=clock.sleep)
+    sites = sorted(session.cdx)
+    workers = rng.randint(1, 4)
+
+    def ledger(manifest):
+        rows = manifest.to_dict()
+        for per_site in rows["sites"].values():
+            for row in per_site:
+                del row["retries"]
+        return rows
+
+    retries = {path: len(f) for path, f in faults.items()}
+    cold = crawl_sites(client, sites, WINDOW, per_month=0, workers=workers)
+    assert not cold.cdx_failures
+    before = session.snapshot_request_count()
+    warm = crawl_sites(client, sites, WINDOW, per_month=0, workers=workers)
+    assert session.snapshot_request_count() == before  # the cache answered every capture
+    assert ledger(warm) == ledger(cold)
+    assert all(e.retries == 0 for per_site in warm.entries.values() for e in per_site)
+    entries = [e for per_site in cold.entries.values() for e in per_site]
+    assert len(entries) == captures and all(e.fetch_status == FETCHED for e in entries)
+    assert [e.retries for e in entries] == [
+        retries[f"/web/{e.ref.timestamp}id_/{e.ref.original_url}"] for e in entries]
+    assert {(e.ref.site, e.ref.timestamp) for e in entries if e.auto_state != "dead"} == set(pages)
+    docs = [(d.ref.site, d.ref.timestamp, d.html) for d in load_documents(client.cache, warm)]
+    assert docs == [(site, ts, html) for (site, ts), html in sorted(pages.items())]
 
 
 class TestBuildTimelines:

@@ -462,7 +462,7 @@ class TestMalformedInputs:
 
 class TestUndecodableInputs:
     """An input file that is not UTF-8 stops the command with exit code 2,
-    naming the file."""
+    naming the file, and the line in JSON lines."""
 
     @pytest.mark.parametrize(
         "name, content, args",
@@ -491,7 +491,8 @@ class TestUndecodableInputs:
                 for a in args]
         result = invoke(["--out", str(out)] + args)
         assert result.exit_code == 2, result.output
-        assert f"error: {bad}: 'utf-8' codec can't decode byte 0xe9" in result.output
+        where = f"{bad}:1" if name.endswith(".jsonl") else bad
+        assert f"error: {where}: 'utf-8' codec can't decode byte 0xe9" in result.output
 
 
 def write_sync_inputs(out: Path, rows: list[str]) -> Path:
@@ -802,6 +803,29 @@ class TestConfigPrecedence:
                         env={"NEWSFORENSICS_TOP_K_TRACKERS": "0"})
         assert result.exit_code == 2, result.output
         assert "error: top_k_trackers must be >= 1" in result.output
+
+    CHOICES = [("cohort", "timeline", "build_timeline_artifacts", "fake, real, all"),
+               ("model", "classify", "classify", ", ".join(MODEL_KINDS))]
+
+    @pytest.mark.parametrize("key, command, stage, allowed", CHOICES, ids=["cohort", "model"])
+    def test_unknown_choice_in_config_file_exits_2(self, tmp_path, monkeypatch, key, command,
+                                                   stage, allowed):
+        monkeypatch.setattr(pipeline, stage, lambda *args, **kwargs: pytest.fail("ran"))
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({key: "bogus"}))
+        result = invoke(["--config", str(config_file), "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {key} must be one of {allowed}, got 'bogus'\n"
+
+    @pytest.mark.parametrize("key, command, stage, allowed", CHOICES, ids=["cohort", "model"])
+    def test_unknown_choice_in_environment_exits_2(self, tmp_path, monkeypatch, key, command,
+                                                   stage, allowed):
+        monkeypatch.setattr(pipeline, stage, lambda *args, **kwargs: pytest.fail("ran"))
+        result = invoke(["--out", str(tmp_path / "o"), command],
+                        env={f"NEWSFORENSICS_{key.upper()}": "bogus"})
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {key} must be one of {allowed}, got 'bogus'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_negative_backoff_base_exits_2(self, tmp_path):
         config_file = tmp_path / "config.json"

@@ -8,7 +8,9 @@ import pytest
 
 import fixture_corpus as fx
 from newsforensics import pipeline
-from newsforensics.archive import FETCHED, CrawlManifest, ManifestEntry, SnapshotCache, SnapshotRef
+from fakes import FakeSession
+from newsforensics.archive import (FETCHED, CrawlManifest, ManifestEntry, Response, SnapshotCache,
+                                   SnapshotRef, WaybackClient)
 from newsforensics.files import recording, replacing
 from newsforensics.pipeline import (
     PAGE_URLS,
@@ -163,6 +165,39 @@ def corpus(tmp_path_factory):
     return fx.build_corpus(tmp_path_factory.mktemp("corpus"))
 
 
+@pytest.mark.parametrize("status", [200, 403])
+def test_an_error_answer_is_no_page(tmp_path, status):
+    """Three fake sites, each with one capture that the index lists as 200
+    and the archive answers with one shared page: under 403 it is a dead
+    capture, whose text and trackers no stage reads."""
+    words = " ".join(f"story{i} report{i} senator{i}" for i in range(12))
+    body = (f"<html><body><p>{words}</p>"
+            "<script src='https://cdn.trackco.net/t.js'></script></body></html>").encode()
+    fake = ["a.com", "b.com", "c.com"]
+    session = FakeSession()
+    for site in fake:
+        session.route_cdx(site, [["20160115120000", f"http://{site}/", "200", "text/html"]])
+        session.route_snapshot(f"/web/20160115120000id_/http://{site}/", Response(status, body))
+    filters = tmp_path / "filters.txt"
+    filters.write_text("||trackco.net^\n")
+    config = RunConfig(out_dir=str(tmp_path / "out"), filter_list=str(filters),
+                       window_start="2016-01", window_end="2016-03",
+                       quarter_start="2016-Q1", quarter_end="2016-Q1")
+    write_json(config.out / "sites.json", {"fake": fake, "real": ["r.org"]})
+    client = WaybackClient(cdx_base="https://archive.test", web_base="https://archive.test",
+                           session=session, cache=SnapshotCache(config.cache), rate_limit=0)
+    pipeline.crawl(config, client)
+    ledger = (config.out / "crawl_manifest.json").read_bytes()
+    pipeline.build_timeline_artifacts(config)
+    live = status == 200
+    assert len(pipeline.detect_sync(config)["content_matches"]) == (3 if live else 0)
+    trackers = pipeline.audit_trackers(config)["distinct_trackers_fake"]
+    assert trackers == (["trackco.net"] if live else [])
+    pipeline.crawl(config, client)  # warm: the same verdicts from the cache alone
+    assert (config.out / "crawl_manifest.json").read_bytes() == ledger
+    assert session.snapshot_request_count() == 3
+
+
 class TestPageUrlsReuse:
     """``sync`` records each parsed page's URLs; ``trackers`` takes them only
     for the same (site, timestamp) and body digest, and parses the rest."""
@@ -212,6 +247,29 @@ class TestPageUrlsReuse:
         assert sorted(parsed) == sorted(html for page, html in pages.items()
                                         if page not in reusable)
 
+    def test_audit_looks_up_each_site_and_host_once(self, corpus, tmp_path, monkeypatch):
+        pages = fixture_pages(corpus, random.Random(3))
+        config = crawled_out(tmp_path / "out", pages, fx.FAKE_SITES, fx.REAL_SITES,
+                             corpus.filter_list)
+        report_path = config.out / "tracker_report.json"
+        audit_trackers(config)
+        expected = report_path.read_bytes()
+
+        psl = RunConfig().psl()
+        lookups = collections.Counter()
+
+        class CountingPsl:
+            def registrable_domain(self, host):
+                lookups[host] += 1
+                return psl.registrable_domain(host)
+
+        monkeypatch.setattr(RunConfig, "psl", lambda self: CountingPsl())
+        audit_trackers(config)
+        assert report_path.read_bytes() == expected
+        sites = {site for site, _ in pages}
+        assert len(pages) > len(sites) and sites < set(lookups)
+        assert all(n == 1 for n in lookups.values()), lookups
+
     def test_audit_parses_only_pages_without_a_matching_row(self, corpus, tmp_path,
                                                             monkeypatch):
         pages = fixture_pages(corpus, random.Random(7))
@@ -260,7 +318,8 @@ class TestPageUrlsReuse:
         assert report_path.read_bytes() == expected
         real = set(fx.REAL_SITES)
         assert sorted(parsed) == sorted(html for (site, _), html in pages.items() if site in real)
-        # each page's own site is looked up once per page; every other host once
+        # every host other than the sites once (test_audit_looks_up_each_site_and_host_once
+        # counts the sites)
         sites = {site for site, _ in pages}
         url_hosts = {host: n for host, n in lookups.items() if host not in sites}
         assert url_hosts and all(n == 1 for n in url_hosts.values()), url_hosts

@@ -320,9 +320,12 @@ class TestThirdPartyDomains:
             "google-analytics.com", "example.com"}
         assert hosts == {"www.google-analytics.com": "google-analytics.com",
                          "px.google-analytics.com": "google-analytics.com",
-                         "cdn.example.com": "example.com", "t.example.org": "example.org"}
-        # the two first parties, and each URL host once
-        assert sorted(looked_up) == sorted(["example.com", "example.org", *hosts])
+                         "cdn.example.com": "example.com", "t.example.org": "example.org",
+                         "example.com": "example.com", "example.org": "example.org"}
+        # the two first parties and each URL host, once each
+        assert sorted(looked_up) == sorted(hosts)
+        third_party_domains(self.URLS, "example.com", psl, hosts)
+        assert sorted(looked_up) == sorted(hosts)  # a site's later pages look up nothing
 
     def test_equals_extract_third_parties_of_the_page(self):
         html = "".join(f'<script src="{url}"></script>' for url in self.URLS)

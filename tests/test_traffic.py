@@ -207,6 +207,26 @@ class TestLoadProfiles:
         assert all("not a JSON object" in e.reason for e in errors[1:4])
         assert errors[4].site == "nested.com" and "global_rank" in errors[4].reason
 
+    def test_json_lines_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        good = json.dumps({c: profile_row()[c] for c in REQUIRED_COLUMNS})
+        path.write_bytes(good.encode() + b'\n{"domain": "tr\xe9.com"}\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: 'utf-8' codec can't "
+                                             "decode byte 0xe9 in position 14: "):
+            load_profiles(path)
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n"])
+    def test_json_lines_read_any_line_end(self, tmp_path, end):
+        rec = {c: profile_row()[c] for c in REQUIRED_COLUMNS}
+        lines = [json.dumps(rec), "", "5", json.dumps(dict(rec, domain="b.com"))]
+        loaded = []
+        for name, sep in (("n.jsonl", "\n"), ("other.jsonl", end)):
+            path = tmp_path / name
+            path.write_bytes(sep.join(lines).encode() + sep.encode())
+            profiles, errors = load_profiles(path)
+            loaded.append((list(profiles["site"]), [(e.line, e.reason) for e in errors]))
+        assert loaded[0] == loaded[1] == (["example.com", "b.com"], [(3, "not a JSON object: 5")])
+
     def test_non_finite_and_negative_csv_values_rejected_per_row(self, tmp_path):
         path = tmp_path / "traffic.csv"
         bad = [
