@@ -61,7 +61,7 @@ def pipeline_command(name: str | None = None):
                 config = RunConfig.from_sources(config_file, dict(os.environ), settings)
                 with recording() as (inputs, outputs):
                     func(config, **flags)
-                pipeline.write_run_manifest(config, ctx.command.name, inputs, outputs)
+                pipeline.write_run_manifest(config, ctx.command.name, inputs, outputs, flags)
             except (PrerequisiteError, ArchiveError, ValueError, OSError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(EXIT_PREREQUISITE if isinstance(exc, PrerequisiteError)

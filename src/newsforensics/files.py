@@ -1,11 +1,13 @@
-"""Every file read or written goes through here.  Inputs are decoded as
-UTF-8 and their errors name the file (and the line, in JSON lines).  Each
-artifact is written under a temporary name and moved onto its path, so a
-killed stage leaves the previous file; nothing is fsynced against power loss.
-Writers stream their pieces, so no artifact is held whole in memory.
-``recording`` notes the text files read and written, for a run manifest,
-and moves the text files written in it into place together when it ends
-without an error, so a stage that fails leaves every previous artifact."""
+"""Every file read or written goes through here, and only here is an input
+decoded and split into lines or CSV rows, by one rule: UTF-8, a leading
+byte-order mark dropped, lines ending at ``\\n``, ``\\r\\n`` or ``\\r``, and a
+byte that is not UTF-8 reported as ``path:line:``.  Each artifact is written
+under a temporary name and moved onto its path, so a killed stage leaves the
+previous file; nothing is fsynced against power loss.  Writers stream their
+pieces, so no artifact is held whole in memory.  ``recording`` notes the text
+files read and written, for a run manifest, and moves the text files written
+in it into place together when it ends without an error, so a stage that
+fails leaves every previous artifact."""
 
 from __future__ import annotations
 
@@ -48,30 +50,67 @@ def _note_input(path: str | Path) -> None:
         record[0].add(str(path))
 
 
-@contextmanager
-def open_text(path: str | Path) -> Iterator[IO[str]]:
-    """Line ends are kept (``newline=""``), as csv needs."""
+def _lines(path: str | Path) -> Iterator[str]:
+    """Each line of a file, its end kept, decoded on its own by the rule above."""
     _note_input(path)
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    lineno = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            for line in chunk.splitlines(True):
+                lineno += 1
+                try:
+                    text = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                yield text if lineno > 1 else text.removeprefix("\ufeff")
 
 
 def read_text(path: str | Path) -> str:
-    with open_text(path) as fh:
-        return fh.read()
+    """The whole file, decoded at once by the rule above; a bad byte's line is
+    found by counting the line ends before it."""
+    _note_input(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        start = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+        line = 1 + data.count(b"\n", 0, start) + data.count(b"\r", 0, start) - data.count(
+            b"\r\n", 0, start)
+        exc = UnicodeDecodeError(exc.encoding, data[start:exc.end], exc.start - start,
+                                 exc.end - start, exc.reason)  # its position in the line
+        raise ValueError(f"{path}:{line}: {exc}") from None
 
 
-def csv_rows(reader) -> Iterator[tuple[int, list[str]]]:
-    """Each non-blank row of a ``csv.reader`` and the physical line it starts
-    on, counting blank lines and the extra lines of a quoted newline."""
-    start = reader.line_num + 1
-    for row in reader:
-        if row:
-            yield start, row
+def read_csv(path: str | Path, columns: Iterable[str],
+             required: Iterable[str]) -> tuple[list[int], dict[str, tuple]]:
+    """The rows of a CSV with a header, as one cell tuple per name in
+    ``columns``, and the physical line each row starts on, counting blank
+    lines and the extra lines of a quoted newline.  Like csv.DictReader,
+    blank lines are skipped, a repeated header name keeps its last column
+    and a short row's missing cells are None; so are the cells of a name
+    the header lacks, unless it is ``required``."""
+    reader = csv.reader(_lines(path))
+    try:
+        header = next(reader, [])
+        for name in required:
+            if name not in header:
+                raise ValueError(f"{path}: missing required column: {name}")
+        lines, rows = [], []
         start = reader.line_num + 1
+        for row in reader:
+            if row:
+                lines.append(start)
+                rows.append(row)
+            start = reader.line_num + 1
+    except csv.Error as exc:  # a cell beyond csv's field size limit
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    width = len(header)
+    rows = [r if len(r) == width else (r + [None] * width)[:width] for r in rows]
+    cells = list(zip(*rows)) if rows else [()] * width
+    index = {name: i for i, name in enumerate(header)}
+    absent = (None,) * len(rows)
+    return lines, {name: cells[index[name]] if name in index else absent for name in columns}
 
 
 def read_bundled(name: str) -> str:
@@ -112,21 +151,10 @@ def read_json(path: str | Path, shape: dict | None = None) -> Iterator:
 
 
 def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Each non-blank line and its number, lines ending as in text mode
-    (``\\n``, ``\\r\\n`` or ``\\r``).  Each line is decoded on its own, so a
-    byte that is not UTF-8 is reported against its line."""
-    _note_input(path)
-    lineno = 0
-    with open(path, "rb") as fh:
-        for chunk in fh:
-            for line in chunk.splitlines():
-                lineno += 1
-                try:
-                    text = line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                if text.strip():
-                    yield lineno, text
+    """Each non-blank line, without its end, and its number."""
+    for lineno, line in enumerate(_lines(path), 1):
+        if line.strip():
+            yield lineno, line.rstrip("\r\n")
 
 
 def read_json_lines(path: str | Path, parse: Callable) -> Iterator:

@@ -29,8 +29,8 @@ from .classify import (
     train_classifier,
 )
 from .domains import PublicSuffixList, bundled_psl
-from .files import (check, read_json, read_json_lines, read_text, write_csv, write_json,
-                    write_json_lines)
+from .files import (check, numbered_lines, read_json, read_json_lines, read_text, write_csv,
+                    write_json, write_json_lines)
 # extract_text stays importable from here: perfbench/tracing.py wraps pipeline.extract_text
 from .textproc import (  # noqa: F401
     Preprocessor,
@@ -117,6 +117,17 @@ class RunConfig:
             raise ValueError(f"cohort must be one of {', '.join(COHORTS)}, got {self.cohort!r}")
         if self.model not in MODEL_KINDS:
             raise ValueError(f"model must be one of {', '.join(MODEL_KINDS)}, got {self.model!r}")
+        for prefix, parse, kind in (("window", MonthStamp.parse, "month"),
+                                    ("quarter", Quarter.parse, "quarter")):
+            bounds = []
+            for key in (f"{prefix}_start", f"{prefix}_end"):
+                try:
+                    bounds.append(parse(getattr(self, key)))
+                except ValueError as exc:
+                    raise ValueError(f"{key!r}: {exc}") from None
+            if bounds[1] < bounds[0]:
+                raise ValueError(f"empty {kind} window: {bounds[0]}..{bounds[1]} "
+                                 f"({prefix}_start is after {prefix}_end)")
         self.seed = int(self.seed) & (2**64 - 1)
 
     @property
@@ -212,13 +223,27 @@ def _sha256(path: Path) -> str:
 
 
 def write_run_manifest(config: RunConfig, command: str, inputs: list[Path | str],
-                       outputs: list[Path | str]) -> None:
+                       outputs: list[Path | str], flags: dict) -> None:
     """Records what a command ran on: config hash, seed and input digests.
 
-    The hash leaves out ``out_dir`` and every path field, so the same inputs
-    copied to another directory give the same hash; their contents are
-    hashed under ``inputs``.
+    A file inside the output directory is keyed by its path there, any other
+    by the setting or per-run flag (``flags``) that named it, such as
+    ``fake_list`` or ``predict``.  The hash leaves out ``out_dir`` and every
+    path field.  So the same inputs copied to another directory, run against
+    the same archive URLs, give the same manifest; their contents are hashed
+    under ``inputs``.
     """
+    out = config.out.resolve()
+    paths = [(f.name, getattr(config, f.name)) for f in fields(config) if f.type == "str | None"]
+    named = {Path(value).resolve(): name for name, value in paths + list(flags.items())
+             if isinstance(value, str)}
+
+    def key(path: Path | str) -> str:
+        full = Path(path).resolve()
+        if full.is_relative_to(out):
+            return str(full.relative_to(out))
+        return named.get(full, str(path))
+
     hashed = {
         f.name: getattr(config, f.name) for f in fields(config)
         if f.name != "out_dir" and f.type != "str | None"
@@ -228,11 +253,8 @@ def write_run_manifest(config: RunConfig, command: str, inputs: list[Path | str]
         "command": command,
         "config_sha256": hashlib.sha256(config_json.encode()).hexdigest(),
         "seed": config.seed,
-        "inputs": {
-            _display_path(p, config.out): _sha256(Path(p))
-            for p in sorted(map(str, inputs))
-        },
-        "outputs": sorted({_display_path(p, config.out) for p in outputs}),
+        "inputs": {key(p): _sha256(Path(p)) for p in inputs},
+        "outputs": sorted(set(map(key, outputs))),
     }
     write_json(config.out / "manifests" / f"{command}.json", manifest)
 
@@ -274,9 +296,9 @@ class SiteLists:
 def read_site_list(path: Path) -> tuple[list[str], list[str]]:
     """One domain per line; returns (normalized unique sites, warnings)."""
     sites, warnings, seen = [], [], set()
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, raw in numbered_lines(path):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         try:
             site = normalize_site(line)

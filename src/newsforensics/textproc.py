@@ -7,7 +7,7 @@ from functools import lru_cache
 from html.parser import HTMLParser
 from pathlib import Path
 
-from .files import read_bundled, read_text
+from .files import numbered_lines, read_bundled
 from .htmlscan import _CSS_URL_RE, _NON_CONTENT_TAGS, _URL_ATTRS, scan
 
 
@@ -110,12 +110,10 @@ _COMMENT_RE = re.compile(r"^\s*#")
 
 def _load_lines(path: str | Path | None, default_resource: str) -> list[tuple[int, str]]:
     """Numbered lines of a data file, blank and comment lines dropped."""
-    text = read_bundled(default_resource) if path is None else read_text(path)
-    return [
-        (lineno, line)
-        for lineno, line in enumerate(text.splitlines(), 1)
-        if line.strip() and not _COMMENT_RE.match(line)
-    ]
+    lines = (enumerate(read_bundled(default_resource).splitlines(), 1) if path is None
+             else numbered_lines(path))
+    return [(lineno, line) for lineno, line in lines
+            if line.strip() and not _COMMENT_RE.match(line)]
 
 
 class Preprocessor:

@@ -8,7 +8,6 @@ are computed from the repaired sequences.
 
 from __future__ import annotations
 
-import csv
 import logging
 import re
 import statistics
@@ -17,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .files import csv_rows, open_text, read_json_lines, write_json_lines
+from .files import read_csv, read_json_lines, write_json_lines
 
 log = logging.getLogger(__name__)
 
@@ -366,6 +365,8 @@ _ANNOTATION_STATES = {
     "dead": SiteState.DEAD,
 }
 
+_ANNOTATION_COLUMNS = ("domain", "year", "month", "state")
+
 Annotations = dict[str, dict[MonthStamp, list[SiteState]]]
 
 
@@ -374,29 +375,21 @@ def read_annotations(path: str | Path) -> Annotations:
 
     A bad row's error names the physical line the row starts on."""
     out: Annotations = {}
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        required = {"domain", "year", "month", "state"}
-        missing = required - set(header)
-        if missing:
-            raise ValueError(f"{path}: annotation CSV missing columns: {sorted(missing)}")
-        for lineno, cells in csv_rows(reader):
-            row = dict(zip(header, cells + [None] * len(header)))  # short rows padded with None
-            try:
-                short = sorted(c for c in required if row[c] is None)
-                if short:
-                    raise ValueError(f"row too short, no {', '.join(short)}")
-                state = row["state"].strip().lower()
-                if state not in _ANNOTATION_STATES:
-                    raise ValueError(f"unknown state {row['state']!r}")
-                site = normalize_site(row["domain"])
-                month = MonthStamp(int(row["year"]), int(row["month"]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            out.setdefault(site, {}).setdefault(month, []).append(
-                _ANNOTATION_STATES[state]
-            )
+    lines, cols = read_csv(path, _ANNOTATION_COLUMNS, _ANNOTATION_COLUMNS)
+    for lineno, *cells in zip(lines, *cols.values()):
+        row = dict(zip(_ANNOTATION_COLUMNS, cells))
+        try:
+            short = sorted(c for c in _ANNOTATION_COLUMNS if row[c] is None)
+            if short:
+                raise ValueError(f"row too short, no {', '.join(short)}")
+            state = row["state"].strip().lower()
+            if state not in _ANNOTATION_STATES:
+                raise ValueError(f"unknown state {row['state']!r}")
+            site = normalize_site(row["domain"])
+            month = MonthStamp(int(row["year"]), int(row["month"]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        out.setdefault(site, {}).setdefault(month, []).append(_ANNOTATION_STATES[state])
     return out
 
 

@@ -8,7 +8,6 @@ percentiles so that published tables are reproducible.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
-from .files import csv_rows, numbered_lines, open_text
+from .files import numbered_lines, read_csv
 from .timeline import normalize_site
 
 
@@ -122,33 +121,10 @@ class RowError:
     reason: str
 
 
-def _read_csv(path: Path, required: list[str]) -> tuple[list[int], dict[str, Sequence]]:
-    """The CSV's rows as one cell sequence per column, and the physical line
-    each row starts on.  Like csv.DictReader, blank lines are skipped, a
-    repeated column name keeps its last column and a short row's missing
-    cells are None."""
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for col in required:
-            if col not in header:
-                raise ValueError(f"{path}: missing required column: {col}")
-        lines, rows = [], []
-        for line, row in csv_rows(reader):
-            lines.append(line)
-            rows.append(row)
-    width = len(header)
-    rows = [r if len(r) == width else (r + [None] * width)[:width] for r in rows]
-    cells = list(zip(*rows)) if rows else [()] * width
-    index = {name: i for i, name in enumerate(header)}
-    absent = (None,) * len(rows)
-    return lines, {c: cells[index[c]] if c in index else absent for c in REQUIRED_COLUMNS}
-
-
 def _read_json_lines(
     path: Path, required: list[str]
 ) -> tuple[list[int], dict[str, Sequence], list[RowError]]:
-    """Like _read_csv, for one JSON object per line; lines that are not a
+    """Like files.read_csv, for one JSON object per line; lines that are not a
     JSON object of single values are RowErrors."""
     lines, records, errors = [], [], []
     for i, line in numbered_lines(path):
@@ -333,7 +309,7 @@ def load_profiles(
     if path.suffix in (".jsonl", ".ndjson", ".json"):
         lines, cols, errors = _read_json_lines(path, required)
     else:
-        lines, cols = _read_csv(path, required)
+        lines, cols = read_csv(path, REQUIRED_COLUMNS, required)
     profiles, rejected = _parse_columns(lines, cols, allow_unlabeled)
     errors = sorted(errors + rejected, key=lambda e: e.line)
     return profiles, errors

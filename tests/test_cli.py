@@ -18,6 +18,7 @@ from newsforensics.classify import MODEL_KINDS
 from newsforensics.cli import PAIRED_FIELDS, classify, main
 from newsforensics.pipeline import RunConfig
 from newsforensics.timeline import MonthStamp
+from newsforensics.traffic import REQUIRED_COLUMNS
 
 from fixture_corpus import DEAD_SITE, FAKE_SITES, REAL_SITES, build_corpus, serve
 
@@ -181,10 +182,11 @@ def test_failed_stage_leaves_the_previous_run_in_place(corpus, tmp_path):
     assert invoke(common + ["--model", "naive_bayes"]).exit_code == 0
     before = tree_bytes(out)
     bad = tmp_path / "predict.csv"
-    bad.write_bytes(b"domain,bounce_rate\ntr\xe9.com,40\n")
+    header = corpus.predict_csv.read_bytes().splitlines()[0]
+    bad.write_bytes(header + b"\ntr\xe9.com,40\n")  # every column, so it fails in decoding
     result = invoke(common + ["--model", "logistic_regression", "--predict", str(bad)])
     assert result.exit_code == 2, result.output
-    assert f"error: {bad}: 'utf-8' codec can't decode byte 0xe9" in result.output
+    assert f"error: {bad}:2: 'utf-8' codec can't decode byte 0xe9" in result.output
     assert tree_bytes(out) == before  # no new model.json, and no .tmp file
 
 
@@ -462,27 +464,28 @@ class TestMalformedInputs:
 
 class TestUndecodableInputs:
     """An input file that is not UTF-8 stops the command with exit code 2,
-    naming the file, and the line in JSON lines."""
+    naming the file and the line of the bad byte."""
 
     @pytest.mark.parametrize(
-        "name, content, args",
+        "name, content, line, args",
         [
-            ("filters.txt", b"||tr\xe9cker.com^\n", ["trackers", "--filter-list", "{bad}"]),
-            ("traffic.csv", b"domain,label\ntr\xe9.com,fake\n", ["stats", "--traffic", "{bad}"]),
-            ("traffic.jsonl", b'{"domain": "tr\xe9.com"}\n', ["stats", "--traffic", "{bad}"]),
-            ("ann.csv", b"domain,year,month,state\ntr\xe9.com,2015,1,alive\n",
+            ("filters.txt", b"||tr\xe9cker.com^\n", 1, ["trackers", "--filter-list", "{bad}"]),
+            ("traffic.csv", ",".join(REQUIRED_COLUMNS).encode() + b"\ntr\xe9.com,fake\n", 2,
+             ["stats", "--traffic", "{bad}"]),
+            ("traffic.jsonl", b'{"domain": "tr\xe9.com"}\n', 1, ["stats", "--traffic", "{bad}"]),
+            ("ann.csv", b"domain,year,month,state\ntr\xe9.com,2015,1,alive\n", 2,
              ["timeline", "--annotations", "{bad}"]),
-            ("psl.dat", b"com\ntr\xe9\n",
+            ("psl.dat", b"com\ntr\xe9\n", 2,
              ["trackers", "--filter-list", "{filters}", "--public-suffix-list", "{bad}"]),
-            ("rules.txt", b"x\xe9 y\n",
+            ("rules.txt", b"x\xe9 y\n", 1,
              ["sync", "--quarters", "2015-Q1", "2015-Q4", "--suffix-rules", "{bad}"]),
-            ("fake.txt", b"a.com\ntr\xe9.com\n",
+            ("fake.txt", b"a.com\ntr\xe9.com\n", 2,
              ["ingest-lists", "--fake", "{bad}", "--real", "{real}"]),
         ],
         ids=["filter-list", "traffic-csv", "traffic-jsonl", "annotations", "suffix-list",
              "suffix-rules", "site-list"],
     )
-    def test_names_the_file(self, corpus, tmp_path, name, content, args):
+    def test_names_the_file(self, corpus, tmp_path, name, content, line, args):
         out = tmp_path / "out"
         write_sync_inputs(out, ['{"site": "a.com", "start": "2015-01", "states": "AAA"}'])
         bad = tmp_path / name
@@ -491,8 +494,56 @@ class TestUndecodableInputs:
                 for a in args]
         result = invoke(["--out", str(out)] + args)
         assert result.exit_code == 2, result.output
-        where = f"{bad}:1" if name.endswith(".jsonl") else bad
-        assert f"error: {where}: 'utf-8' codec can't decode byte 0xe9" in result.output
+        assert f"error: {bad}:{line}: 'utf-8' codec can't decode byte 0xe9" in result.output
+
+
+def traffic_json_lines(path: Path, csv_path: Path) -> Path:
+    """The profiles of a traffic CSV as JSON lines, one object per row."""
+    header, *rows = csv_path.read_text().splitlines()
+    path.write_text("".join(json.dumps(dict(zip(header.split(","), row.split(",")))) + "\n"
+                            for row in rows))
+    return path
+
+
+def stats_config(path: Path, traffic: Path) -> Path:
+    path.write_text(json.dumps({"traffic_data": str(traffic), "sample_std": True}))
+    return path
+
+
+class TestByteOrderMark:
+    """An input saved with a leading UTF-8 byte-order mark, as spreadsheet
+    programs save "CSV UTF-8", gives what the same file without one gives."""
+
+    INPUTS = {  # input -> (the file, given the corpus and a directory; args; artifacts)
+        "site-list": (lambda corpus, d: corpus.fake_list,
+                      ["ingest-lists", "--fake", "{path}", "--real", "{real}"], ["sites.json"]),
+        "annotations": (lambda corpus, d: corpus.annotations,
+                        ["timeline", "--annotations", "{path}", "--window", "2015-01", "2017-12"],
+                        ["timelines.jsonl", "lifetime_report.json"]),
+        "traffic-csv": (lambda corpus, d: corpus.traffic_csv,
+                        ["stats", "--traffic", "{path}"], ["traffic_report.json"]),
+        "traffic-jsonl": (lambda corpus, d: traffic_json_lines(d / "t.jsonl", corpus.traffic_csv),
+                          ["stats", "--traffic", "{path}"], ["traffic_report.json"]),
+        "config": (lambda corpus, d: stats_config(d / "c.json", corpus.traffic_csv),
+                   ["--config", "{path}", "stats"], ["traffic_report.json"]),
+    }
+
+    @pytest.mark.parametrize("kind", list(INPUTS))
+    def test_gives_the_result_of_the_file_without_it(self, corpus, tmp_path, kind):
+        source, args, artifacts = self.INPUTS[kind]
+        given = source(corpus, tmp_path)
+        data = given.read_bytes()
+        results = []
+        for name, content in (("plain", data), ("bom", "\ufeff".encode() + data)):
+            path = tmp_path / name / given.name
+            path.parent.mkdir()
+            path.write_bytes(content)
+            out = tmp_path / name / "out"
+            result = invoke(["--out", str(out)] + [
+                a.format(path=path, real=corpus.real_list) for a in args])
+            assert result.exit_code == 0, result.output
+            results.append((result.output, [(out / a).read_bytes() for a in artifacts]))
+        assert results[0] == results[1]
 
 
 def write_sync_inputs(out: Path, rows: list[str]) -> Path:
@@ -827,6 +878,41 @@ class TestConfigPrecedence:
         assert result.output == f"error: {key} must be one of {allowed}, got 'bogus'\n"
         assert not (tmp_path / "o").exists()
 
+    WINDOWS = [
+        ("window_start", "2015-13", "stats", "traffic_stats",
+         "'window_start': month out of range: 13"),
+        ("window_end", "2015", "trackers", "audit_trackers",
+         "'window_end': expected YYYY-MM, got '2015'"),
+        ("window_start", "2021-01", "timeline", "build_timeline_artifacts",
+         "empty month window: 2021-01..2020-12 (window_start is after window_end)"),
+        ("quarter_start", "2019-Q5", "report", "consolidated_report",
+         "'quarter_start': expected YYYY-Qn, got '2019-Q5'"),
+        ("quarter_end", "2014-Q4", "sync", "detect_sync",
+         "empty quarter window: 2015-Q1..2014-Q4 (quarter_start is after quarter_end)"),
+    ]
+
+    WINDOW_IDS = ["bad-month", "no-month", "reversed-months", "bad-quarter", "reversed-quarters"]
+
+    @pytest.mark.parametrize("key, value, command, stage, message", WINDOWS, ids=WINDOW_IDS)
+    def test_bad_window_in_config_file_exits_2(self, tmp_path, monkeypatch, key, value,
+                                               command, stage, message):
+        monkeypatch.setattr(pipeline, stage, lambda *args, **kwargs: pytest.fail("ran"))
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({key: value}))
+        result = invoke(["--config", str(config_file), "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key, value, command, stage, message", WINDOWS, ids=WINDOW_IDS)
+    def test_bad_window_in_environment_exits_2(self, tmp_path, monkeypatch, key, value,
+                                               command, stage, message):
+        monkeypatch.setattr(pipeline, stage, lambda *args, **kwargs: pytest.fail("ran"))
+        result = invoke(["--out", str(tmp_path / "o"), command],
+                        env={f"NEWSFORENSICS_{key.upper()}": value})
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_negative_backoff_base_exits_2(self, tmp_path):
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps({"backoff_base": -1}))
@@ -1155,21 +1241,21 @@ class TestEndToEndDeterminism:
             assert outs[0][rel] == outs[1][rel], f"artifact differs: {rel}"
         assert tree_bytes(corpus.root) == inputs_before, "input files were mutated"
 
-    def test_config_hash_leaves_out_input_paths(self, tmp_path):
-        """Copies of the same inputs in two directories give every stage the
-        same config hash: the inputs' contents are hashed apart from it."""
+    def test_manifests_do_not_depend_on_the_directories(self, tmp_path):
+        """Two runs over copies of the inputs, from two directories, against
+        one archive server write the same manifest bytes: a file outside
+        --out is keyed by the setting that named it, and the config hash
+        leaves out every path."""
         copies = [build_corpus(tmp_path / name) for name in ("a", "b")]
-        hashes = []
+        trees = []
         with serve(copies[0]) as (base_url, _):
             for copy in copies:
-                out = copy.root / "out"
-                run_full_pipeline(copy, base_url, out, seed=11)
-                hashes.append({
-                    path.name: json.loads(path.read_text())["config_sha256"]
-                    for path in (out / "manifests").glob("*.json")
-                })
-        assert len(hashes[0]) == len(STAGES)
-        assert hashes[0] == hashes[1]
+                run_full_pipeline(copy, base_url, copy.root / "out", seed=11)
+                trees.append(tree_bytes(copy.root / "out" / "manifests"))
+        assert len(trees[0]) == len(STAGES)
+        assert trees[0] == trees[1]
+        inputs = json.loads(trees[0]["classify.json"])["inputs"]
+        assert sorted(inputs) == ["predict", "traffic_data"]
 
     def test_warm_cache_rerun_skips_snapshots(self, corpus, tmp_path):
         out = tmp_path / "warm"

@@ -1,5 +1,6 @@
 """The package imports only the standard library, numpy and click, and
-only ``newsforensics.files`` writes files or reads a path as text."""
+only ``newsforensics.files`` writes files, reads a path as text or reads
+and writes CSV."""
 
 import ast
 import re
@@ -36,6 +37,17 @@ def test_package_imports_only_declared_dependencies():
         for path in modules
         for line, name in absolute_imports(path.read_text())
         if name not in ALLOWED
+    ]
+    assert stray == []
+
+
+def test_only_the_files_module_imports_csv():
+    stray = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != PACKAGE / "files.py"
+        for line, name in absolute_imports(path.read_text())
+        if name == "csv"
     ]
     assert stray == []
 

@@ -4,9 +4,8 @@ Two runs of the same code agreeing (``TestEndToEndDeterminism``) says
 nothing about drift between commits; this test compares one run against
 a committed record instead.  Every ``out/`` file outside ``manifests/``
 must match its sha256.  Run manifests are compared on their outputs and
-input digests only: their input paths outside ``out/`` are absolute, so
-they depend on the temporary directory, and their config hash leaves out
-paths but holds the archive URLs, which carry the server's port.
+inputs only: their config hash leaves out paths but holds the archive URLs,
+which carry the server's port.
 
 After an intended, documented output change, rewrite the record with
 
@@ -39,10 +38,7 @@ def artifact_record(out: Path) -> dict:
         rel = path.relative_to(out).as_posix()
         if rel.startswith("manifests/"):
             manifest = json.loads(path.read_text())
-            manifests[rel] = {
-                "outputs": manifest["outputs"],
-                "inputs": {Path(k).name: v for k, v in manifest["inputs"].items()},
-            }
+            manifests[rel] = {key: manifest[key] for key in ("inputs", "outputs")}
         else:
             digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
     return {"sha256": digests, "manifests": manifests}
