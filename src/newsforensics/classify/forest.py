@@ -8,10 +8,11 @@ are sums of those counts, and equal what the drawn copies would give.
 A node's split is the threshold of least weighted gini over all its
 sampled features; ties go to the lowest feature index, then to the
 fewest rows on the left, i.e. the first minimum in (feature, left size)
-order.  Columns are sorted without stability: only positions where the
-sorted value changes are scored, and there the left side is every row at
-or below that value, so the order of tied values cannot change a split.
-Each node's positive count comes down from its parent's split.  All
+order.  Columns are ranked once per fit into int64 keys (dense value rank
+above row id), so a node sorts integers and scores only rank changes: the
+left side is every row at or below a value, so tie order cannot change a
+split.  A row's copies and positives share one int64, so one prefix sum
+counts both, and a fit takes fewer than 2**31 rows.  All
 randomness derives from per-tree generators spawned off one master
 seed, and the fitted forest serializes to plain JSON-compatible dicts.
 Features must be finite.
@@ -24,50 +25,66 @@ import math
 import numpy as np
 
 
-def _split_search(cols: np.ndarray, y: np.ndarray, counts: np.ndarray, min_leaf: int):
-    """Best split of a (features, rows) matrix; None if no column splits.
+_LOW = 2**32 - 1  # the low half of a key (row id) or of a weight (positives)
 
-    Row i stands for counts[i] >= 1 copies of itself.  Returns (column,
-    threshold, positives left of the threshold), counted in copies.
-    A split is a candidate only where the sorted column changes value and
-    both sides keep min_leaf copies, so the left side is the set of rows
-    at or below the threshold and the sort need not be stable.
-    Candidates are scored by weighted gini in (column, left size) order;
-    the first minimum wins.  The threshold is the midpoint of the two
-    values around the split, or the lower one where the midpoint rounds
-    onto the upper value or overflows, so that every threshold keeps that
-    left side.
+
+def _rank_keys(X: np.ndarray) -> np.ndarray:
+    """(d, n) int64 keys, rank << 32 | row id, of each column's dense value
+    ranks; equal values share one, -0.0 and 0.0 too.  Raises ValueError on
+    n >= 2**31 rows (before reading X) or on a feature that is not finite."""
+    n, d = X.shape
+    if n >= 2**31:
+        raise ValueError(f"a forest fit takes fewer than 2**31 rows, got {n}")
+    if not np.isfinite(X).all():
+        raise ValueError("forest features must be finite; X holds NaN or infinity")
+    ranks = [np.unique(column, return_inverse=True)[1] for column in X.T]
+    return np.array(ranks, dtype=np.int64).reshape(d, n) << 32 | np.arange(n)
+
+
+def _split_search(keys: np.ndarray, X: np.ndarray, features: np.ndarray,
+                  weights: np.ndarray, n: int, pos: int, min_leaf: int):
+    """Best split of a node; None if no sampled feature splits it.
+
+    keys, the node's (features, rows) slice of _rank_keys(X), is sorted in
+    place; keys[i] ranks column features[i] of X.  Row r stands for
+    weights[r] >> 32 >= 1 copies, weights[r] & _LOW of them positive, and
+    the node's rows sum to n copies, pos of them positive.  Returns (key
+    row, threshold, positives and copies on the left, left rows, right
+    rows).  Candidates are rank changes where both sides keep min_leaf
+    copies, scored by weighted gini in (key row, left size) order; the
+    first minimum wins.  The threshold is the midpoint of the values
+    around the split, or the lower one where the midpoint rounds onto the
+    upper value or overflows, so every threshold keeps that left side.
     """
-    n = int(counts.sum())
-    if n < 2 * min_leaf:
-        return None
-    m, u = cols.shape
-    order = cols.argsort(axis=1)
-    xs = cols.take(order + np.arange(0, m * u, u)[:, None])  # each column sorted
-    cum_n = counts.take(order).cumsum(axis=1)  # copies up to each sorted row
-    # a candidate is the last sorted row left of a value change; flat
-    # positions into the (m, u) arrays come out in (column, left size) order
+    m, u = keys.shape
+    keys.sort(axis=1)
+    rows = keys & _LOW
+    cum = weights.take(rows).cumsum(axis=1)  # copies << 32 | positives up to each row
+    # a candidate is the last sorted row left of a rank change; flat
+    # positions into the (m, u) arrays come out in (key row, left size) order
     valid = np.zeros((m, u), dtype=bool)
-    np.not_equal(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])
+    ranks = keys >> 32
+    np.not_equal(ranks[:, 1:], ranks[:, :-1], out=valid[:, :-1])
     if min_leaf > 1:  # at one copy per row or more, min_leaf 1 always holds
-        valid &= (cum_n >= min_leaf) & (cum_n <= n - min_leaf)
+        valid &= (cum >= min_leaf << 32) & (cum < (n - min_leaf + 1) << 32)
     at = valid.ravel().nonzero()[0]
     if not at.size:
         return None
-    pos_left = (counts * y).take(order).cumsum(axis=1).take(at)
-    n_left = cum_n.take(at)
+    left = cum.take(at)
+    n_left, pos_left = left >> 32, left & _LOW
     n_right = n - n_left
     p_left = pos_left / n_left
-    p_right = (int(counts @ y) - pos_left) / n_right
+    p_right = (pos - pos_left) / n_right
     gini_left = 1.0 - p_left**2 - (1.0 - p_left) ** 2
     gini_right = 1.0 - p_right**2 - (1.0 - p_right) ** 2
     best = int(((n_left * gini_left + n_right * gini_right) / n).argmin())
     c, k = divmod(int(at[best]), u)
-    below, above = float(xs[c, k]), float(xs[c, k + 1])
+    order = rows[c].copy()  # the children's rows, without holding the other columns
+    below, above = float(X[order[k], features[c]]), float(X[order[k + 1], features[c]])
     threshold = (below + above) / 2.0
     if not below <= threshold < above:
         threshold = below
-    return c, threshold, int(pos_left[best])
+    return c, threshold, int(pos_left[best]), int(n_left[best]), order[:k + 1], order[k + 1:]
 
 
 class DecisionTree:
@@ -81,7 +98,6 @@ class DecisionTree:
         self.max_features = max_features
         self.min_samples_leaf = min_samples_leaf
         self.max_depth = max_depth
-        self._set_nodes([])
 
     def _set_nodes(self, nodes) -> None:
         table = np.array(nodes, dtype=float).reshape(-1, 5)
@@ -92,21 +108,21 @@ class DecisionTree:
         self.prob = table[:, 4]
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> "DecisionTree":
-        return self._grow(np.ascontiguousarray(X.T), y, np.ones(len(X), dtype=np.intp), rng)
+        return self._grow(X, _rank_keys(X), y, np.ones(len(X), dtype=np.int64), rng)
 
-    def _grow(self, XT: np.ndarray, y: np.ndarray, counts: np.ndarray,
+    def _grow(self, X: np.ndarray, keys: np.ndarray, y: np.ndarray, counts: np.ndarray,
               rng: np.random.Generator) -> "DecisionTree":
-        """Grow on the columns of XT (one row per feature, so node gathers
-        stay contiguous); column i stands for counts[i] copies of itself,
-        and columns with a zero count take no part."""
-        d = len(XT)
+        """Grow on X, whose ranks are keys = _rank_keys(X); row i stands for
+        counts[i] copies of itself, and rows with a zero count take no part."""
+        d = len(keys)
         m = min(self.max_features or d, d)
-        rows = counts.nonzero()[0]
+        weights = counts << 32 | counts * y.astype(np.int64)
+        total = int(weights.sum())
         nodes = []  # [feature, threshold, left, right, prob] per node id
         # (distinct rows, copies and positives among them, depth, parent
         # node id, is-left) processed LIFO so rng consumption follows a
         # fixed traversal order
-        stack = [(rows, int(counts.sum()), int((counts * y).sum()), 0, -1, False)]
+        stack = [(counts.nonzero()[0], total >> 32, total & _LOW, 0, -1, False)]
         while stack:
             idx, size, pos, depth, parent, is_left = stack.pop()
             node_id = len(nodes)
@@ -122,18 +138,15 @@ class DecisionTree:
                 continue
 
             features = np.sort(rng.choice(d, size=m, replace=False)) if m < d else np.arange(d)
-            cols = (XT.take(features, axis=0) if m < d else XT).take(idx, axis=1)
-            w = counts.take(idx)
-            split = _split_search(cols, y.take(idx), w, self.min_samples_leaf)
+            node_keys = (keys.take(features, axis=0) if m < d else keys).take(idx, axis=1)
+            split = _split_search(node_keys, X, features, weights, size, pos,
+                                  self.min_samples_leaf)
             if split is None:
                 continue  # no sampled feature splits here: leaf
-            col, threshold, pos_left = split
+            col, threshold, pos_left, size_left, left, right = split
             node[0], node[1] = int(features[col]), threshold
-            mask = cols[col] <= threshold
-            size_left = int(w[mask].sum())
-            stack.append((idx[~mask], size - size_left, pos - pos_left, depth + 1, node_id,
-                          False))
-            stack.append((idx[mask], size_left, pos_left, depth + 1, node_id, True))
+            stack.append((right, size - size_left, pos - pos_left, depth + 1, node_id, False))
+            stack.append((left, size_left, pos_left, depth + 1, node_id, True))
         self._set_nodes(nodes)
         return self
 
@@ -228,17 +241,15 @@ class RandomForestModel:
         return int(self.max_features)
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int) -> "RandomForestModel":
-        if not np.isfinite(X).all():
-            raise ValueError("forest features must be finite; X holds NaN or infinity")
+        keys = _rank_keys(X)  # shared by every tree
         n, d = X.shape
         m = self._resolve_features(d)
-        XT = np.ascontiguousarray(X.T)  # shared by every tree
         self.trees = []
         for seq in np.random.SeedSequence(seed).spawn(self.n_trees):
             rng = np.random.default_rng(seq)
             counts = np.bincount(rng.integers(0, n, size=n), minlength=n)  # the bootstrap
             tree = DecisionTree(m, self.min_samples_leaf, self.max_depth)
-            self.trees.append(tree._grow(XT, y, counts, rng))
+            self.trees.append(tree._grow(X, keys, y, counts, rng))
         return self
 
     def score(self, X: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 
-from .files import read_bundled, read_text
+from .files import read_bundled, read_text, split_lines
 
 
 class PublicSuffixList:
@@ -42,11 +42,11 @@ class PublicSuffixList:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PublicSuffixList":
-        return cls(read_text(path).splitlines(), source=path)
+        return cls(split_lines(read_text(path)), source=path)
 
     @classmethod
     def bundled(cls) -> "PublicSuffixList":
-        return cls(read_bundled("public_suffix_list.dat").splitlines())
+        return cls(split_lines(read_bundled("public_suffix_list.dat")))
 
     def public_suffix(self, host: str) -> str | None:
         """Longest public suffix of a hostname, or None for invalid input.

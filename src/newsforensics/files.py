@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -111,6 +112,19 @@ def read_csv(path: str | Path, columns: Iterable[str],
     index = {name: i for i, name in enumerate(header)}
     absent = (None,) * len(rows)
     return lines, {name: cells[index[name]] if name in index else absent for name in columns}
+
+
+_LINE_END = re.compile(r"\r\n|\r|\n")
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of text, split by the rule above, without their ends: unlike
+    ``str.splitlines``, a form feed or a Unicode separator ends no line.  A
+    final line end adds no empty line."""
+    lines = _LINE_END.split(text)
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def read_bundled(name: str) -> str:

@@ -265,13 +265,11 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _display_path(path: Path | str, out: Path) -> str:
-    """Relative to the output directory when inside it; keeps reports portable."""
-    path = Path(path)
-    try:
-        return str(path.resolve().relative_to(out.resolve()))
-    except ValueError:
-        return str(path)
+def _display_path(path: Path | str, out: Path, setting: str) -> str:
+    """Relative to the output directory when inside it, else the setting that
+    named it, as run manifests key it; keeps reports portable."""
+    full, out = Path(path).resolve(), out.resolve()
+    return str(full.relative_to(out)) if full.is_relative_to(out) else setting
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +640,7 @@ def classify(
     if save_model:
         model_path = Path(save_model)
         classifier.save(model_path)
-        report["model_file"] = _display_path(model_path, config.out)
+        report["model_file"] = _display_path(model_path, config.out, "save_model")
     if predict:
         to_score, rejected = traf.load_profiles(predict, allow_unlabeled=True)
         for e in rejected:
@@ -654,7 +652,7 @@ def classify(
             ["domain", "predicted_label", "score"],
             [(site, label, f"{score:.6f}") for site, label, score in rows],
         )
-        report["predictions_file"] = _display_path(predictions_path, config.out)
+        report["predictions_file"] = predictions_path.name
     write_json(config.out / "classifier_report.json", report)
     return report
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 from html.parser import HTMLParser
 from pathlib import Path
 
-from .files import numbered_lines, read_bundled
+from .files import numbered_lines, read_bundled, split_lines
 from .htmlscan import _CSS_URL_RE, _NON_CONTENT_TAGS, _URL_ATTRS, scan
 
 
@@ -110,7 +110,7 @@ _COMMENT_RE = re.compile(r"^\s*#")
 
 def _load_lines(path: str | Path | None, default_resource: str) -> list[tuple[int, str]]:
     """Numbered lines of a data file, blank and comment lines dropped."""
-    lines = (enumerate(read_bundled(default_resource).splitlines(), 1) if path is None
+    lines = (enumerate(split_lines(read_bundled(default_resource)), 1) if path is None
              else numbered_lines(path))
     return [(lineno, line) for lineno, line in lines
             if line.strip() and not _COMMENT_RE.match(line)]

@@ -14,6 +14,7 @@ from typing import Iterable
 from urllib.parse import urlsplit
 
 from .domains import PublicSuffixList, bundled_psl
+from .files import split_lines
 from .textproc import parse_page
 from .timeline import MonthStamp, month_range
 
@@ -51,7 +52,7 @@ def parse_filter_list(text: str) -> FilterList:
     rules are skipped and counted in the parse summary.
     """
     out = FilterList()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line:
             out.skip("blank")

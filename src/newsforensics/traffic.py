@@ -246,7 +246,7 @@ def _parse_columns(
 
     arrays = {}
     for name in METRIC_FIELDS:
-        raw = cols[name]
+        raw = cols.pop(name)  # released once parsed: the next column rebinds raw
         values[name], errors = _parse_cells(raw, _count if name in _INT_FIELDS else float)
         reject(errors, lambda i: f"{name}: {errors[i]}")
         arr, present = _array(values[name], np.int64 if name in _INT_FIELDS else float)

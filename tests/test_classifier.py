@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsforensics.classify import (
     MODEL_KINDS,
@@ -19,7 +21,12 @@ from newsforensics.classify import (
     stratified_folds,
     train_classifier,
 )
-from newsforensics.classify.forest import DecisionTree, RandomForestModel, _split_search
+from newsforensics.classify.forest import (
+    DecisionTree,
+    RandomForestModel,
+    _rank_keys,
+    _split_search,
+)
 from newsforensics.classify.metrics import DECISION_THRESHOLD
 from newsforensics.traffic import ProfileTable, TrafficProfile
 
@@ -173,6 +180,16 @@ def _random_columns(rng, m, n):
     return cols
 
 
+def _search(cols, y, counts, min_leaf):
+    """_split_search over a (features, rows) float matrix, its columns
+    ranked by the module's rank helper: (column, threshold, positives
+    left of the threshold), or None."""
+    X = cols.T
+    split = _split_search(_rank_keys(X), X, np.arange(len(cols)), counts << 32 | counts * y,
+                          int(counts.sum()), int(counts @ y), min_leaf)
+    return split and split[:3]
+
+
 def _sha256(model_dict) -> str:
     return hashlib.sha256(json.dumps(model_dict).encode()).hexdigest()
 
@@ -255,7 +272,7 @@ class TestModels:
             features = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
             min_leaf = int(rng.integers(1, 5))
             columns = np.sort(features)
-            split = _split_search(X[:, columns].T, y, np.ones(n, dtype=int), min_leaf)
+            split = _search(X[:, columns].T, y, np.ones(n, dtype=int), min_leaf)
             if split is not None:  # the left positives are checked in the next test
                 split = (int(columns[split[0]]), float(split[1]))
                 found += 1
@@ -271,7 +288,7 @@ class TestModels:
             y = rng.integers(0, 2, size=n)
             min_leaf = int(rng.integers(1, 5))
             small += n < 2 * min_leaf
-            split = _split_search(cols, y, np.ones(n, dtype=int), min_leaf)
+            split = _search(cols, y, np.ones(n, dtype=int), min_leaf)
             expect = split_search_reference(cols, y, min_leaf)
             if split is None:
                 assert expect is None, trial
@@ -309,7 +326,7 @@ class TestModels:
             y = rng.integers(0, 2, size=n)
             counts = rng.integers(1, 5, size=n)
             min_leaf = int(rng.integers(1, 6))
-            split = _split_search(cols, y, counts, min_leaf)
+            split = _search(cols, y, counts, min_leaf)
             copies = np.repeat(cols, counts, axis=1), np.repeat(y, counts)
             expect = split_search_reference(*copies, min_leaf)
             if split is None:
@@ -334,6 +351,98 @@ class TestModels:
             model = RandomForestModel(**params).fit(X, y, seed=trial)
             expect = forest_reference(X, y, trial, **params)
             assert _sha256(model.to_dict()) == _sha256(expect), (trial, params)
+
+    @pytest.mark.parametrize("n", [16, 17, 64, 65, 128, 129])
+    def test_forest_json_matches_reference_at_power_of_two_row_counts(self, n):
+        rng = np.random.default_rng(n)
+        X = np.column_stack([rng.normal(size=n), rng.integers(0, 3, size=n)])
+        y = rng.integers(0, 2, size=n)
+        for params in ({"max_features": 2, "min_samples_leaf": 1}, {"max_features": 1,
+                                                                    "min_samples_leaf": 3}):
+            params |= {"n_trees": 3, "max_depth": None}
+            model = RandomForestModel(**params).fit(X, y, seed=n)
+            assert _sha256(model.to_dict()) == _sha256(forest_reference(X, y, n, **params))
+
+    def test_signed_zeros_are_one_value_below_the_next(self):
+        X = np.array([[-0.0], [0.0], [1.0], [-0.0], [0.0], [1.0]])
+        y = np.array([0, 0, 1, 0, 0, 1])
+        tree = DecisionTree().fit(X, y, np.random.default_rng(0))
+        assert tree.to_dict()["nodes"] == [[0, 0.5, 1, 2, 1 / 3], [-1, 0.0, -1, -1, 0.0],
+                                           [-1, 0.0, -1, -1, 1.0]]
+        ranks = _rank_keys(X)[0] >> 32
+        assert ranks.tolist() == [0, 0, 1, 0, 0, 1]
+
+    def test_constant_column_never_splits(self):
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.full(60, 3.0), rng.normal(size=60)])
+        y = (X[:, 1] > 0.2).astype(int)
+        params = {"n_trees": 4, "max_features": 1, "min_samples_leaf": 1, "max_depth": None}
+        model = RandomForestModel(**params).fit(X, y, seed=5)
+        assert all(0 not in tree.feature for tree in model.trees)
+        assert _sha256(model.to_dict()) == _sha256(forest_reference(X, y, 5, **params))
+
+    def test_one_row_drawn_n_times_is_a_leaf(self):
+        X = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        y = np.array([0, 1, 0])
+        tree = DecisionTree()._grow(X, _rank_keys(X), y, np.array([0, 3, 0]),
+                                    np.random.default_rng(0))
+        assert tree.to_dict()["nodes"] == [[-1, 0.0, -1, -1, 1.0]]
+        same = np.repeat(X[:1], 5, axis=0), np.array([0, 1, 1, 0, 1])
+        params = {"n_trees": 3, "max_features": "sqrt", "min_samples_leaf": 1,
+                  "max_depth": None}
+        model = RandomForestModel(**params).fit(*same, seed=3)
+        assert _sha256(model.to_dict()) == _sha256(forest_reference(*same, 3, **params))
+        assert all(len(tree.feature) == 1 for tree in model.trees)
+
+    def test_few_distinct_rows_with_min_samples_leaf_match_reference(self):
+        # 150 rows that repeat 6 distinct ones: node sizes in copies cross
+        # min_samples_leaf far from where the distinct rows would
+        rng = np.random.default_rng(47)
+        for trial in range(12):
+            distinct = rng.integers(0, 4, size=(6, 3)).astype(float)
+            pick = rng.integers(0, 6, size=150)
+            X, y = distinct[pick], (rng.random(150) < 0.2 + 0.1 * pick).astype(int)
+            params = {"n_trees": 3, "max_features": [3, "sqrt"][trial % 2],
+                      "min_samples_leaf": 2 + trial % 6, "max_depth": None}
+            model = RandomForestModel(**params).fit(X, y, seed=trial)
+            expect = forest_reference(X, y, trial, **params)
+            assert _sha256(model.to_dict()) == _sha256(expect), (trial, params)
+
+    def test_overlap_forest_json_matches_reference(self):
+        # labels from x0 + x1 + noise overlap, so trees grow deep
+        rng = np.random.default_rng(53)
+        X = rng.normal(size=(300, 6))
+        y = (X[:, 0] + X[:, 1] + rng.normal(size=300) > 0).astype(int)
+        params = {"n_trees": 3, "max_features": "sqrt", "min_samples_leaf": 1,
+                  "max_depth": None}
+        model = RandomForestModel(**params).fit(X, y, seed=53)
+        assert np.mean([len(tree.feature) for tree in model.trees]) > 60
+        assert _sha256(model.to_dict()) == _sha256(forest_reference(X, y, 53, **params))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_small_tied_matrices_match_reference(self, data):
+        n = data.draw(st.integers(1, 12))
+        d = data.draw(st.integers(1, 3))
+        cells = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
+        X = np.array(data.draw(st.lists(cells, min_size=n * d, max_size=n * d))).reshape(n, d)
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        params = {"n_trees": 2, "max_features": data.draw(st.sampled_from(["sqrt", 1, d])),
+                  "min_samples_leaf": data.draw(st.integers(1, 3)),
+                  "max_depth": data.draw(st.sampled_from([None, 1]))}
+        seed = data.draw(st.integers(0, 2**16))
+        model = RandomForestModel(**params).fit(X, y, seed=seed)
+        assert _sha256(model.to_dict()) == _sha256(forest_reference(X, y, seed, **params))
+        split = _search(X.T.copy(), y, np.ones(n, dtype=np.int64), params["min_samples_leaf"])
+        expect = split_search_reference(X.T, y, params["min_samples_leaf"])
+        assert (split and split[:2]) == expect
+
+    def test_fit_rejects_two_to_the_31_rows_before_reading_them(self):
+        X = np.lib.stride_tricks.as_strided(np.zeros(1), shape=(2**31, 1), strides=(0, 8))
+        y = np.lib.stride_tricks.as_strided(np.zeros(1, dtype=int), shape=(2**31,),
+                                            strides=(0,))
+        with pytest.raises(ValueError, match=r"fewer than 2\*\*31 rows, got 2147483648"):
+            RandomForestModel(n_trees=1).fit(X, y, seed=0)
 
     def test_midpoint_rounding_onto_upper_value_splits_below_it(self):
         # (a + b) / 2 rounds to b for these neighbouring doubles; a split at

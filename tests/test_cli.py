@@ -190,6 +190,20 @@ def test_failed_stage_leaves_the_previous_run_in_place(corpus, tmp_path):
     assert tree_bytes(out) == before  # no new model.json, and no .tmp file
 
 
+def test_classifier_report_does_not_depend_on_where_the_model_is_saved(corpus, tmp_path):
+    out, reports = tmp_path / "out", []
+    for name in ("a", "bb"):
+        (tmp_path / name).mkdir()
+        result = invoke(["--out", str(out), "classify", "--traffic", str(corpus.traffic_csv),
+                         "--k", "2", "--save-model", str(tmp_path / name / "model.json")])
+        assert result.exit_code == 0, result.output
+        reports.append((out / "classifier_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["model_file"] == "save_model"
+    manifest = json.loads((out / "manifests" / "classify.json").read_text())
+    assert "save_model" in manifest["outputs"]
+
+
 def test_model_choices_are_the_registered_kinds():
     [option] = [p for p in classify.params if p.name == "model"]
     assert list(option.type.choices) == list(MODEL_KINDS)

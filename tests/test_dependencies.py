@@ -52,6 +52,20 @@ def test_only_the_files_module_imports_csv():
     assert stray == []
 
 
+def test_only_the_files_module_calls_splitlines():
+    # str.splitlines also ends lines at a form feed and Unicode separators;
+    # files.split_lines ends them where the line walk does
+    stray = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != PACKAGE / "files.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "splitlines"
+    ]
+    assert stray == []
+
+
 def file_access(source: str) -> list[tuple[int, str]]:
     """(line, call) of every call in a module's source that writes a file
     (``write_text``, ``write_bytes``, an ``open`` in a write mode), replaces

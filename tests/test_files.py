@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from newsforensics.files import numbered_lines, read_csv, read_text
+from newsforensics.files import numbered_lines, read_csv, read_text, split_lines
 from newsforensics.timeline import read_annotations
 from newsforensics.traffic import REQUIRED_COLUMNS, load_profiles
 
@@ -187,3 +187,16 @@ def test_lines_end_only_at_line_feed_and_carriage_return(tmp_path):
     path.write_bytes("a\x0cb\x1cc d\u0085e\r\nf\rg\n\n  \nh".encode())
     assert list(numbered_lines(path)) == [
         (1, "a\x0cb\x1cc d\u0085e"), (2, "f"), (3, "g"), (6, "h")]
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("", []), ("a", ["a"]), ("a\n", ["a"]), ("\n", [""]), ("a\n\n", ["a", ""]),
+    ("a\r\nb\rc\nd", ["a", "b", "c", "d"]), ("a\r\r\n", ["a", ""]),
+    ("a\x0cb\x1cc\x1dd\x1ee\x85f\u2028g\u2029h\n",
+     ["a\x0cb\x1cc\x1dd\x1ee\x85f\u2028g\u2029h"]),
+])
+def test_split_lines_ends_lines_as_the_walk_does(tmp_path, text, lines):
+    assert split_lines(text) == lines
+    path = tmp_path / "t.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert list(numbered_lines(path)) == [(i, s) for i, s in enumerate(lines, 1) if s.strip()]

@@ -77,13 +77,13 @@ class TestDisplayPath:
     def test_inside_out_dir_relativized(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        assert _display_path(out / "x" / "y.json", out) == "x/y.json"
+        assert _display_path(out / "x" / "y.json", out, "save_model") == "x/y.json"
 
-    def test_outside_out_dir_kept(self, tmp_path):
+    def test_outside_out_dir_keyed_by_its_setting(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
         other = tmp_path / "elsewhere.csv"
-        assert _display_path(other, out) == str(other)
+        assert _display_path(other, out, "save_model") == "save_model"
 
 
 def test_write_json_stable_bytes(tmp_path):

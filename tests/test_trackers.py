@@ -60,6 +60,13 @@ class TestPublicSuffix:
         assert psl.registrable_domain("shop.site.fancy.tld") == "site.fancy.tld"
         assert psl.public_suffix("site.fancy.tld") == "fancy.tld"
 
+    def test_rule_errors_count_lines_as_the_line_walk_does(self, tmp_path):
+        # a form feed or U+2028 inside a line does not end it
+        path = tmp_path / "psl.dat"
+        path.write_text("com\n\x0c\u2028\n*.a.*\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: wildcard not in the leftmost")):
+            PublicSuffixList.from_file(path)
+
 
     @pytest.mark.parametrize(
         "lines, message",
@@ -201,6 +208,11 @@ class TestParseFilterList:
     def test_source_lines_recorded(self):
         fl = parse_filter_list("! c\n||a.example^\n\nb.example\n")
         assert [r.source_line for r in fl.rules] == [2, 4]
+
+    def test_lines_end_only_at_line_feed_and_carriage_return(self):
+        fl = parse_filter_list("a.example\n\u2028\n\x1c\x85\rb.example\r\n")
+        assert [r.source_line for r in fl.rules] == [1, 4]
+        assert fl.skipped == {"blank": 2}
 
 
 class TestUnwrapArchiveUrl:
