@@ -4,10 +4,11 @@ byte-order mark dropped, lines ending at ``\\n``, ``\\r\\n`` or ``\\r``, and a
 byte that is not UTF-8 reported as ``path:line:``.  Each artifact is written
 under a temporary name and moved onto its path, so a killed stage leaves the
 previous file; nothing is fsynced against power loss.  Writers stream their
-pieces, so no artifact is held whole in memory.  ``recording`` notes the text
-files read and written, for a run manifest, and moves the text files written
-in it into place together when it ends without an error, so a stage that
-fails leaves every previous artifact."""
+pieces, so no artifact is held whole in memory, and ``read_csv`` yields
+CSV_CHUNK_ROWS rows at a time, so no CSV input is either.  ``recording``
+notes the text files read and written, for a run manifest, and moves the
+text files written in it into place together when it ends without an error,
+so a stage that fails leaves every previous artifact."""
 
 from __future__ import annotations
 
@@ -83,35 +84,50 @@ def read_text(path: str | Path) -> str:
         raise ValueError(f"{path}:{line}: {exc}") from None
 
 
+# rows per chunk that read_csv yields: the reader's working memory is a
+# chunk's cells, whatever the file's size
+CSV_CHUNK_ROWS = 1024
+
+
 def read_csv(path: str | Path, columns: Iterable[str],
-             required: Iterable[str]) -> tuple[list[int], dict[str, tuple]]:
-    """The rows of a CSV with a header, as one cell tuple per name in
-    ``columns``, and the physical line each row starts on, counting blank
-    lines and the extra lines of a quoted newline.  Like csv.DictReader,
-    blank lines are skipped, a repeated header name keeps its last column
-    and a short row's missing cells are None; so are the cells of a name
-    the header lacks, unless it is ``required``."""
+             required: Iterable[str]) -> Iterator[tuple[list[int], dict[str, tuple]]]:
+    """The rows of a CSV with a header, at most CSV_CHUNK_ROWS at a time, as
+    one cell tuple per name in ``columns`` and the physical line each row
+    starts on, counting blank lines and the extra lines of a quoted newline.
+    Like csv.DictReader, blank lines are skipped, a repeated header name keeps
+    its last column and a short row's missing cells are None; so are the
+    cells of a name the header lacks, unless it is ``required``.  A file with
+    no rows yields no chunk."""
     reader = csv.reader(_lines(path))
     try:
         header = next(reader, [])
         for name in required:
             if name not in header:
                 raise ValueError(f"{path}: missing required column: {name}")
+        width, index = len(header), {name: i for i, name in enumerate(header)}
         lines, rows = [], []
         start = reader.line_num + 1
         for row in reader:
             if row:
                 lines.append(start)
-                rows.append(row)
+                rows.append(row if len(row) == width else (row + [None] * width)[:width])
+                if len(rows) == CSV_CHUNK_ROWS:
+                    yield lines, _by_name(rows, index, columns)
+                    lines = []
             start = reader.line_num + 1
+        if rows:
+            yield lines, _by_name(rows, index, columns)
     except csv.Error as exc:  # a cell beyond csv's field size limit
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    width = len(header)
-    rows = [r if len(r) == width else (r + [None] * width)[:width] for r in rows]
-    cells = list(zip(*rows)) if rows else [()] * width
-    index = {name: i for i, name in enumerate(header)}
+
+
+def _by_name(rows: list[list], index: dict[str, int], columns: Iterable[str]) -> dict:
+    """The cells of ``rows`` as one tuple per name in ``columns``.  Empties
+    ``rows``, so that once the caller drops the tuples the cells are freed."""
+    cells = list(zip(*rows))
     absent = (None,) * len(rows)
-    return lines, {name: cells[index[name]] if name in index else absent for name in columns}
+    rows.clear()
+    return {name: cells[index[name]] if name in index else absent for name in columns}
 
 
 _LINE_END = re.compile(r"\r\n|\r|\n")

@@ -375,21 +375,21 @@ def read_annotations(path: str | Path) -> Annotations:
 
     A bad row's error names the physical line the row starts on."""
     out: Annotations = {}
-    lines, cols = read_csv(path, _ANNOTATION_COLUMNS, _ANNOTATION_COLUMNS)
-    for lineno, *cells in zip(lines, *cols.values()):
-        row = dict(zip(_ANNOTATION_COLUMNS, cells))
-        try:
-            short = sorted(c for c in _ANNOTATION_COLUMNS if row[c] is None)
-            if short:
-                raise ValueError(f"row too short, no {', '.join(short)}")
-            state = row["state"].strip().lower()
-            if state not in _ANNOTATION_STATES:
-                raise ValueError(f"unknown state {row['state']!r}")
-            site = normalize_site(row["domain"])
-            month = MonthStamp(int(row["year"]), int(row["month"]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        out.setdefault(site, {}).setdefault(month, []).append(_ANNOTATION_STATES[state])
+    for lines, cols in read_csv(path, _ANNOTATION_COLUMNS, _ANNOTATION_COLUMNS):
+        for lineno, *cells in zip(lines, *cols.values()):
+            row = dict(zip(_ANNOTATION_COLUMNS, cells))
+            try:
+                short = sorted(c for c in _ANNOTATION_COLUMNS if row[c] is None)
+                if short:
+                    raise ValueError(f"row too short, no {', '.join(short)}")
+                state = row["state"].strip().lower()
+                if state not in _ANNOTATION_STATES:
+                    raise ValueError(f"unknown state {row['state']!r}")
+                site = normalize_site(row["domain"])
+                month = MonthStamp(int(row["year"]), int(row["month"]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            out.setdefault(site, {}).setdefault(month, []).append(_ANNOTATION_STATES[state])
     return out
 
 

@@ -12,11 +12,13 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, Overflow
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
+from . import files
 from .files import numbered_lines, read_csv
 from .timeline import normalize_site
 
@@ -122,11 +124,11 @@ class RowError:
 
 
 def _read_json_lines(
-    path: Path, required: list[str]
-) -> tuple[list[int], dict[str, Sequence], list[RowError]]:
+    path: Path, required: list[str], errors: list[RowError]
+) -> Iterator[tuple[list[int], dict[str, list]]]:
     """Like files.read_csv, for one JSON object per line; lines that are not a
-    JSON object of single values are RowErrors."""
-    lines, records, errors = [], [], []
+    JSON object of single values are added to ``errors`` as RowErrors."""
+    lines, records = [], []
     for i, line in numbered_lines(path):
         line = line.strip()
         try:
@@ -147,7 +149,19 @@ def _read_json_lines(
             continue
         lines.append(i)
         records.append(rec)
-    return lines, {c: [rec.get(c) for rec in records] for c in REQUIRED_COLUMNS}, errors
+        if len(records) == files.CSV_CHUNK_ROWS:
+            yield lines, _by_column(records)
+            lines = []
+    if records:
+        yield lines, _by_column(records)
+
+
+def _by_column(records: list[dict]) -> dict[str, list]:
+    """One list of values per required column.  Empties ``records``, so that
+    once the caller drops the lists the values are freed."""
+    cols = {c: [rec.get(c) for rec in records] for c in REQUIRED_COLUMNS}
+    records.clear()
+    return cols
 
 
 def _blank(value) -> bool:
@@ -212,12 +226,18 @@ def _array(values: list, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parse_columns(
-    lines: list[int], cols: dict[str, Sequence], allow_unlabeled: bool
-) -> tuple[ProfileTable, list[RowError]]:
-    """Profiles of the rows that pass every check, and a RowError for each
-    row that does not, with the first reason in this order: domain, a domain
-    an earlier row already names, label, each metric's parse and sign in
-    schema order, ranks, percentages, the share sum and the EDU/GOV counts."""
+    lines: list[int], cols: dict[str, Sequence], allow_unlabeled: bool,
+    first_line: dict[str, int], strings: dict[str, str],
+) -> tuple[dict[str, list], list[RowError]]:
+    """The values of the rows that pass every check, one list per
+    TrafficProfile field, and a RowError for each row that does not, with the
+    first reason in this order: domain, a domain an earlier row already
+    names, label, each metric's parse and sign in schema order, ranks,
+    percentages, the share sum and the EDU/GOV counts.
+
+    ``first_line`` holds the line that first named each site, across chunks,
+    and gains this chunk's sites.  ``strings`` holds the one object that
+    stands for each label, country and category text, and gains this chunk's."""
     reasons: list[str | None] = [None] * len(lines)
 
     def reject(rows, reason) -> None:  # a row keeps its first reason
@@ -227,7 +247,6 @@ def _parse_columns(
 
     sites, errors = _map(normalize_site, [str(d) for d in cols["domain"]])
     reject(errors, errors.get)
-    first_line: dict[str, int] = {}
     for i, site in enumerate(sites):
         if site is not None and first_line.setdefault(site, lines[i]) != lines[i]:
             reasons[i] = f"duplicate domain {site}, first on line {first_line[site]}"
@@ -239,10 +258,13 @@ def _parse_columns(
                 label = "unknown"
             elif reasons[i] is None:
                 reasons[i] = f"label must be fake or real, got {raw!r}"
-        labels.append(label)
-    # a cell that is not text is never blank
-    values = {name: [None if raw is None else str(raw).strip() or None for raw in cols[name]]
-              for name in ("country", "category")}
+        labels.append(strings.setdefault(label, label))
+
+    def text(raw) -> str | None:  # a cell that is not text is never blank
+        value = None if raw is None else str(raw).strip() or None
+        return value if value is None else strings.setdefault(value, value)
+
+    values = {name: list(map(text, cols[name])) for name in ("country", "category")}
 
     arrays = {}
     for name in METRIC_FIELDS:
@@ -278,13 +300,11 @@ def _parse_columns(
                lambda i: f"{part} ({values[part][i]}) exceeds {whole} ({values[whole][i]})")
 
     values.update(site=sites, label=labels)
-    accepted = np.array([reason is None for reason in reasons], dtype=bool)
-    table = ProfileTable({name: np.array(values[name], dtype=object)[accepted]
-                          for name in _SCHEMA})
+    accepted = [reason is None for reason in reasons]
     domains = cols["domain"]
     rejected = [RowError(lines[i], str(domains[i]), reason)
                 for i, reason in enumerate(reasons) if reason is not None]
-    return table, rejected
+    return {name: list(compress(values[name], accepted)) for name in _SCHEMA}, rejected
 
 
 def load_profiles(
@@ -299,7 +319,12 @@ def load_profiles(
     line order, each with the physical line its row starts on.  With
     allow_unlabeled, rows may leave the label blank (prediction inputs) and
     get label "unknown".
-    All rows are read first, then parsed and checked a column at a time.
+
+    Rows are read, parsed and checked a chunk at a time (CSV_CHUNK_ROWS in
+    ``files``), each chunk a column at a time, and a chunk's raw cells are
+    dropped before the next is read.  Besides the accepted rows, a load holds
+    one string per distinct label, country and category, and one entry per
+    domain for the duplicate check.
     """
     path = Path(path)
     required = [
@@ -307,12 +332,20 @@ def load_profiles(
     ]
     errors: list[RowError] = []
     if path.suffix in (".jsonl", ".ndjson", ".json"):
-        lines, cols, errors = _read_json_lines(path, required)
+        chunks = _read_json_lines(path, required, errors)
     else:
-        lines, cols = read_csv(path, REQUIRED_COLUMNS, required)
-    profiles, rejected = _parse_columns(lines, cols, allow_unlabeled)
-    errors = sorted(errors + rejected, key=lambda e: e.line)
-    return profiles, errors
+        chunks = read_csv(path, REQUIRED_COLUMNS, required)
+    table: dict[str, list] = {name: [] for name in _SCHEMA}
+    first_line: dict[str, int] = {}
+    strings: dict[str, str] = {}
+    for lines, cols in chunks:
+        kept, rejected = _parse_columns(lines, cols, allow_unlabeled, first_line, strings)
+        del cols  # freed before the next chunk is read
+        errors += rejected
+        for name, values in kept.items():
+            table[name] += values
+    errors.sort(key=lambda e: e.line)
+    return ProfileTable({name: np.array(table.pop(name), dtype=object) for name in _SCHEMA}), errors
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """The one reader of text inputs: ``files.read_text``, the line walk behind
 ``files.numbered_lines`` and ``files.read_csv``, and the two CSV inputs that
-read through it (annotations and traffic profiles)."""
+read through it (annotations and traffic profiles).  Tests that take
+``chunk_sizes`` run at the shipped chunk size and at chunks of 1 and 2 rows."""
 
 import re
 
 import pytest
 
+from newsforensics import files
 from newsforensics.files import numbered_lines, read_csv, read_text, split_lines
 from newsforensics.timeline import read_annotations
 from newsforensics.traffic import REQUIRED_COLUMNS, load_profiles
@@ -69,35 +71,39 @@ def outcome(reader, path):
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("case", sorted(CSV_CASES))
 @pytest.mark.parametrize("reader", sorted(CSV_INPUTS))
-def test_both_csv_inputs_read_the_same_lines(tmp_path, reader, case, end):
+def test_both_csv_inputs_read_the_same_lines(tmp_path, chunk_sizes, reader, case, end):
     rows, sites, bad_line = CSV_CASES[case]
     path = tmp_path / "input.csv"
-    write_case(path, reader, rows, end)
-    assert outcome(reader, path)[1] == [bad_line]
-    write_case(path, reader, rows[:-1], end)
-    assert outcome(reader, path) == (sites, [])
+    for _ in chunk_sizes:
+        write_case(path, reader, rows, end)
+        assert outcome(reader, path)[1] == [bad_line]
+        write_case(path, reader, rows[:-1], end)
+        assert outcome(reader, path) == (sites, [])
 
 
 @pytest.mark.parametrize("reader", sorted(CSV_INPUTS))
-def test_a_repeated_header_name_keeps_its_last_column(tmp_path, reader):
+def test_a_repeated_header_name_keeps_its_last_column(tmp_path, chunk_sizes, reader):
     head = CSV_INPUTS[reader][0]
     path = tmp_path / "input.csv"
     # the first "domain" column holds BAD, the repeated one (in place of note) the site
-    write_case(path, reader, [(BAD, "a.com")], "\n", header=head.rsplit(",", 1)[0] + ",domain")
-    assert outcome(reader, path) == (["a.com"], [])
+    write_case(path, reader, [(BAD, "a.com"), (BAD, "b.com"), (BAD, "c.com")], "\n",
+               header=head.rsplit(",", 1)[0] + ",domain")
+    for _ in chunk_sizes:
+        assert outcome(reader, path) == (["a.com", "b.com", "c.com"], [])
 
 
 @pytest.mark.parametrize("line", [2, 3, 5])
 @pytest.mark.parametrize("reader", sorted(CSV_INPUTS))
-def test_a_bad_byte_names_its_line(tmp_path, reader, line):
+def test_a_bad_byte_names_its_line(tmp_path, chunk_sizes, reader, line):
     head, row, load = CSV_INPUTS[reader]
     rows = [row(f"s{i}.com").encode() for i in range(2, 6)]
     rows[line - 2] = rows[line - 2].replace(b",x", b",\xe9x")
     path = tmp_path / "input.csv"
     path.write_bytes(b"\r\n".join([head.encode(), *rows]) + b"\r\n")
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: 'utf-8' codec "
-                                         "can't decode byte 0xe9"):
-        load(path)
+    for _ in chunk_sizes:  # at 1 or 2 rows, earlier chunks were parsed before the byte
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: 'utf-8' codec "
+                                             "can't decode byte 0xe9"):
+            load(path)
 
 
 @pytest.mark.parametrize("reader", sorted(CSV_INPUTS))
@@ -111,31 +117,65 @@ def test_a_missing_column_names_it(tmp_path, reader):
         load(path)
 
 
+def read_whole(path, columns, required):
+    """read_csv's chunks joined into one (lines, columns) pair, after checking
+    that every chunk but the last holds CSV_CHUNK_ROWS rows and none is empty."""
+    lines, cols, sizes = [], {name: () for name in columns}, []
+    for chunk_lines, chunk in read_csv(path, columns, required):
+        assert list(chunk) == list(columns)
+        assert {len(cells) for cells in chunk.values()} == {len(chunk_lines)}
+        sizes.append(len(chunk_lines))
+        lines += chunk_lines
+        cols = {name: cols[name] + chunk[name] for name in columns}
+    assert all(size == files.CSV_CHUNK_ROWS for size in sizes[:-1])
+    assert sizes[-1:] != [0]
+    return lines, cols
+
+
 class TestReadCsv:
-    def test_cells_by_column(self, tmp_path):
+    def test_cells_by_column(self, tmp_path, chunk_sizes):
         path = tmp_path / "t.csv"
         path.write_bytes(b'a,b,a\n1,2,3\n\n4\n"5\r\n6",7,8,9\n')
-        lines, cols = read_csv(path, ["a", "b", "c"], ["a"])
-        assert lines == [2, 4, 5]
-        assert cols == {"a": ("3", None, "8"), "b": ("2", None, "7"), "c": (None, None, None)}
+        for _ in chunk_sizes:
+            lines, cols = read_whole(path, ["a", "b", "c"], ["a"])
+            assert lines == [2, 4, 5]
+            assert cols == {"a": ("3", None, "8"), "b": ("2", None, "7"),
+                            "c": (None, None, None)}
 
-    def test_a_quoted_cell_keeps_its_line_end(self, tmp_path):
+    def test_a_quoted_cell_keeps_its_line_end(self, tmp_path, chunk_sizes):
         path = tmp_path / "t.csv"
         path.write_bytes(b'a\r"x\ry"\r"u\r\nv"\r')
-        assert read_csv(path, ["a"], []) == ([2, 4], {"a": ("x\ry", "u\r\nv")})
+        for _ in chunk_sizes:
+            assert read_whole(path, ["a"], []) == ([2, 4], {"a": ("x\ry", "u\r\nv")})
 
-    def test_a_cell_beyond_the_field_limit_names_its_line(self, tmp_path):
+    def test_chunks_split_rows_not_lines(self, tmp_path, monkeypatch):
+        # blank lines and a quoted newline at the chunk edges count as lines only
+        path = tmp_path / "t.csv"
+        path.write_bytes(b'a\n1\n\n"2\n2"\n\n3\n\n\n4\n5\n\n')
+        monkeypatch.setattr(files, "CSV_CHUNK_ROWS", 2)
+        assert list(read_csv(path, ["a"], [])) == [
+            ([2, 4], {"a": ("1", "2\n2")}), ([7, 10], {"a": ("3", "4")}), ([11], {"a": ("5",)})]
+
+    def test_a_cell_beyond_the_field_limit_names_its_line(self, tmp_path, chunk_sizes):
         path = tmp_path / "t.csv"
         path.write_text("a\n1\n\"" + "x" * 200_000 + "\"\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: field larger than "):
-            read_csv(path, ["a"], [])
+        for _ in chunk_sizes:
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: field larger "):
+                read_whole(path, ["a"], [])
 
     def test_an_empty_file_lacks_every_column(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"")
-        assert read_csv(path, ["a"], []) == ([], {"a": ()})
+        assert list(read_csv(path, ["a"], [])) == []
         with pytest.raises(ValueError, match="missing required column: a$"):
-            read_csv(path, ["a"], ["a"])
+            list(read_csv(path, ["a"], ["a"]))
+
+    @pytest.mark.parametrize("data", [b"a,b\n", b"a,b", b"a,b\r\n\r\n\n"])
+    def test_a_header_only_file_yields_no_chunk(self, tmp_path, chunk_sizes, data):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        for _ in chunk_sizes:
+            assert list(read_csv(path, ["a", "c"], ["b"])) == []
 
 
 class TestReadText:

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsforensics import files
 from newsforensics.classify import FeatureEncoder
 from newsforensics.traffic import (
     _FLOAT_FIELDS,
     _INT_FIELDS,
+    _SCHEMA,
     REQUIRED_COLUMNS,
     SHARE_FIELDS,
     ProfileTable,
@@ -281,24 +284,25 @@ class TestLoadProfiles:
         for e, (field, _) in zip(errors, bad):
             assert field in e.reason, e
 
-    def test_csv_lines_are_physical_lines(self, tmp_path):
+    def test_csv_lines_are_physical_lines(self, tmp_path, chunk_sizes):
         # a blank line and a quoted newline each add a line the row count misses
         path = tmp_path / "traffic.csv"
+        blank, quoted = tmp_path / "blank.csv", tmp_path / "quoted.csv"
         write_csv(path, [profile_row(domain="a.com"), profile_row(domain="b.com"),
                          profile_row(domain="c.com", label="dubious")])
         header, a, b, c = path.read_text().splitlines()
-        path.write_text("\n".join([header, a, "", b, c]) + "\n")
-        _, errors = load_profiles(path)
-        assert [(e.line, e.site) for e in errors] == [(5, "c.com")]
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        blank.write_text("\n".join([header, a, "", b, c]) + "\n")
+        with open(quoted, "w", newline="", encoding="utf-8") as fh:
             out = csv.writer(fh)
             out.writerow(REQUIRED_COLUMNS)
             rows = [profile_row(category="News\nand more"), profile_row(label="dubious")]
             out.writerows([[row[c] for c in REQUIRED_COLUMNS] for row in rows])
-        profiles, errors = load_profiles(path)
-        assert profiles["category"][0] == "News\nand more"
-        assert [e.line for e in errors] == [4]
+        for _ in chunk_sizes:
+            _, errors = load_profiles(blank)
+            assert [(e.line, e.site) for e in errors] == [(5, "c.com")]
+            profiles, errors = load_profiles(quoted)
+            assert profiles["category"][0] == "News\nand more"
+            assert [e.line for e in errors] == [4]
 
     @pytest.mark.parametrize("overrides,reason", [
         # counts beyond int64 compare exactly, not as rounded floats
@@ -307,16 +311,18 @@ class TestLoadProfiles:
         # sum() starts from 0, and 0 + -0.0 is 0.0
         ({f: "-0" for f in SHARE_FIELDS}, "traffic source shares sum to 0.00, not ~100"),
     ])
-    def test_invariants_match_the_row_reference_at_their_edges(self, tmp_path, overrides, reason):
+    def test_invariants_match_the_row_reference_at_their_edges(self, tmp_path, chunk_sizes,
+                                                               overrides, reason):
         path = tmp_path / "traffic.csv"
-        write_csv(path, [profile_row(**overrides)])
-        profiles, errors = load_profiles(path)
-        assert (table_rows(profiles), errors) == load_profiles_reference(path)
-        assert [e.reason for e in errors] == [reason]
+        write_csv(path, [profile_row(domain="a.com"), profile_row(**overrides)])
+        for _ in chunk_sizes:
+            profiles, errors = load_profiles(path)
+            assert (table_rows(profiles), errors) == load_profiles_reference(path)
+            assert [e.reason for e in errors] == [reason]
 
     @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
-    def test_repeated_domain_rejected_after_its_first_row(self, tmp_path, suffix):
-        # a row rejected for another reason still claims its domain
+    def test_repeated_domain_rejected_after_its_first_row(self, tmp_path, chunk_sizes, suffix):
+        # a row rejected for another reason still claims its domain, in any later chunk
         rows = [profile_row(domain="a.com"), profile_row(domain="c.com", label="dubious"),
                 profile_row(domain="www.a.com", label="real"), profile_row(domain="C.com")]
         path = tmp_path / f"traffic{suffix}"
@@ -324,15 +330,90 @@ class TestLoadProfiles:
             write_csv(path, rows)
         else:
             path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        profiles, errors = load_profiles(path)
-        assert list(profiles["site"]) == ["a.com"]
         first = 2 if suffix == ".csv" else 1  # the CSV header is line 1
-        assert [(e.line - first, e.site, e.reason) for e in errors] == [
-            (1, "c.com", "label must be fake or real, got 'dubious'"),
-            (2, "www.a.com", f"duplicate domain a.com, first on line {first}"),
-            (3, "C.com", f"duplicate domain c.com, first on line {first + 1}"),
-        ]
-        assert (table_rows(profiles), errors) == load_profiles_reference(path)
+        for _ in chunk_sizes:
+            profiles, errors = load_profiles(path)
+            assert list(profiles["site"]) == ["a.com"]
+            assert [(e.line - first, e.site, e.reason) for e in errors] == [
+                (1, "c.com", "label must be fake or real, got 'dubious'"),
+                (2, "www.a.com", f"duplicate domain a.com, first on line {first}"),
+                (3, "C.com", f"duplicate domain c.com, first on line {first + 1}"),
+            ]
+            assert (table_rows(profiles), errors) == load_profiles_reference(path)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_chunk_edges_match_the_row_reference(self, tmp_path, chunk_sizes, suffix):
+        # blank lines, a newline inside a value, rejected rows and repeated domains
+        # fall on every chunk edge at 1 and 2 rows
+        rows = [profile_row(domain="a.com"), "", profile_row(domain="b.com", category="News\nmore"),
+                "", "", profile_row(domain="c.com", label="dubious"), profile_row(domain="d.com"),
+                "", profile_row(domain="www.b.com"), profile_row(domain="e.com", backlinks="-1"),
+                profile_row(domain="C.com", label="real"), "", profile_row(domain="f.com")]
+        path = tmp_path / f"traffic{suffix}"
+        if suffix == ".csv":
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                out = csv.writer(fh)
+                out.writerow(REQUIRED_COLUMNS)
+                for row in rows:
+                    out.writerow([row[c] for c in REQUIRED_COLUMNS] if row else [])
+        else:
+            path.write_text("".join((json.dumps(row) if row else "") + "\n" for row in rows)
+                            + "{broken\n\n5\n")
+        for _ in chunk_sizes:
+            profiles, errors = load_profiles(path)
+            assert list(profiles["site"]) == ["a.com", "b.com", "d.com", "f.com"]
+            assert profiles["category"][1] == "News\nmore"
+            assert [e.site for e in errors] == ["c.com", "www.b.com", "e.com", "C.com"] + (
+                ["?", "?"] if suffix == ".jsonl" else [])
+            assert (table_rows(profiles), errors) == load_profiles_reference(path)
+
+    @pytest.mark.parametrize("text, suffix", [
+        (",".join(REQUIRED_COLUMNS) + "\n\n", ".csv"), ("\n\n", ".jsonl"), ("\n5\n\n", ".jsonl")])
+    def test_a_file_without_rows_loads_an_empty_table(self, tmp_path, chunk_sizes, text, suffix):
+        path = tmp_path / f"traffic{suffix}"
+        path.write_text(text)
+        for _ in chunk_sizes:
+            profiles, errors = load_profiles(path)
+            assert len(profiles) == 0 and all(len(profiles[name]) == 0 for name in _SCHEMA)
+            assert [e.line for e in errors] == ([2] if "5" in text else [])
+
+    def test_repeated_strings_share_one_object(self, tmp_path, chunk_sizes):
+        path = tmp_path / "traffic.jsonl"
+        rows = [profile_row(domain=f"s{i}.com", label=" Fake", country="US ")
+                for i in range(5)]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        for _ in chunk_sizes:
+            profiles, _ = load_profiles(path)
+            for name, value in [("label", "fake"), ("country", "US"), ("category", "News")]:
+                assert list(profiles[name]) == [value] * 5
+                assert len({id(text) for text in profiles[name]}) == 1, name
+
+    def test_working_memory_is_a_chunk_not_the_file(self, tmp_path):
+        """What a load allocates beyond the table it returns, per row, over 16
+        chunks.  Measured with tracemalloc (Python 3.11, this export): about
+        130 B per row when each chunk's raw cells are freed before the next
+        is read, 682 B per row when every raw cell of the file is held before
+        any is parsed.  The bound lies between."""
+        rng = random.Random("transient")
+        n = 16 * files.CSV_CHUNK_ROWS
+        lines = [",".join(REQUIRED_COLUMNS)]
+        for i in range(n):
+            row = profile_row(domain=f"site{i}.com", label=rng.choice(["fake", "real"]),
+                              global_rank=str(rng.randrange(1, 10**6)),
+                              total_visits=f"{rng.randrange(1, 999)}.{rng.randrange(10)}K")
+            lines.append(",".join(row[c] for c in REQUIRED_COLUMNS))
+        path = tmp_path / "traffic.csv"
+        path.write_text("\n".join(lines) + "\n")
+        load_profiles(path)  # lazy imports and caches settle outside the measure
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            profiles, errors = load_profiles(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(profiles) == n and not errors
+        assert (peak - held) / n < 300
 
     def test_json_lines_missing_key(self, tmp_path):
         path = tmp_path / "traffic.jsonl"
@@ -560,20 +641,22 @@ def _load_or_error(load, path, allow_unlabeled):
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
-def test_column_loader_matches_row_reference(tmp_path, suffix):
+def test_column_loader_matches_row_reference(tmp_path, chunk_sizes, suffix):
     rng = random.Random(f"loader:{suffix}")
     write = _write_random_csv if suffix == ".csv" else _write_random_json_lines
-    accepted, reasons = 0, []
-    for trial in range(40):
-        path = tmp_path / f"t{trial}{suffix}"
+    paths = [tmp_path / f"t{trial}{suffix}" for trial in range(40)]
+    for path in paths:
         write(path, rng, rng.randrange(0, 40))
-        for allow_unlabeled in (False, True):
+    expected = {(path, allow_unlabeled): _load_or_error(load_profiles_reference, path,
+                                                        allow_unlabeled)
+                for path in paths for allow_unlabeled in (False, True)}
+    for rows in chunk_sizes:
+        for (path, allow_unlabeled), expect in expected.items():
             got = _load_or_error(load_profiles, path, allow_unlabeled)
-            expect = _load_or_error(load_profiles_reference, path, allow_unlabeled)
-            assert got == expect, (trial, allow_unlabeled)
-            if not isinstance(got, str):
-                accepted += len(got[0])
-                reasons += [e.reason for e in got[1]]
+            assert got == expect, (rows, path.name, allow_unlabeled)
+    loaded = [expect for expect in expected.values() if not isinstance(expect, str)]
+    accepted = sum(len(profiles) for profiles, _ in loaded)
+    reasons = [e.reason for _, errors in loaded for e in errors]
     assert accepted > 300 and len(reasons) > 300
     for check in ["not a valid site", "duplicate domain", "label must", ": not a quantity", ": not a finite count",
                   "could not convert", "finite and non-negative", "must be positive",
