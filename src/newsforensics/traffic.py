@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 import numpy as np
 
 from . import files
-from .files import numbered_lines, read_csv
 from .timeline import normalize_site
 
 
@@ -129,7 +128,7 @@ def _read_json_lines(
     """Like files.read_csv, for one JSON object per line; lines that are not a
     JSON object of single values are added to ``errors`` as RowErrors."""
     lines, records = [], []
-    for i, line in numbered_lines(path):
+    for i, line in files.numbered_lines(path):
         line = line.strip()
         try:
             rec = json.loads(line)
@@ -334,7 +333,7 @@ def load_profiles(
     if path.suffix in (".jsonl", ".ndjson", ".json"):
         chunks = _read_json_lines(path, required, errors)
     else:
-        chunks = read_csv(path, REQUIRED_COLUMNS, required)
+        chunks = files.read_csv(path, REQUIRED_COLUMNS, required)
     table: dict[str, list] = {name: [] for name in _SCHEMA}
     first_line: dict[str, int] = {}
     strings: dict[str, str] = {}
@@ -345,7 +344,8 @@ def load_profiles(
         for name, values in kept.items():
             table[name] += values
     errors.sort(key=lambda e: e.line)
-    return ProfileTable({name: np.array(table.pop(name), dtype=object) for name in _SCHEMA}), errors
+    columns = {name: np.array(table.pop(name), dtype=object) for name in _SCHEMA}
+    return ProfileTable(columns), errors
 
 
 @dataclass(frozen=True)

@@ -345,9 +345,10 @@ class TestLoadProfiles:
     def test_chunk_edges_match_the_row_reference(self, tmp_path, chunk_sizes, suffix):
         # blank lines, a newline inside a value, rejected rows and repeated domains
         # fall on every chunk edge at 1 and 2 rows
-        rows = [profile_row(domain="a.com"), "", profile_row(domain="b.com", category="News\nmore"),
-                "", "", profile_row(domain="c.com", label="dubious"), profile_row(domain="d.com"),
-                "", profile_row(domain="www.b.com"), profile_row(domain="e.com", backlinks="-1"),
+        rows = [profile_row(domain="a.com"), "",
+                profile_row(domain="b.com", category="News\nmore"), "", "",
+                profile_row(domain="c.com", label="dubious"), profile_row(domain="d.com"), "",
+                profile_row(domain="www.b.com"), profile_row(domain="e.com", backlinks="-1"),
                 profile_row(domain="C.com", label="real"), "", profile_row(domain="f.com")]
         path = tmp_path / f"traffic{suffix}"
         if suffix == ".csv":
